@@ -107,13 +107,10 @@ _SCHEMA = {
     "grid.length": _Key("float", 100.0, _positive),
     "grid.cells": _Key("int", 1024, _at_least_one),
     "steady.sigma_seed": _Key("float", 1e-3, _positive),
-    "steady.eps_seed": _Key("optfloat", None, _positive),
     "steady.x_domain": _Key("optfloat", None, _positive),
     "steady.points": _Key("int", 2048, _at_least_one),
     "steady.max_delta": _Key("float", 0.1, _positive),
     "steady.allow_large_delta": _Key("bool", False),
-    "steady.ode_tol": _Key("float", 1e-10, _positive),
-    "steady.newton_tol": _Key("float", 1e-10, _positive),
     "evolve.t_end": _Key("float", 10.0, _nonnegative),
     "evolve.cfl": _Key("float", 0.4, _unit_open),
     "evolve.observer_stride": _Key("int", 10, _at_least_one),
@@ -241,12 +238,9 @@ class ExperimentConfig:
         return SteadySolveOptions(max_delta=v["steady.max_delta"],
                                   allow_large_delta=v[
                                       "steady.allow_large_delta"],
-                                  eps_seed=v["steady.eps_seed"],
                                   sigma_seed=v["steady.sigma_seed"],
                                   x_domain=x_domain,
-                                  points=v["steady.points"],
-                                  ode_tol=v["steady.ode_tol"],
-                                  newton_tol=v["steady.newton_tol"])
+                                  points=v["steady.points"])
 
     def perturbation_spec(self):
         v = self.values

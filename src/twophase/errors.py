@@ -26,7 +26,10 @@ class SingularityError(RuntimeError):
 
 
 class ShootingError(RuntimeError):
-    """Boundary shooting failed to converge; carries the last residual."""
+    """The steady boundary-value solve failed: the collocation did not
+    converge or the profile missed the far field. Carries the last
+    residual when there is one. (The name predates the collocation
+    solver and is kept for callers.)"""
 
     def __init__(self, message, residual=None):
         self.residual = residual
@@ -62,7 +65,7 @@ class BlowUpError(RuntimeError):
 
 class NumericsError(RuntimeError):
     """Floating-point machinery failed a self-check (eigenvector residual,
-    step-size underflow, exhausted step budget)."""
+    boundary rows that do not match the far-field spectrum)."""
 
 
 class InsufficientDataError(ValueError):

@@ -100,6 +100,15 @@ def test_config_rejections_name_the_problem(tmp_path, extra, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["steady.eps_seed", "steady.ode_tol",
+                                 "steady.newton_tol"])
+def test_retired_shooting_keys_rejected(tmp_path, key):
+    # the steady solver no longer shoots, so its knobs left the schema
+    with pytest.raises(tp.ConfigError) as err:
+        cli.parse_config(write_config(tmp_path, f"{key} = 1e-6"))
+    assert "unknown key" in str(err.value)
+
+
 def test_missing_required_keys_listed(tmp_path):
     path = write_config(tmp_path, lines=BASE_LINES[:4])
     with pytest.raises(tp.ConfigError) as err:
