@@ -16,7 +16,7 @@ import numpy as np
 from . import model
 from .errors import DomainError, InsufficientDataError, WeightOverflowError
 from .steady import (ALGEBRAIC, EXPONENTIAL, SteadyProfile, matrix_invariants,
-                     sigma_profile, solve_cubic)
+                     sigma_profile, solve_cubic, write_csv_rows)
 
 POSITIVE_DEFINITE = "positive_definite"
 POSITIVE_SEMIDEFINITE = "positive_semidefinite"
@@ -448,12 +448,12 @@ def save_norm_series_csv(series: NormSeries, path):
     header = NORM_SERIES_BASE_HEADER
     if tags:
         header += "," + ",".join(f"w_{tag.label}" for tag in tags)
+    cols = np.array([(r.t, r.l2, r.h1, r.linf, r.drag_l2,
+                      *(r.weighted[tag] for tag in tags))
+                     for r in series.records], dtype=float)
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for r in series.records:
-            row = [r.t, r.l2, r.h1, r.linf, r.drag_l2]
-            row.extend(r.weighted[tag] for tag in tags)
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+        write_csv_rows(fh, cols.reshape(-1, 5 + len(tags)))
 
 
 def load_norm_series_csv(path):

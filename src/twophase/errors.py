@@ -55,12 +55,14 @@ class VacuumError(RuntimeError):
 
 
 class BlowUpError(RuntimeError):
-    """NaN or Inf detected during time stepping."""
+    """NaN or Inf detected during time stepping, or an implicit stage whose
+    matrix is not positive definite (which only non-finite data or a
+    non-positive ghost density can cause)."""
 
-    def __init__(self, t=None):
+    def __init__(self, t=None, what="non-finite state detected"):
         self.t = t
         where = "" if t is None else f" at t={t:.6g}"
-        super().__init__(f"non-finite state detected{where}")
+        super().__init__(f"{what}{where}")
 
 
 class NumericsError(RuntimeError):

@@ -64,3 +64,11 @@ def flat_profile(spec, x_max=50.0, points=501):
         achieved_u_minus=far.u_plus, achieved_v_minus=far.u_plus,
         boundary_compatible=True, sigma0=0.0,
         rho_plus=far.rho_plus, u_plus=far.u_plus, n_plus=far.n_plus)
+
+
+def per_value_csv(header, rows):
+    """CSV text written one "%.17g" value at a time: the reference the
+    row-template writers must reproduce byte for byte."""
+    lines = [header]
+    lines.extend(",".join("%.17g" % float(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"

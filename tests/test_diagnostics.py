@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 import twophase as tp
 
-from conftest import flat_profile, rng_for
+from conftest import flat_profile, per_value_csv, rng_for
 
 UNIT = tp.FluidConstants(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0)
 
@@ -373,6 +373,19 @@ def test_norm_series_csv_roundtrip(tmp_path):
                                   [r.weighted[tags[0]] for r in records])
     np.testing.assert_array_equal(cols["w_exp0.5"],
                                   [r.weighted[tags[1]] for r in records])
+
+
+def test_norm_series_csv_rows_match_per_value_format(tmp_path):
+    grid = make_grid(10.0, 100)
+    tags = (tp.AlgebraicNu(1.0), tp.ExponentialLambda(0.5))
+    records = [tp.norms(exp_field(grid), grid, weights=tags, t=t)
+               for t in (0.0, 1.0 / 3.0, 2.5)]
+    path = tmp_path / "norms.csv"
+    tp.save_norm_series_csv(tp.NormSeries(records=tuple(records)), path)
+    rows = [[r.t, r.l2, r.h1, r.linf, r.drag_l2]
+            + [r.weighted[tag] for tag in tags] for r in records]
+    assert path.read_text() == per_value_csv(
+        "t,l2,h1,linf,drag_l2,w_alg1,w_exp0.5", rows)
 
 
 def test_norm_series_csv_rejects_mixed_tags(tmp_path):

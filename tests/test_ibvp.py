@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import twophase as tp
-from twophase.ibvp import _euler_stage
+from twophase.ibvp import (_euler_stage, _implicit_momenta, _padded,
+                           _stage_rhs, _viscous_drag_terms)
 
-from conftest import flat_profile, rng_for
+from conftest import flat_profile, per_value_csv, rng_for
 
 UNIT = tp.FluidConstants(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0)
 SUP = tp.ModelSpec(fluids=UNIT,
@@ -275,6 +276,121 @@ def test_step_rejects_nonpositive_dt():
 
 
 # ---------------------------------------------------------------------------
+# IMEX stepping: implicit solve, order, failure
+# ---------------------------------------------------------------------------
+
+def test_implicit_solve_matches_viscous_drag_terms():
+    # the banded solve must invert exactly m - h G(m), with G the viscous
+    # and drag terms _stage_rhs adds: a lost term, a wrong sign or a wrong
+    # ghost row shows as an O(h) residual here
+    grid = tp.make_grid(12.8, 64)
+    x = grid.centers
+    mu = 0.6
+    rho = 1.0 + 0.1 * np.sin(0.5 * x)
+    n = 1.0 + 0.08 * np.cos(0.4 * x)
+    r1 = rho * (-2.0 + 0.05 * np.cos(0.3 * x))
+    r2 = n * (-1.9 + 0.04 * np.sin(0.6 * x))
+    bc = (-2.01, -1.97, (1.02, -2.0, 0.99, -2.03))
+    h = 0.05
+    m1, m2 = _implicit_momenta(rho, n, r1, r2, h, mu, grid.dx, *bc, t=0.0)
+    visc1, visc2, drag = _viscous_drag_terms(
+        _padded(rho, m1, n, m2, *bc), mu, grid.dx)
+    res1 = m1 - h * (visc1 + drag) - r1
+    res2 = m2 - h * (visc2 - drag) - r2
+    assert np.max(np.abs(res1)) <= 1e-12 * np.max(np.abs(r1))
+    assert np.max(np.abs(res2)) <= 1e-12 * np.max(np.abs(r2))
+    # and the implicit terms are not negligible at this h
+    assert np.max(np.abs(m1 - r1)) > 1e-3
+
+
+def test_imex_drag_relaxation_second_order():
+    # homogeneous state: the interior velocity gap obeys
+    # d(v-u)/dt = -(1 + n/rho)(v-u); the boundary cells are 12.8 length
+    # units from the sampled one, far outside what reaches it by t = 1
+    grid = tp.make_grid(25.6, 256)
+    rho, n, u, v = 1.2, 0.8, -2.0, -1.5
+    rate = n * (1.0 / rho + 1.0 / n)
+    exact = (v - u) * math.exp(-rate)
+    j = 128
+
+    def gap_error(substeps):
+        res = tp.evolve(homogeneous_state(256, rho, u, n, v), grid, SUP,
+                        t_end=1.0, drag_substeps=substeps)
+        return abs(res.state.v[j] - res.state.u[j] - exact)
+
+    assert gap_error(1) >= 3.0 * gap_error(2)
+
+
+def test_imex_agrees_with_heun_reference():
+    # the drift spec of test_steady_drift_shrinks_first_order: evolve's
+    # IMEX norms at its own dt match an explicit Heun march at stable_dt,
+    # and approach them at second order in dt
+    spec = tp.ModelSpec(fluids=UNIT,
+                        far=tp.FarFieldState(rho_plus=1.0, n_plus=1.0,
+                                             u_plus=-2.0),
+                        u_minus=-1.95)
+    profile = tp.solve_steady(spec, tp.SteadySolveOptions(x_domain=16.0))
+    grid = tp.make_grid(12.8, 256)
+    start = tp.initialize(profile, grid, tp.PerturbationSpec())
+
+    def final_norms(state):
+        rec = tp.norms(tp.perturbation(state, profile, grid), grid, t=1.0)
+        return np.array([rec.l2, rec.h1, rec.linf])
+
+    heun = start
+    while 1.0 - heun.t > 1e-12:
+        heun = tp.step(heun, grid, spec,
+                       min(tp.stable_dt(heun, grid, spec), 1.0 - heun.t))
+    reference = final_norms(heun)
+    errors = []
+    for substeps in (1, 2):
+        res = tp.evolve(start, grid, spec, t_end=1.0, drag_substeps=substeps)
+        errors.append(np.abs(final_norms(res.state) / reference - 1.0))
+    assert np.all(errors[0] <= 1e-4)
+    assert np.all(errors[0] >= 3.0 * errors[1])
+
+
+def test_imex_settles_on_the_semi_discrete_steady_state():
+    # evolve's fixed point must be F + G = 0 of the semi-discrete scheme,
+    # not a dt-dependent neighbour: at the settled state the residual is
+    # tiny while the viscous and drag part G alone is O(0.1)
+    spec = tp.ModelSpec(fluids=UNIT,
+                        far=tp.FarFieldState(rho_plus=1.0, n_plus=1.0,
+                                             u_plus=-2.0),
+                        u_minus=-1.95)
+    profile = tp.solve_steady(spec, tp.SteadySolveOptions(x_domain=16.0))
+    grid = tp.make_grid(12.8, 64)
+    start = tp.initialize(profile, grid, tp.PerturbationSpec())
+    s = tp.evolve(start, grid, spec, t_end=40.0).state
+    bc = (s.u_bc, s.v_bc, s.right_ghost)
+    rates = _stage_rhs(s.rho, s.mom1, s.n, s.mom2, spec, grid.dx, *bc)
+    visc1, visc2, drag = _viscous_drag_terms(
+        _padded(s.rho, s.mom1, s.n, s.mom2, *bc), UNIT.mu, grid.dx)
+    implicit = max(np.max(np.abs(visc1 + drag)), np.max(np.abs(visc2 - drag)))
+    assert implicit > 0.01
+    assert max(np.max(np.abs(r)) for r in rates) <= 1e-6 * implicit
+    after = tp.step(s, grid, spec, tp.stable_dt(s, grid, spec, imex=True),
+                    imex=True)
+    np.testing.assert_allclose(after.u, s.u, rtol=1e-9)
+    np.testing.assert_allclose(after.v, s.v, rtol=1e-9)
+
+
+def test_evolve_failed_implicit_solve_raises_blowup():
+    # a negative right-ghost density makes the implicit matrix indefinite;
+    # the factorization failure surfaces as the documented BlowUpError
+    grid = tp.make_grid(10.0, 1000)
+    state = homogeneous_state(1000, 1.0, -2.0, 1.0, -2.0, t=0.5)
+    state = tp.EvolutionState(t=state.t, rho=state.rho, u=state.u,
+                              n=state.n, v=state.v, mom1=state.mom1,
+                              mom2=state.mom2, u_bc=state.u_bc,
+                              v_bc=state.v_bc,
+                              right_ghost=(1.0, -2.0, -5.0, -2.0))
+    with pytest.raises(tp.BlowUpError, match="not positive definite") as err:
+        tp.evolve(state, grid, SUP, t_end=1.0)
+    assert err.value.t > 0.5
+
+
+# ---------------------------------------------------------------------------
 # evolve loop semantics
 # ---------------------------------------------------------------------------
 
@@ -352,6 +468,25 @@ def test_evolve_drag_substeps_divide_dt():
     assert double == pytest.approx(2 * single, abs=2)
 
 
+def test_evolve_reports_steps_and_dt_range():
+    profile = flat_profile(SUP)
+    grid = tp.make_grid(10.0, 100)
+    pert = tp.PerturbationSpec(amplitude=1e-4, center=5.0, width=1.0)
+    calls = []
+    result = tp.evolve(tp.initialize(profile, grid, pert), grid, SUP,
+                       t_end=0.3, observers=(lambda s: calls.append(s.t),))
+    assert isinstance(result.steps, int)
+    assert isinstance(result.dt_min, float)
+    assert isinstance(result.dt_max, float)
+    assert result.steps == len(calls) - 1
+    assert 0.0 < result.dt_min <= result.dt_max
+    # implicit viscosity leaves only the advective bound: |u| + c = 3 gives
+    # 0.4 * 0.1 / 3, about 7x the explicit step of stable_dt
+    assert result.dt_max == pytest.approx(0.4 * grid.dx / 3.0, rel=1e-3)
+    zero = tp.evolve(result.state, grid, SUP, t_end=result.state.t)
+    assert (zero.steps, zero.dt_min, zero.dt_max) == (0, 0.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # snapshots
 # ---------------------------------------------------------------------------
@@ -389,6 +524,17 @@ def test_state_snapshot_roundtrip(tmp_path):
     np.testing.assert_array_equal(
         tp.step(restored, grid, SUP, 0.002).rho,
         tp.step(state, grid, SUP, 0.002).rho)
+
+
+def test_state_snapshot_rows_match_per_value_format(tmp_path):
+    # more cells than one conversion chunk of the writer
+    grid = tp.make_grid(10.0, 2500)
+    state = tp.initialize(flat_profile(SUP), grid, tp.PerturbationSpec(
+        amplitude=1e-3, center=5.0, width=1.0, components=("rho", "u")))
+    path = tmp_path / "snap.csv"
+    tp.save_state_csv(state, grid, path)
+    rows = zip(grid.centers, state.rho, state.u, state.n, state.v)
+    assert path.read_text() == per_value_csv("x,rho,u,n,v", rows)
 
 
 def test_state_snapshot_header_guard(tmp_path):

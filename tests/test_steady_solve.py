@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import twophase as tp
 from twophase.steady import (PROFILE_HEADER, load_profile_csv,
                              save_profile_csv)
-from conftest import random_spec, rng_for
+from conftest import per_value_csv, random_spec, rng_for
 
 UNIT = tp.FluidConstants(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0)
 
@@ -265,6 +265,16 @@ def test_profile_csv_roundtrip(tmp_path, supersonic_case):
     np.testing.assert_array_equal(cols["v_t"], prof.v_t)
     np.testing.assert_array_equal(cols["ux_t"], prof.ux_t)
     np.testing.assert_array_equal(cols["vx_t"], prof.vx_t)
+
+
+def test_profile_csv_rows_match_per_value_format(tmp_path,
+                                                 supersonic_case):
+    _, prof = supersonic_case
+    path = tmp_path / "profile.csv"
+    save_profile_csv(prof, path)
+    rows = zip(prof.x, prof.rho_t, prof.u_t, prof.n_t, prof.v_t, prof.ux_t,
+               prof.vx_t)
+    assert path.read_text() == per_value_csv(PROFILE_HEADER, rows)
 
 
 def test_csv_header_guard(tmp_path):
