@@ -1,8 +1,9 @@
 """Numerical laboratory for viscous two-phase outflow on the half line.
 
-Steady profiles are constructed by far-field manifold shooting (collocation
-in the sonic case), evolved under the full system by a finite-volume scheme,
-and measured against the predicted spatial and temporal decay rates.
+Steady profiles are constructed by one collocation solve per regime, with
+projection boundary conditions at the far end, evolved under the full
+system by a finite-volume scheme, and measured against the predicted
+spatial and temporal decay rates.
 """
 
 from .diagnostics import (AlgebraicNu, ExponentialLambda, NormRecord,

@@ -2,8 +2,15 @@
 half-line.
 
 The semi-discrete scheme is first order and deliberately plain: Rusanov
-fluxes per phase, centered second differences for the two viscous terms,
-pointwise drag. `step` advances it either with the explicit SSP-RK2 (Heun)
+fluxes, centered second differences for the two viscous terms, pointwise
+drag. One kernel evaluates it for both steppers on a stacked block: the
+conserved variables form one (2, 2, N) array ((rho, n), (m1, m2)), padded
+into a (2, 2(N+2)) array whose rows hold phase 1's padded cells followed
+by phase 2's, so each pad, flux and difference runs once over both phases.
+An isothermal phase (exponent 1) takes p = A rho and c = sqrt(A gamma)
+with no power, the same bits as the power.
+
+`step` advances the scheme either with the explicit SSP-RK2 (Heun)
 reference scheme, for callers that choose a fixed dt, or with the IMEX
 scheme ARS(2,2,2) (Ascher, Ruuth & Spiteri, 1997): convection explicit,
 viscosity and drag implicit through one banded solve per stage, so dt
@@ -179,10 +186,18 @@ def initialize(profile: SteadyProfile, grid: Grid1D,
                           u_bc=u_bc, v_bc=v_bc, right_ghost=right_ghost)
 
 
+def _sound_speed(coef, expo, dens):
+    """sqrt(p'(dens)) for p = coef dens^expo; a float for an isothermal
+    phase, where pow(x, 0) = 1 exactly makes the constant sqrt(coef) the
+    same bits as the power."""
+    if expo == 1.0:
+        return math.sqrt(coef * expo)
+    return np.sqrt(coef * expo * dens ** (expo - 1.0))
+
+
 def _sound_speeds(f, rho, n):
     """Sound speeds sqrt(p'(rho)) and sqrt(p'(n)) of the two phases."""
-    return (np.sqrt(f.A1 * f.gamma * rho ** (f.gamma - 1.0)),
-            np.sqrt(f.A2 * f.alpha * n ** (f.alpha - 1.0)))
+    return _sound_speed(f.A1, f.gamma, rho), _sound_speed(f.A2, f.alpha, n)
 
 
 def _advective_dt(state: EvolutionState, grid: Grid1D, spec, cfl: float
@@ -212,56 +227,67 @@ def stable_dt(state: EvolutionState, grid: Grid1D, spec, cfl: float = 0.4,
     return min(adv, cfl * diff)
 
 
-def _pad(arr, left, right):
-    return np.concatenate(([left], arr, [right]))
+# ---------------------------------------------------------------------------
+# the stacked-phase kernel
+# ---------------------------------------------------------------------------
+
+def _block(state):
+    """The conserved variables as one (2, 2, N) block ((rho, n), (m1, m2))."""
+    return np.array(((state.rho, state.n), (state.mom1, state.mom2)))
 
 
-def _padded(rho, m1, n, m2, u_bc, v_bc, right_ghost):
-    """Conserved arrays with one ghost cell on each side, then the padded
-    velocities. The left ghost copies the interior densities and carries the
-    prescribed outflow velocities; the right ghost is the frozen profile
-    continuation."""
+def _ghosted(U, u_bc, v_bc, right_ghost):
+    """The block with one ghost cell on each side of each phase, laid out
+    as one (2, 2(N+2)) array: row 0 the densities, row 1 the momenta, each
+    row phase 1's padded cells followed by phase 2's. Returns it with its
+    velocities. The left ghost copies the interior densities and carries
+    the prescribed outflow velocities; the right ghost is the frozen
+    profile continuation."""
     g_rho, g_u, g_n, g_v = right_ghost
-    rho_p = _pad(rho, rho[0], g_rho)
-    m1_p = _pad(m1, rho[0] * u_bc, g_rho * g_u)
-    n_p = _pad(n, n[0], g_n)
-    m2_p = _pad(m2, n[0] * v_bc, g_n * g_v)
-    return rho_p, m1_p, n_p, m2_p, m1_p / rho_p, m2_p / n_p
+    P = np.empty(U.shape[:2] + (U.shape[2] + 2,))
+    P[:, :, 1:-1] = U
+    P[0, :, 0] = U[0, :, 0]
+    P[1, :, 0] = U[0, :, 0] * (u_bc, v_bc)
+    P[:, :, -1] = ((g_rho, g_n), (g_rho * g_u, g_n * g_v))
+    P = P.reshape(2, -1)
+    return P, P[1] / P[0]
 
 
-def _convective_rhs(padded, f, dx):
-    """Rusanov flux differences of the conserved quadruple."""
-    rho_p, m1_p, n_p, m2_p, u_p, v_p = padded
-    p1 = f.A1 * rho_p ** f.gamma
-    p2 = f.A2 * n_p ** f.alpha
-    c1, c2 = _sound_speeds(f, rho_p, n_p)
-    s1 = np.abs(u_p) + c1
-    s2 = np.abs(v_p) + c2
-    a1 = np.maximum(s1[:-1], s1[1:])
-    a2 = np.maximum(s2[:-1], s2[1:])
+def _convection(P, vel, f, dx):
+    """Rusanov flux differences of the ghosted block, as a (2, 2, N) block
+    of rates. Every operation runs once over both phases; the one interface
+    between phase 1's right ghost and phase 2's left ghost mixes the phases
+    and its flux is discarded."""
+    dens, mom = P
+    half = dens.size // 2
+    flux = np.empty_like(P)  # the physical fluxes (m, m u + p)
+    flux[0] = mom
+    np.multiply(mom, vel, out=flux[1])
+    speed = np.abs(vel)
+    for cells, coef, expo in ((slice(None, half), f.A1, f.gamma),
+                              (slice(half, None), f.A2, f.alpha)):
+        # an isothermal phase skips the power: pow(x, 1) = x exactly
+        flux[1, cells] += (coef * dens[cells] if expo == 1.0
+                           else coef * dens[cells] ** expo)
+        speed[cells] += _sound_speed(coef, expo, dens[cells])
+    a = np.maximum(speed[:-1], speed[1:])
+    num = flux[:, :-1] + flux[:, 1:]
+    num *= 0.5
+    jump = P[:, 1:] - P[:, :-1]
+    jump *= 0.5 * a
+    num -= jump
+    # the flux differences reuse the physical fluxes' buffer; x / (-dx) is
+    # -(x / dx) bit for bit, signed zeros included
+    rates = np.subtract(num[:, 1:], num[:, :-1], out=flux[:, :-2])
+    rates /= -dx
+    return flux.reshape(2, 2, half)[:, :, :half - 2]
 
-    flux_rho = (0.5 * (m1_p[:-1] + m1_p[1:])
-                - 0.5 * a1 * (rho_p[1:] - rho_p[:-1]))
-    f_m1 = m1_p * u_p + p1
-    flux_m1 = (0.5 * (f_m1[:-1] + f_m1[1:])
-               - 0.5 * a1 * (m1_p[1:] - m1_p[:-1]))
-    flux_n = (0.5 * (m2_p[:-1] + m2_p[1:])
-              - 0.5 * a2 * (n_p[1:] - n_p[:-1]))
-    f_m2 = m2_p * v_p + p2
-    flux_m2 = (0.5 * (f_m2[:-1] + f_m2[1:])
-               - 0.5 * a2 * (m2_p[1:] - m2_p[:-1]))
 
-    d_rho = -(flux_rho[1:] - flux_rho[:-1]) / dx
-    d_m1 = -(flux_m1[1:] - flux_m1[:-1]) / dx
-    d_n = -(flux_n[1:] - flux_n[:-1]) / dx
-    d_m2 = -(flux_m2[1:] - flux_m2[:-1]) / dx
-    return d_rho, d_m1, d_n, d_m2
-
-
-def _viscous_drag_terms(padded, mu, dx):
+def _viscosity_drag(P, vel, mu, dx):
     """mu u_xx, (n v_x)_x and the drag n (v - u), per cell; the drag enters
     the phase-1 momentum with a plus sign and the phase-2 one with a minus."""
-    _, _, n_p, _, u_p, v_p = padded
+    half = vel.size // 2
+    u_p, v_p, n_p = vel[:half], vel[half:], P[0, half:]
     visc1 = mu * (u_p[:-2] - 2.0 * u_p[1:-1] + u_p[2:]) / dx ** 2
     n_iface = 0.5 * (n_p[:-1] + n_p[1:])
     v_grad = (v_p[1:] - v_p[:-1]) / dx
@@ -270,43 +296,54 @@ def _viscous_drag_terms(padded, mu, dx):
     return visc1, visc2, drag
 
 
-def _stage_rhs(rho, m1, n, m2, spec, dx, u_bc, v_bc, right_ghost):
-    """Semi-discrete right-hand side for the conserved quadruple: the
-    convective part plus the viscous and drag terms."""
+def _rates(U, spec, dx, u_bc, v_bc, right_ghost):
+    """Semi-discrete right-hand side of the block: the convective part plus
+    the viscous and drag terms."""
     # let non-finite values propagate silently; the stage check after the
     # update turns them into a loud abort
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        padded = _padded(rho, m1, n, m2, u_bc, v_bc, right_ghost)
-        d_rho, d_m1, d_n, d_m2 = _convective_rhs(padded, spec.fluids, dx)
-        visc1, visc2, drag = _viscous_drag_terms(padded, spec.fluids.mu, dx)
-        return d_rho, d_m1 + visc1 + drag, d_n, d_m2 + visc2 - drag
+        P, vel = _ghosted(U, u_bc, v_bc, right_ghost)
+        rates = _convection(P, vel, spec.fluids, dx)
+        visc1, visc2, drag = _viscosity_drag(P, vel, spec.fluids.mu, dx)
+        # (convection + viscosity) + drag, one term at a time: the order of
+        # the sums fixes the bits of the Heun reference
+        rates[1, 0] += visc1
+        rates[1, 0] += drag
+        rates[1, 1] += visc2
+        rates[1, 1] -= drag
+    return rates
 
 
-def _check_stage(rho, m1, n, m2, t):
-    for arr in (rho, m1, n, m2):
-        if not np.all(np.isfinite(arr)):
-            raise BlowUpError(t)
-    for phase, dens in ((1, rho), (2, n)):
-        low = np.nonzero(dens <= DENSITY_FLOOR)[0]
+def _check(U, t):
+    """Abort on a non-finite entry (BlowUpError) or a density at or below
+    the floor (VacuumError naming the first such phase and cell)."""
+    finite = np.isfinite(U).all()
+    if finite and U[0].min() > DENSITY_FLOOR:
+        return
+    if not finite:
+        raise BlowUpError(t)
+    for phase in (0, 1):
+        low = np.nonzero(U[0, phase] <= DENSITY_FLOOR)[0]
         if low.size:
-            raise VacuumError(phase, int(low[0]), t)
+            raise VacuumError(phase + 1, int(low[0]), t)
 
 
-def _with_arrays(state, t, rho, m1, n, m2):
-    return EvolutionState(t=t, rho=rho, u=m1 / rho, n=n, v=m2 / n,
-                          mom1=m1, mom2=m2, u_bc=state.u_bc,
+def _with_block(state, t, U):
+    """The state at time t whose conserved arrays are the rows of U."""
+    vel = U[1] / U[0]
+    return EvolutionState(t=t, rho=U[0, 0], u=vel[0], n=U[0, 1], v=vel[1],
+                          mom1=U[1, 0], mom2=U[1, 1], u_bc=state.u_bc,
                           v_bc=state.v_bc, right_ghost=state.right_ghost)
 
 
 def _euler_stage(state: EvolutionState, grid: Grid1D, spec, dt: float
                  ) -> EvolutionState:
     """Single forward-Euler stage; the budget tests address it directly."""
-    rates = _stage_rhs(state.rho, state.mom1, state.n, state.mom2, spec,
-                       grid.dx, state.u_bc, state.v_bc, state.right_ghost)
-    rho, m1, n, m2 = (u + dt * r for u, r in
-                      zip((state.rho, state.mom1, state.n, state.mom2), rates))
-    _check_stage(rho, m1, n, m2, state.t + dt)
-    return _with_arrays(state, state.t + dt, rho, m1, n, m2)
+    bc = (state.u_bc, state.v_bc, state.right_ghost)
+    U0 = _block(state)
+    U1 = U0 + dt * _rates(U0, spec, grid.dx, *bc)
+    _check(U1, state.t + dt)
+    return _with_block(state, state.t + dt, U1)
 
 
 def step(state: EvolutionState, grid: Grid1D, spec, dt: float,
@@ -314,20 +351,21 @@ def step(state: EvolutionState, grid: Grid1D, spec, dt: float,
     """One step of the full right-hand side; aborts loudly on blow-up or
     vacuum. By default this is the explicit SSP-RK2 (Heun) reference scheme,
     stable up to `stable_dt`. imex=True takes one ARS(2,2,2) step instead,
-    stable up to `stable_dt(..., imex=True)`; `evolve` marches with it."""
+    stable up to `stable_dt(..., imex=True)`; `evolve` marches with it.
+    The returned state's rho, n, mom1 and mom2 are the rows of one
+    (2, 2, N) block, and u and v the rows of another."""
     if dt <= 0.0:
         raise DomainError("step needs dt > 0")
     if imex:
         return _imex_step(state, grid, spec, dt)
-    mid = _euler_stage(state, grid, spec, dt)
-    rates = _stage_rhs(mid.rho, mid.mom1, mid.n, mid.mom2, spec, grid.dx,
-                       state.u_bc, state.v_bc, state.right_ghost)
-    olds = (state.rho, state.mom1, state.n, state.mom2)
-    mids = (mid.rho, mid.mom1, mid.n, mid.mom2)
-    rho, m1, n, m2 = (0.5 * (u0 + u1 + dt * r)
-                      for u0, u1, r in zip(olds, mids, rates))
-    _check_stage(rho, m1, n, m2, state.t + dt)
-    return _with_arrays(state, state.t + dt, rho, m1, n, m2)
+    t = state.t + dt
+    bc = (state.u_bc, state.v_bc, state.right_ghost)
+    U0 = _block(state)
+    U1 = U0 + dt * _rates(U0, spec, grid.dx, *bc)
+    _check(U1, t)
+    U = 0.5 * (U0 + U1 + dt * _rates(U1, spec, grid.dx, *bc))
+    _check(U, t)
+    return _with_block(state, t, U)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +384,7 @@ IMEX_DELTA = 1.0 - 1.0 / (2.0 * IMEX_GAMMA)
 def _implicit_momenta(rho, n, r1, r2, h, mu, dx, u_bc, v_bc, right_ghost,
                       t):
     """Solve m - h G(m) = r for the momenta at fixed densities, where G is
-    the viscous-plus-drag part of `_stage_rhs` with the same ghosts.
+    the viscous-plus-drag part of `_rates` with the same ghosts.
 
     Unknowns are the velocities interleaved as (u_0, v_0, u_1, v_1, ...):
         rho u - h [mu D2 u + n (v - u)] = r1,
@@ -355,10 +393,10 @@ def _implicit_momenta(rho, n, r1, r2, h, mu, dx, u_bc, v_bc, right_ghost,
     densities, strictly diagonally dominant, hence positive definite.
     """
     g_rho, g_u, g_n, g_v = right_ghost
-    # the ghost velocities and interface densities of `_padded`
+    # the ghost velocities and interface densities of `_ghosted`
     u_left, v_left = rho[0] * u_bc / rho[0], n[0] * v_bc / n[0]
     u_right, v_right = g_rho * g_u / g_rho, g_n * g_v / g_n
-    n_p = _pad(n, n[0], g_n)
+    n_p = np.concatenate(([n[0]], n, [g_n]))
     face = 0.5 * (n_p[:-1] + n_p[1:])
     k = h / dx ** 2
     hn = h * n
@@ -396,27 +434,25 @@ def _imex_step(state: EvolutionState, grid: Grid1D, spec, dt: float
     h = IMEX_GAMMA * dt
     f, dx = spec.fluids, grid.dx
     bc = (state.u_bc, state.v_bc, state.right_ghost)
-    rho0, m10, n0, m20 = state.rho, state.mom1, state.n, state.mom2
+    U0 = _block(state)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fa = _convective_rhs(_padded(rho0, m10, n0, m20, *bc), f, dx)
-        rho_b = rho0 + h * fa[0]
-        n_b = n0 + h * fa[2]
-        r1 = m10 + h * fa[1]
-        r2 = m20 + h * fa[3]
-    _check_stage(rho_b, r1, n_b, r2, t)
+        Fa = _convection(*_ghosted(U0, *bc), f, dx)
+        # densities of the middle stage, then its momenta's right-hand sides
+        Ub = U0 + h * Fa
+    _check(Ub, t)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        m1b, m2b = _implicit_momenta(rho_b, n_b, r1, r2, h, f.mu, dx, *bc, t)
-        g1b, g2b = (m1b - r1) / h, (m2b - r2) / h
-        fb = _convective_rhs(_padded(rho_b, m1b, n_b, m2b, *bc), f, dx)
-        wa, wb, wg = IMEX_DELTA * dt, (1.0 - IMEX_DELTA) * dt, dt - h
-        rho = rho0 + wa * fa[0] + wb * fb[0]
-        n = n0 + wa * fa[2] + wb * fb[2]
-        r1 = m10 + wa * fa[1] + wb * fb[1] + wg * g1b
-        r2 = m20 + wa * fa[3] + wb * fb[3] + wg * g2b
-    _check_stage(rho, r1, n, r2, t)
-    m1, m2 = _implicit_momenta(rho, n, r1, r2, h, f.mu, dx, *bc, t)
-    _check_stage(rho, m1, n, m2, t)
-    return _with_arrays(state, t, rho, m1, n, m2)
+        Mb = np.array(_implicit_momenta(*Ub.reshape(4, -1), h, f.mu, dx,
+                                        *bc, t))
+        G = (Mb - Ub[1]) / h
+        Ub[1] = Mb
+        Fb = _convection(*_ghosted(Ub, *bc), f, dx)
+        U = U0 + IMEX_DELTA * dt * Fa
+        U += (1.0 - IMEX_DELTA) * dt * Fb
+        U[1] += (dt - h) * G
+    _check(U, t)
+    U[1] = _implicit_momenta(*U.reshape(4, -1), h, f.mu, dx, *bc, t)
+    _check(U, t)
+    return _with_block(state, t, U)
 
 
 @dataclass(frozen=True)

@@ -7,16 +7,24 @@ import numpy as np
 import pytest
 
 import twophase as tp
-from twophase.ibvp import (_euler_stage, _implicit_momenta, _padded,
-                           _stage_rhs, _viscous_drag_terms)
+from twophase.ibvp import (_block, _euler_stage, _ghosted, _implicit_momenta,
+                           _rates, _viscosity_drag)
 
 from conftest import flat_profile, per_value_csv, rng_for
 
 UNIT = tp.FluidConstants(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0)
+# non-isothermal: the only fluid whose steps run the pressure powers
+HOT = tp.FluidConstants(A1=1.3, A2=0.7, gamma=1.4, alpha=2.1, mu=0.6)
 SUP = tp.ModelSpec(fluids=UNIT,
                    far=tp.FarFieldState(rho_plus=1.0, n_plus=1.0,
                                         u_plus=-2.0),
                    u_minus=-2.0)
+FLUIDS = pytest.mark.parametrize("fluids", [UNIT, HOT],
+                                 ids=["unit", "non_isothermal"])
+
+
+def sup_spec(fluids):
+    return tp.ModelSpec(fluids=fluids, far=SUP.far, u_minus=SUP.u_minus)
 
 
 def homogeneous_state(cells, rho, u, n, v, t=0.0):
@@ -147,13 +155,15 @@ def test_stable_dt_cfl_validation():
 # stepping: fixed points, drag relaxation, budgets
 # ---------------------------------------------------------------------------
 
-def test_constant_state_is_fixed_point():
+@FLUIDS
+def test_constant_state_is_fixed_point(fluids):
+    spec = sup_spec(fluids)
     grid = tp.make_grid(10.0, 100)
-    state = tp.initialize(flat_profile(SUP), grid, tp.PerturbationSpec())
+    state = tp.initialize(flat_profile(spec), grid, tp.PerturbationSpec())
     rho0, m10 = state.rho.copy(), state.mom1.copy()
     n0, m20 = state.n.copy(), state.mom2.copy()
     for _ in range(20):
-        state = tp.step(state, grid, SUP, 0.002)
+        state = tp.step(state, grid, spec, 0.002)
     # flux differences of identical doubles cancel exactly, so the state
     # must come back bit for bit, not merely close
     np.testing.assert_array_equal(state.rho, rho0)
@@ -200,20 +210,27 @@ def test_drag_sign_mirrors_under_phase_swap():
         -(behind.v[j] - behind.u[j]), rel=1e-12)
 
 
-def test_euler_stage_mass_budget():
-    # smooth non-uniform data; restate the boundary mass fluxes of the
-    # scheme independently and check dx * d(total mass) + dt * (F_R - F_L)
-    # cancels to rounding for both phases
-    spec = SUP
-    grid = tp.make_grid(12.8, 64)
+def smooth_state(grid):
+    """Smooth non-uniform data near the flat supersonic state."""
     x = grid.centers
     rho = 1.0 + 0.1 * np.sin(0.5 * x)
     u = -2.0 + 0.05 * np.cos(0.3 * x)
     n = 1.0 + 0.08 * np.cos(0.4 * x)
     v = -2.0 + 0.04 * np.sin(0.6 * x)
-    state = tp.EvolutionState(t=0.0, rho=rho, u=u, n=n, v=v, mom1=rho * u,
-                              mom2=n * v, u_bc=-2.0, v_bc=-2.0,
-                              right_ghost=(1.0, -2.0, 1.0, -2.0))
+    return tp.EvolutionState(t=0.0, rho=rho, u=u, n=n, v=v, mom1=rho * u,
+                             mom2=n * v, u_bc=-2.0, v_bc=-2.0,
+                             right_ghost=(1.0, -2.0, 1.0, -2.0))
+
+
+@FLUIDS
+def test_euler_stage_mass_budget(fluids):
+    # smooth non-uniform data; restate the boundary mass fluxes of the
+    # scheme independently and check dx * d(total mass) + dt * (F_R - F_L)
+    # cancels to rounding for both phases
+    spec = sup_spec(fluids)
+    grid = tp.make_grid(12.8, 64)
+    state = smooth_state(grid)
+    rho, u, n, v = state.rho, state.u, state.n, state.v
     dt = 1e-3
     out = _euler_stage(state, grid, spec, dt)
 
@@ -235,6 +252,44 @@ def test_euler_stage_mass_budget():
     res2 = budget(n, v, out.n, n[0], state.v_bc, 1.0, -2.0, phase=2)
     assert abs(res1) <= 1e-12 * scale
     assert abs(res2) <= 1e-12 * scale
+
+
+@FLUIDS
+def test_euler_stage_momentum_budget(fluids):
+    # the drag cancels between the phases and both viscous terms telescope,
+    # so the total momentum changes only through the boundary fluxes: the
+    # Rusanov momentum fluxes, pressure included, and the viscous stresses
+    # at the two ghost faces
+    spec = sup_spec(fluids)
+    f = spec.fluids
+    grid = tp.make_grid(12.8, 64)
+    dx, dt = grid.dx, 1e-3
+    state = smooth_state(grid)
+    out = _euler_stage(state, grid, spec, dt)
+
+    def rusanov_momentum(left, right, phase):
+        def parts(r, w):
+            p = tp.pressure(f, r, phase)
+            c = math.sqrt(tp.pressure_derivative(f, r, phase))
+            return r * w * w + p, abs(w) + c, r * w
+        (fl, sl, ml), (fr, sr, mr) = parts(*left), parts(*right)
+        return 0.5 * (fl + fr) - 0.5 * max(sl, sr) * (mr - ml)
+
+    g_rho, g_u, g_n, g_v = state.right_ghost
+    boundary = 0.0
+    for phase, r, w, w_bc, g_r, g_w in (
+            (1, state.rho, state.u, state.u_bc, g_rho, g_u),
+            (2, state.n, state.v, state.v_bc, g_n, g_v)):
+        boundary += (rusanov_momentum((r[-1], w[-1]), (g_r, g_w), phase)
+                     - rusanov_momentum((r[0], w_bc), (r[0], w[0]), phase))
+        # face coefficients of mu u_x and n v_x at the two ghost faces
+        coef_l, coef_r = ((f.mu, f.mu) if phase == 1
+                          else (r[0], 0.5 * (r[-1] + g_r)))
+        boundary -= (coef_r * (g_w - w[-1]) - coef_l * (w[0] - w_bc)) / dx
+    dmom = dx * ((out.mom1.sum() + out.mom2.sum())
+                 - (state.mom1.sum() + state.mom2.sum()))
+    scale = dx * np.abs(state.mom1).sum()
+    assert abs(dmom + dt * boundary) <= 1e-12 * scale
 
 
 def test_step_detects_vacuum():
@@ -266,6 +321,49 @@ def test_step_detects_blowup():
     assert err.value.t == pytest.approx(0.251, rel=1e-12)
 
 
+def patched_state(**patches):
+    """Homogeneous 100-cell state with rho, n or mom2 overwritten on the
+    given cell slices; the velocities stay -2 where a density is patched."""
+    base = homogeneous_state(100, 1.0, -2.0, 1.0, -2.0, t=0.25)
+    rho, n, mom2 = base.rho.copy(), base.n.copy(), base.mom2.copy()
+    for name, (cells, value) in patches.items():
+        {"rho": rho, "n": n, "mom2": mom2}[name][cells] = value
+    mom1 = -2.0 * rho
+    if "mom2" not in patches:
+        mom2 = -2.0 * n
+    return tp.EvolutionState(t=base.t, rho=rho, u=mom1 / rho, n=n,
+                             v=mom2 / n, mom1=mom1, mom2=mom2,
+                             u_bc=base.u_bc, v_bc=base.v_bc,
+                             right_ghost=base.right_ghost)
+
+
+# A patch at density 1e-12 spanning cells lo..hi-1: the Rusanov stencil
+# reaches one neighbour per stage, so the stage check sees the patch's
+# edge cells refilled and its second cell, lo + 1, still at the floor.
+STAGE_FAILURES = {
+    "phase2_interior_vacuum": (
+        {"n": (slice(40, 60), 1e-12)}, tp.VacuumError, 2, 41),
+    "phase1_reported_first": (
+        {"n": (slice(20, 40), 1e-12), "rho": (slice(60, 80), 1e-12)},
+        tp.VacuumError, 1, 61),
+    "blowup_before_vacuum": (
+        {"rho": (slice(20, 40), 1e-12), "mom2": (slice(70, 71), np.nan)},
+        tp.BlowUpError, None, None),
+}
+
+
+@pytest.mark.parametrize("imex", [False, True], ids=["heun", "imex"])
+@pytest.mark.parametrize("case", sorted(STAGE_FAILURES))
+def test_stage_check_error_order(case, imex):
+    patches, error, phase, cell = STAGE_FAILURES[case]
+    grid = tp.make_grid(10.0, 100)
+    with pytest.raises(error) as err:
+        tp.step(patched_state(**patches), grid, SUP, 1e-3, imex=imex)
+    assert err.value.t == pytest.approx(0.251, rel=1e-12)
+    if phase is not None:
+        assert (err.value.phase, err.value.cell) == (phase, cell)
+
+
 def test_step_rejects_nonpositive_dt():
     grid = tp.make_grid(10.0, 100)
     state = tp.initialize(flat_profile(SUP), grid, tp.PerturbationSpec())
@@ -281,7 +379,7 @@ def test_step_rejects_nonpositive_dt():
 
 def test_implicit_solve_matches_viscous_drag_terms():
     # the banded solve must invert exactly m - h G(m), with G the viscous
-    # and drag terms _stage_rhs adds: a lost term, a wrong sign or a wrong
+    # and drag terms _rates adds: a lost term, a wrong sign or a wrong
     # ghost row shows as an O(h) residual here
     grid = tp.make_grid(12.8, 64)
     x = grid.centers
@@ -293,8 +391,8 @@ def test_implicit_solve_matches_viscous_drag_terms():
     bc = (-2.01, -1.97, (1.02, -2.0, 0.99, -2.03))
     h = 0.05
     m1, m2 = _implicit_momenta(rho, n, r1, r2, h, mu, grid.dx, *bc, t=0.0)
-    visc1, visc2, drag = _viscous_drag_terms(
-        _padded(rho, m1, n, m2, *bc), mu, grid.dx)
+    visc1, visc2, drag = _viscosity_drag(
+        *_ghosted(np.array(((rho, n), (m1, m2))), *bc), mu, grid.dx)
     res1 = m1 - h * (visc1 + drag) - r1
     res2 = m2 - h * (visc2 - drag) - r2
     assert np.max(np.abs(res1)) <= 1e-12 * np.max(np.abs(r1))
@@ -363,9 +461,9 @@ def test_imex_settles_on_the_semi_discrete_steady_state():
     start = tp.initialize(profile, grid, tp.PerturbationSpec())
     s = tp.evolve(start, grid, spec, t_end=40.0).state
     bc = (s.u_bc, s.v_bc, s.right_ghost)
-    rates = _stage_rhs(s.rho, s.mom1, s.n, s.mom2, spec, grid.dx, *bc)
-    visc1, visc2, drag = _viscous_drag_terms(
-        _padded(s.rho, s.mom1, s.n, s.mom2, *bc), UNIT.mu, grid.dx)
+    rates = _rates(_block(s), spec, grid.dx, *bc)
+    visc1, visc2, drag = _viscosity_drag(*_ghosted(_block(s), *bc), UNIT.mu,
+                                         grid.dx)
     implicit = max(np.max(np.abs(visc1 + drag)), np.max(np.abs(visc2 - drag)))
     assert implicit > 0.01
     assert max(np.max(np.abs(r)) for r in rates) <= 1e-6 * implicit
