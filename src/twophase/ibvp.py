@@ -244,7 +244,7 @@ def _ghosted(U, u_bc, v_bc, right_ghost):
     the prescribed outflow velocities; the right ghost is the frozen
     profile continuation."""
     g_rho, g_u, g_n, g_v = right_ghost
-    P = np.empty(U.shape[:2] + (U.shape[2] + 2,))
+    P = np.empty((2, 2, U.shape[2] + 2))
     P[:, :, 1:-1] = U
     P[0, :, 0] = U[0, :, 0]
     P[1, :, 0] = U[0, :, 0] * (u_bc, v_bc)
