@@ -106,7 +106,6 @@ _SCHEMA = {
     "spec.u_minus": _Key("float", _REQUIRED, _negative),
     "grid.length": _Key("float", 100.0, _positive),
     "grid.cells": _Key("int", 1024, _at_least_one),
-    "steady.sigma_seed": _Key("float", 1e-3, _positive),
     "steady.x_domain": _Key("optfloat", None, _positive),
     "steady.points": _Key("int", 2048, _at_least_one),
     "steady.max_delta": _Key("float", 0.1, _positive),
@@ -114,7 +113,6 @@ _SCHEMA = {
     "evolve.t_end": _Key("float", 10.0, _nonnegative),
     "evolve.cfl": _Key("float", 0.4, _unit_open),
     "evolve.observer_stride": _Key("int", 10, _at_least_one),
-    "evolve.drag_substeps": _Key("int", 1, _at_least_one),
     "evolve.wall_clock_budget": _Key("optfloat", None, _positive),
     "evolve.pert_shape": _Key("str", GAUSSIAN,
                               _choice(GAUSSIAN, COMPACT_BUMP, FROM_FILE)),
@@ -238,7 +236,6 @@ class ExperimentConfig:
         return SteadySolveOptions(max_delta=v["steady.max_delta"],
                                   allow_large_delta=v[
                                       "steady.allow_large_delta"],
-                                  sigma_seed=v["steady.sigma_seed"],
                                   x_domain=x_domain,
                                   points=v["steady.points"])
 
@@ -448,8 +445,7 @@ def _evolve_body(config, out_dir, workers):
     result = evolve(state, grid, spec, t_end=v["evolve.t_end"],
                     observer_stride=v["evolve.observer_stride"],
                     observers=(observe,), cfl=v["evolve.cfl"],
-                    wall_clock_budget=v["evolve.wall_clock_budget"],
-                    drag_substeps=v["evolve.drag_substeps"])
+                    wall_clock_budget=v["evolve.wall_clock_budget"])
     prefix = v["output.prefix"]
     norms_name = f"{prefix}_norms.csv"
     save_norm_series_csv(result.series, os.path.join(out_dir, norms_name))
@@ -568,21 +564,15 @@ def _sweep_body(config, out_dir, workers):
         raise ConfigError("sweep.values must list at least one value")
     name = v["sweep.subcommand"]
 
+    # a child: the parent's values, the swept one in, sweep.* at default
+    base = {key: _format_value(value, _SCHEMA[key].kind)
+            for key, value in v.items() if not key.startswith("sweep.")}
     children = []
     for raw in raw_values:
-        child_values = dict(v)
-        child_values[param] = _parse_value(param, raw, _SCHEMA[param].kind)
-        check = _SCHEMA[param].check
-        if check is not None and child_values[param] is not None:
-            message = check(child_values[param])
-            if message:
-                raise ConfigError(f"sweep value {raw!r}: {param} {message}")
-        # children are standalone configs for the inner subcommand
-        child_values["sweep.parameter"] = ""
-        child_values["sweep.values"] = ()
-        child_values["sweep.subcommand"] = _SCHEMA[
-            "sweep.subcommand"].default
-        child = ExperimentConfig(child_values)
+        try:
+            child = ExperimentConfig(_build_values({**base, param: raw}))
+        except ConfigError as err:
+            raise ConfigError(f"sweep value {raw!r}: {err}") from None
         _cross_validate(child)
         children.append((raw, child))
     if len({child.hash for _, child in children}) < len(children):
@@ -659,7 +649,9 @@ def _exit_code_for(err):
         return 3
     if isinstance(err, (VacuumError, BlowUpError, NumericsError)):
         return 4
-    return 5
+    if isinstance(err, OSError):
+        return 5
+    return 1
 
 
 def _resolve_out_dir(flag, config):
@@ -712,8 +704,10 @@ def main(argv=None) -> int:
         record = run_subcommand(args.command, config, out_dir,
                                 workers=max(1, getattr(args, "workers", 1)))
     except Exception as err:  # noqa: BLE001 - process boundary
-        print(f"error: {err}", file=sys.stderr)
-        return _exit_code_for(err)
+        code = _exit_code_for(err)
+        internal = f"internal {type(err).__name__}: " if code == 1 else ""
+        print(f"error: {internal}{err}", file=sys.stderr)
+        return code
     print(f"{args.command}: {record.status} [{record.config_hash}] "
           f"-> {out_dir}")
     for name in record.files:

@@ -16,7 +16,8 @@ import numpy as np
 from . import model
 from .errors import DomainError, InsufficientDataError, WeightOverflowError
 from .steady import (ALGEBRAIC, EXPONENTIAL, SteadyProfile, matrix_invariants,
-                     sigma_profile, solve_cubic, write_csv_rows)
+                     read_csv_columns, sigma_profile, solve_cubic,
+                     write_csv_rows)
 
 POSITIVE_DEFINITE = "positive_definite"
 POSITIVE_SEMIDEFINITE = "positive_semidefinite"
@@ -260,19 +261,23 @@ def _symmetric_eigenvalues(M):
     return tuple(r.real for r in roots)
 
 
-def _verdict(eigenvalues, zero_tolerance):
+# |smallest eigenvalue| below which a form is semidefinite, not definite
+VERDICT_ZERO_TOLERANCE = 1e-10
+# relative size below which an eigenvalue of M4 counts as its kernel
+HAT_ZERO_TOLERANCE = 1e-8
+
+
+def _verdict(eigenvalues):
     lo = min(eigenvalues)
-    if lo > zero_tolerance:
+    if lo > VERDICT_ZERO_TOLERANCE:
         return POSITIVE_DEFINITE
-    if lo > -zero_tolerance:
+    if lo > -VERDICT_ZERO_TOLERANCE:
         return POSITIVE_SEMIDEFINITE
     return INDEFINITE
 
 
 def assemble_quadratic_form(name: str, spec: model.ModelSpec, nu=None,
-                            sigma_value=None, k=None,
-                            zero_tolerance: float = 1e-10
-                            ) -> QuadraticFormReport:
+                            sigma_value=None, k=None) -> QuadraticFormReport:
     """Assemble one of the energy-estimate matrices M1..M6 and classify it.
 
     M1/M2 are the per-phase convexity blocks in (velocity, density)
@@ -331,28 +336,27 @@ def assemble_quadratic_form(name: str, spec: model.ModelSpec, nu=None,
         raise DomainError(f"unknown quadratic form {name!r}")
     eigenvalues = _symmetric_eigenvalues(M)
     return QuadraticFormReport(name=name, matrix=M, eigenvalues=eigenvalues,
-                               verdict=_verdict(eigenvalues, zero_tolerance),
+                               verdict=_verdict(eigenvalues),
                                context=context)
 
 
-def hat_transform(spec: model.ModelSpec, field_values,
-                  zero_tolerance: float = 1e-8):
+def hat_transform(spec: model.ModelSpec, field_values):
     """Coordinates diagonalizing the sonic form M4.
 
     Returns (rho_hat, n_hat, v_hat) with rho_hat along the largest
     eigenvalue and v_hat along the kernel, so that the M4 quadratic form of
     (phi, phi_bar, psi_bar) equals lam1 rho_hat^2 + lam2 n_hat^2 with
     lam1 >= lam2 the two positive eigenvalues. Inputs may be scalars or
-    arrays of equal shape.
+    arrays of equal shape; M4 must have a kernel (HAT_ZERO_TOLERANCE).
     """
     M = assemble_quadratic_form("M4", spec).matrix
     w, Q = np.linalg.eigh(M)
     scale = max(1.0, float(np.max(np.abs(w))))
-    if abs(w[0]) > zero_tolerance * scale:
+    if abs(w[0]) > HAT_ZERO_TOLERANCE * scale:
         raise DomainError(
             "hat_transform needs a sonic spec (M4 kernel missing; "
             f"smallest eigenvalue {w[0]:.3e})")
-    if w[1] <= zero_tolerance * scale:
+    if w[1] <= HAT_ZERO_TOLERANCE * scale:
         raise DomainError("M4 positive eigenvalues are degenerate")
     Q = Q[:, [2, 1, 0]]
     for j in range(3):
@@ -458,12 +462,6 @@ def save_norm_series_csv(series: NormSeries, path):
 
 def load_norm_series_csv(path):
     """Read a norm series CSV back as a dict of named columns."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith(NORM_SERIES_BASE_HEADER):
-            raise DomainError(f"unexpected norm series header {header!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    names = header.split(",")
-    if data.size == 0:
-        return {name: np.empty(0) for name in names}
-    return {name: data[:, i] for i, name in enumerate(names)}
+    return read_csv_columns(
+        path, "norm series",
+        lambda header: header.startswith(NORM_SERIES_BASE_HEADER))

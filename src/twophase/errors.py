@@ -1,8 +1,11 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes (config 2, solver 3,
-numerical abort 4, I/O 5), so solver code should raise the most
-specific type that applies instead of bare ValueError/RuntimeError.
+The CLI maps them onto exit codes: ConfigError 2; DomainError (also a
+malformed input file), ShootingError, SingularityError,
+InsufficientDataError and WeightOverflowError 3; VacuumError, BlowUpError
+and NumericsError 4; OSError 5. Any other exception is a fault of the
+program and exits 1 ("error: internal <Type>: <message>"), so raise the
+most specific type that applies, never bare ValueError/RuntimeError.
 """
 
 

@@ -32,7 +32,7 @@ from scipy.linalg import LinAlgError, solveh_banded
 
 from .diagnostics import NormSeries
 from .errors import BlowUpError, DomainError, VacuumError
-from .steady import SteadyProfile, write_csv_rows
+from .steady import SteadyProfile, read_csv_columns, write_csv_rows
 
 DENSITY_FLOOR = 1e-10
 
@@ -472,8 +472,7 @@ class EvolveResult:
 
 def evolve(state: EvolutionState, grid: Grid1D, spec, t_end: float,
            observer_stride: int = 1, observers=(), cfl: float = 0.4,
-           wall_clock_budget: float = None, drag_substeps: int = 1
-           ) -> EvolveResult:
+           wall_clock_budget: float = None) -> EvolveResult:
     """March the state to t_end, collecting observer records along the way.
 
     Each step is `step(..., imex=True)` at `stable_dt(..., imex=True)`:
@@ -482,18 +481,15 @@ def evolve(state: EvolutionState, grid: Grid1D, spec, t_end: float,
     Observers are called with the current state: any NormRecord they return
     is appended to the series (at most one observer should record norms so
     the series stays strictly time-ordered; the others can write snapshots
-    or just watch). The step is clipped to land exactly on t_end.
-    drag_substeps divides the step; the drag is implicit, so this only
-    refines dt to resolve a fast relaxation in time, it is never needed for
-    stability. A wall-clock budget in seconds turns an overlong run into a
-    truncated result instead of an error.
+    or just watch). The step is clipped to land exactly on t_end. The drag
+    is implicit, so a fast relaxation never limits stability; a smaller
+    cfl resolves it in time. A wall-clock budget in seconds turns an
+    overlong run into a truncated result instead of an error.
     """
     if t_end < state.t:
         raise DomainError("t_end lies before the state time")
     if observer_stride < 1:
         raise DomainError("observer_stride must be a positive integer")
-    if drag_substeps < 1:
-        raise DomainError("drag_substeps must be a positive integer")
     records = []
 
     def observe(current):
@@ -518,8 +514,8 @@ def evolve(state: EvolutionState, grid: Grid1D, spec, t_end: float,
                 and time.monotonic() - start > wall_clock_budget):
             truncated = True
             break
-        dt = stable_dt(state, grid, spec, cfl, imex=True) / drag_substeps
-        dt = min(dt, t_end - state.t)
+        dt = min(stable_dt(state, grid, spec, cfl, imex=True),
+                 t_end - state.t)
         state = step(state, grid, spec, dt, imex=True)
         steps += 1
         dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
@@ -566,14 +562,12 @@ def save_state_csv(state: EvolutionState, grid: Grid1D, path,
 
 def load_state_csv(path):
     """Read a snapshot back: coordinates, primitive columns, metadata dict."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != STATE_HEADER:
-            raise DomainError(f"unexpected snapshot header {header!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    cols = read_csv_columns(path, "snapshot", STATE_HEADER.__eq__)
     meta = {}
     if os.path.exists(_meta_path(path)):
         with open(_meta_path(path)) as fh:
-            meta = json.load(fh)
-    cols = {name: data[:, i + 1] for i, name in enumerate(_COMPONENTS)}
-    return data[:, 0], cols, meta
+            try:
+                meta = json.load(fh)
+            except ValueError as err:
+                raise DomainError(f"{_meta_path(path)}: {err}") from None
+    return cols.pop("x"), cols, meta

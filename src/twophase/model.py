@@ -20,7 +20,7 @@ SUPERSONIC = "supersonic"
 SONIC = "sonic"
 SUBSONIC = "subsonic"
 
-#: default half-width of the sonic band in Mach number
+#: half-width of the sonic band in Mach number
 SONIC_TOLERANCE = 1e-9
 
 
@@ -92,7 +92,6 @@ class Regime:
 
     mach: float
     label: str
-    sonic_tolerance: float
 
     @property
     def is_supersonic(self):
@@ -157,10 +156,7 @@ def sound_speed(spec: ModelSpec) -> float:
     c_plus = sqrt((A1 gamma rho_plus^gamma + A2 alpha n_plus^alpha)
                   / (rho_plus + n_plus))
     """
-    f, far = spec.fluids, spec.far
-    num = (f.A1 * f.gamma * far.rho_plus ** f.gamma
-           + f.A2 * f.alpha * far.n_plus ** f.alpha)
-    return math.sqrt(num / (far.rho_plus + far.n_plus))
+    return -sonic_velocity(spec.fluids, spec.far.rho_plus, spec.far.n_plus)
 
 
 def sonic_velocity(fluids: FluidConstants, rho_plus: float, n_plus: float) -> float:
@@ -174,21 +170,20 @@ def sonic_velocity(fluids: FluidConstants, rho_plus: float, n_plus: float) -> fl
     return -math.sqrt(num / (rho_plus + n_plus))
 
 
-def classify_regime(spec: ModelSpec, sonic_tolerance: float = SONIC_TOLERANCE) -> Regime:
+def classify_regime(spec: ModelSpec) -> Regime:
     """Mach number M = |u_plus|/c_plus, classified against the sonic band.
 
-    supersonic iff M > 1 + tol, sonic iff |M - 1| <= tol, subsonic otherwise.
+    supersonic iff M > 1 + SONIC_TOLERANCE, sonic iff
+    |M - 1| <= SONIC_TOLERANCE, subsonic otherwise.
     """
-    if sonic_tolerance <= 0:
-        raise DomainError("sonic_tolerance must be positive")
     mach = abs(spec.far.u_plus) / sound_speed(spec)
-    if mach > 1.0 + sonic_tolerance:
+    if mach > 1.0 + SONIC_TOLERANCE:
         label = SUPERSONIC
-    elif abs(mach - 1.0) <= sonic_tolerance:
+    elif abs(mach - 1.0) <= SONIC_TOLERANCE:
         label = SONIC
     else:
         label = SUBSONIC
-    return Regime(mach=mach, label=label, sonic_tolerance=sonic_tolerance)
+    return Regime(mach=mach, label=label)
 
 
 def derived_constants(spec: ModelSpec) -> DerivedConstants:

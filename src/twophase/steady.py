@@ -43,6 +43,18 @@ NEG, ZERO, POS = "neg", "zero", "pos"
 # solve_steady refines its output grid to meet off the sonic point
 RESIDUAL_BOUND = 1e-6
 
+# eigenvalues with |real part| below this are center directions
+ZERO_TOLERANCE = 1e-8
+# solve_bvp's tolerance and mesh cap; the cap also bounds the output grid
+BVP_TOL = 1e-8
+BVP_MAX_NODES = 100_000
+# default interval: to where d e^{slow x} is TAIL_FLOOR max(1, |u_plus|)
+# off the sonic point, and to where sigma is SIGMA_END at it
+TAIL_FLOOR = 1e-12
+SIGMA_END = 1e-3
+# largest phase-2 boundary miss of a boundary-compatible profile
+MATCH_TOLERANCE = 1e-6
+
 
 # no longer raised by the package; bench/tests/test_bench.py still raises it
 class _TrialDiverged(Exception):
@@ -154,7 +166,7 @@ def _nullspace_vector(M):
     return vh[-1].conj()
 
 
-def eigensystem(J, zero_tolerance: float = 1e-8) -> EigenSystem:
+def eigensystem(J) -> EigenSystem:
     """Eigen-decomposition of the far-field matrix via the characteristic cubic.
 
     Eigenvectors come from nullspace extraction of J - lam I; a residual
@@ -174,7 +186,7 @@ def eigensystem(J, zero_tolerance: float = 1e-8) -> EigenSystem:
                 f"eigenvector residual {res:.3e} for eigenvalue {lam:.6g}")
         vectors[:, i] = r
     pattern = tuple(
-        ZERO if abs(lam.real) < zero_tolerance else (NEG if lam.real < 0 else POS)
+        ZERO if abs(lam.real) < ZERO_TOLERANCE else (NEG if lam.real < 0 else POS)
         for lam in lambdas)
     return EigenSystem(lambdas=lambdas, vectors=vectors, sign_pattern=pattern)
 
@@ -295,19 +307,14 @@ class SpatialDecayFit:
 
 @dataclass(frozen=True)
 class SteadySolveOptions:
-    """Knobs for solve_steady; None means pick automatically from the spec."""
+    """delta may exceed max_delta only with allow_large_delta; x_domain is
+    the profile interval length (None: derived from the spec); points is
+    the output grid size before refinement."""
 
     max_delta: float = 0.1
     allow_large_delta: bool = False
-    sigma_seed: float = 1e-3
     x_domain: float = None
     points: int = 2048
-    farfield_tol: float = None
-    match_tolerance: float = 1e-6
-    zero_tolerance: float = 1e-8
-    tail_floor: float = 1e-12
-    bvp_tol: float = 1e-8
-    bvp_max_nodes: int = 100_000
 
 
 def _build_profile(spec, x, states, regime, boundary_compatible):
@@ -329,7 +336,7 @@ def _build_profile(spec, x, states, regime, boundary_compatible):
         rho_plus=far.rho_plus, u_plus=far.u_plus, n_plus=far.n_plus)
 
 
-def _collocate(spec, opts, regime, eig):
+def _collocate(spec, x_domain, regime, eig):
     """Projection-boundary collocation, one construction for every regime.
 
     Boundary rows at x = 0 impose u_bar = d, and v_bar = d unless the far
@@ -342,7 +349,7 @@ def _collocate(spec, opts, regime, eig):
     algebraic tail, and the guess is the center asymptotics u_bar = v_bar =
     -sigma, w_bar = a sigma^2 with the closed-form sigma. Otherwise: a
     uniform mesh on an interval long enough for the slow stable mode to
-    fall to the tail floor, with that mode's decay as the guess.
+    fall to TAIL_FLOOR, with that mode's decay as the guess.
 
     Returns a quintic spline through the collocation nodes, which keeps the
     second derivatives that steady_residual's stencils see continuous, and
@@ -354,23 +361,20 @@ def _collocate(spec, opts, regime, eig):
     lead = np.eye(3)[[0] if regime.is_subsonic else [0, 2]]
     ells = _projection_rows(farfield_jacobian(spec),
                             [lam for lam in eig.lambdas
-                             if lam.real > opts.zero_tolerance])
+                             if lam.real > ZERO_TOLERANCE])
     if len(lead) + len(ells) != 3:
         raise NumericsError(
             f"{len(ells)} unstable far-field modes for {len(lead)} boundary "
             "velocities; projection collocation needs 3 boundary rows")
 
-    x_domain = opts.x_domain
     if regime.is_sonic:
         if d >= 0.0:
             raise DomainError("sonic profiles decay through u~ < u_plus; "
                               "require u_minus < u_plus")
         a = model.derived_constants(spec).a
-        sigma_seed = opts.sigma_seed
-        if sigma_seed >= delta:
-            sigma_seed = 0.1 * delta
         if x_domain is None:
-            x_domain = (1.0 / sigma_seed - 1.0 / delta) / a
+            sigma_end = SIGMA_END if SIGMA_END < delta else 0.1 * delta
+            x_domain = (1.0 / sigma_end - 1.0 / delta) / a
         inv = np.linspace(1.0 / delta, 1.0 / delta + a * x_domain, 400)
         x_nodes = (inv - 1.0 / delta) / a
         sig = 1.0 / inv
@@ -379,14 +383,13 @@ def _collocate(spec, opts, regime, eig):
         slow = max(lam.real for lam in eig.lambdas if lam.real < 0)
         if x_domain is None:
             scale = max(1.0, abs(spec.far.u_plus))
-            x_domain = math.log(delta / (opts.tail_floor * scale)) / abs(slow)
+            x_domain = math.log(delta / (TAIL_FLOOR * scale)) / abs(slow)
         x_nodes = np.linspace(0.0, x_domain, 100)
         guess = d * np.exp(slow * x_nodes) * np.array([[1.0], [slow], [1.0]])
 
     sol = solve_bvp(lambda x, y: _rhs_vectorized(params, y),
                     lambda ya, yb: np.concatenate((lead @ ya - d, ells @ yb)),
-                    x_nodes, guess, tol=opts.bvp_tol,
-                    max_nodes=opts.bvp_max_nodes)
+                    x_nodes, guess, tol=BVP_TOL, max_nodes=BVP_MAX_NODES)
     if not sol.success:
         raise ShootingError(f"collocation failed: {sol.message}",
                             residual=float(np.max(sol.rms_residuals)))
@@ -404,7 +407,7 @@ def solve_steady(spec: model.ModelSpec,
     by the trajectory and reported via achieved_v_minus /
     boundary_compatible instead of being enforced.
     Off the sonic point the grid is refined past `points` (up to
-    bvp_max_nodes) until steady_residual, a fourth-order stencil
+    BVP_MAX_NODES) until steady_residual, a fourth-order stencil
     truncation error, is at most RESIDUAL_BOUND; a stiff boundary layer
     needs more nodes than `points` to resolve.
     """
@@ -432,27 +435,24 @@ def solve_steady(spec: model.ModelSpec,
             boundary_compatible=True, sigma0=0.0,
             rho_plus=far.rho_plus, u_plus=far.u_plus, n_plus=far.n_plus)
 
-    eig = eigensystem(farfield_jacobian(spec), opts.zero_tolerance)
-    spline, x_domain = _collocate(spec, opts, regime, eig)
+    eig = eigensystem(farfield_jacobian(spec))
+    spline, x_domain = _collocate(spec, opts.x_domain, regime, eig)
     d = spec.u_minus - spec.far.u_plus
 
     def sample(n):
         x = np.linspace(0.0, x_domain, n)
         states = spline(x)
-        compatible = abs(states[2, 0] - d) <= opts.match_tolerance
+        compatible = abs(states[2, 0] - d) <= MATCH_TOLERANCE
         return _build_profile(spec, x, states, regime, compatible)
 
     n = opts.points
     profile = sample(n)
 
-    tol = opts.farfield_tol
-    if tol is None:
-        if regime.is_sonic:
-            tol = 3.0 * sigma_profile(model.derived_constants(spec).a,
-                                      delta, x_domain)
-        else:
-            tol = max(1e-8 * max(1.0, abs(spec.far.u_plus)),
-                      100.0 * opts.tail_floor)
+    if regime.is_sonic:
+        tol = 3.0 * sigma_profile(model.derived_constants(spec).a,
+                                  delta, x_domain)
+    else:
+        tol = max(1e-8 * max(1.0, abs(spec.far.u_plus)), 100.0 * TAIL_FLOOR)
     end_gap = max(abs(profile.rho_t[-1] - spec.far.rho_plus),
                   abs(profile.u_t[-1] - spec.far.u_plus),
                   abs(profile.n_t[-1] - spec.far.n_plus),
@@ -460,13 +460,13 @@ def solve_steady(spec: model.ModelSpec,
     if end_gap > tol:
         raise ShootingError(
             f"far-field convergence failed: end gap {end_gap:.3e} > {tol:.3e}")
-    while not regime.is_sonic and n < opts.bvp_max_nodes:
+    while not regime.is_sonic and n < BVP_MAX_NODES:
         res = steady_residual(spec, profile)
         if res <= RESIDUAL_BOUND:
             break
         # size the next grid from the fourth-order error scaling, with a
         # 10% margin, and at least halve the node spacing
-        n = min(opts.bvp_max_nodes,
+        n = min(BVP_MAX_NODES,
                 max(2 * n - 1, 1 + math.ceil(
                     (n - 1) * 1.1 * (res / RESIDUAL_BOUND) ** 0.25)))
         profile = sample(n)
@@ -628,6 +628,26 @@ def write_csv_rows(fh, cols):
                       for values in cols[start:start + 1024].tolist())
 
 
+def read_csv_columns(path, kind, accepts):
+    """A CSV file as a dict of named float columns, in header order. A
+    header that accepts(header) rejects, a value that does not parse or a
+    row of another width raises DomainError naming the file."""
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if not accepts(header):
+            raise DomainError(f"{path}: unexpected {kind} header {header!r}")
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as err:
+            raise DomainError(f"{path}: {err}") from None
+    names = header.split(",")
+    if data.size and data.shape[1] != len(names):
+        raise DomainError(f"{path}: rows hold {data.shape[1]} values, the "
+                          f"header names {len(names)}")
+    data = data.reshape(-1, len(names))
+    return {name: data[:, i] for i, name in enumerate(names)}
+
+
 def save_profile_csv(profile: SteadyProfile, path):
     cols = np.column_stack([profile.x, profile.rho_t, profile.u_t,
                             profile.n_t, profile.v_t, profile.ux_t,
@@ -639,10 +659,4 @@ def save_profile_csv(profile: SteadyProfile, path):
 
 def load_profile_csv(path):
     """Read a profile CSV back as a dict of named columns."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != PROFILE_HEADER:
-            raise DomainError(f"unexpected profile header {header!r}")
-        data = np.loadtxt(fh, delimiter=",")
-    names = PROFILE_HEADER.split(",")
-    return {name: data[:, i] for i, name in enumerate(names)}
+    return read_csv_columns(path, "profile", PROFILE_HEADER.__eq__)

@@ -101,9 +101,11 @@ def test_config_rejections_name_the_problem(tmp_path, extra, fragment):
 
 
 @pytest.mark.parametrize("key", ["steady.eps_seed", "steady.ode_tol",
-                                 "steady.newton_tol"])
+                                 "steady.newton_tol", "steady.sigma_seed",
+                                 "evolve.drag_substeps"])
 def test_retired_shooting_keys_rejected(tmp_path, key):
-    # the steady solver no longer shoots, so its knobs left the schema
+    # the steady solver no longer shoots, so its knobs left the schema, as
+    # did the knobs that had one value in use
     with pytest.raises(tp.ConfigError) as err:
         cli.parse_config(write_config(tmp_path, f"{key} = 1e-6"))
     assert "unknown key" in str(err.value)
@@ -326,6 +328,43 @@ def test_invalid_override_exits_2(tmp_path):
     path = write_config(tmp_path)
     assert cli.main(["steady", "--config", path, "--out", str(tmp_path),
                      "--override", "spec.u_minus=2.0"]) == 2
+
+
+def _raising_body(err):
+    def body(config, out_dir, workers):
+        raise err
+    return body
+
+
+# each documented exit code with its cause; {tmp} and {bad_series} stand for
+# paths made in the test, and every fragment must appear on stderr
+@pytest.mark.parametrize("command, extra, raised, code, fragments", [
+    ("steady", ("spec.bogus = 1",), None, 2,
+     ("unknown key", "'spec.bogus'")),
+    ("decay-fit", ("diagnostics.series_path = {bad_series}",), None, 3,
+     ("{bad_series}", "'oops'")),
+    ("decay-fit", ("diagnostics.series_path = {tmp}/absent.csv",), None, 5,
+     ("{tmp}/absent.csv",)),
+    ("evolve", (), tp.VacuumError(2, 41, 3.5), 4,
+     ("phase-2", "cell 41", "t=3.5")),
+    ("evolve", (), tp.BlowUpError(3.5), 4, ("non-finite", "t=3.5")),
+    ("regime", (), TypeError("unsupported operand"), 1,
+     ("error: internal TypeError: unsupported operand",)),
+], ids=["bad_key", "malformed_series", "missing_series", "vacuum",
+        "blow_up", "internal"])
+def test_exit_codes_name_the_cause(tmp_path, capsys, monkeypatch, command,
+                                   extra, raised, code, fragments):
+    bad_series = tmp_path / "series.csv"
+    bad_series.write_text("t,l2,h1,linf,drag_l2\n0,1,1,1,oops\n")
+    paths = {"tmp": str(tmp_path), "bad_series": str(bad_series)}
+    if raised is not None:
+        monkeypatch.setitem(cli._RUNNERS, command, _raising_body(raised))
+    path = write_config(tmp_path, *(line.format(**paths) for line in extra))
+    assert cli.main([command, "--config", path,
+                     "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    for fragment in fragments:
+        assert fragment.format(**paths) in err
 
 
 # ---------------------------------------------------------------------------

@@ -411,12 +411,12 @@ def test_imex_drag_relaxation_second_order():
     exact = (v - u) * math.exp(-rate)
     j = 128
 
-    def gap_error(substeps):
+    def gap_error(cfl):
         res = tp.evolve(homogeneous_state(256, rho, u, n, v), grid, SUP,
-                        t_end=1.0, drag_substeps=substeps)
+                        t_end=1.0, cfl=cfl)
         return abs(res.state.v[j] - res.state.u[j] - exact)
 
-    assert gap_error(1) >= 3.0 * gap_error(2)
+    assert gap_error(0.4) >= 3.0 * gap_error(0.2)
 
 
 def test_imex_agrees_with_heun_reference():
@@ -441,8 +441,8 @@ def test_imex_agrees_with_heun_reference():
                        min(tp.stable_dt(heun, grid, spec), 1.0 - heun.t))
     reference = final_norms(heun)
     errors = []
-    for substeps in (1, 2):
-        res = tp.evolve(start, grid, spec, t_end=1.0, drag_substeps=substeps)
+    for cfl in (0.4, 0.2):
+        res = tp.evolve(start, grid, spec, t_end=1.0, cfl=cfl)
         errors.append(np.abs(final_norms(res.state) / reference - 1.0))
     assert np.all(errors[0] <= 1e-4)
     assert np.all(errors[0] >= 3.0 * errors[1])
@@ -533,8 +533,6 @@ def test_evolve_validation():
         tp.evolve(state, grid, SUP, t_end=-1.0)
     with pytest.raises(tp.DomainError):
         tp.evolve(state, grid, SUP, t_end=1.0, observer_stride=0)
-    with pytest.raises(tp.DomainError):
-        tp.evolve(state, grid, SUP, t_end=1.0, drag_substeps=0)
 
 
 def test_evolve_wall_clock_truncation():
@@ -548,22 +546,6 @@ def test_evolve_wall_clock_truncation():
     assert result.truncated
     assert result.state.t == state.t
     assert len(result.series.records) == 1
-
-
-def test_evolve_drag_substeps_divide_dt():
-    profile = flat_profile(SUP)
-    grid = tp.make_grid(10.0, 100)
-    pert = tp.PerturbationSpec(amplitude=1e-4, center=5.0, width=1.0)
-
-    def count_steps(substeps):
-        calls = []
-        tp.evolve(tp.initialize(profile, grid, pert), grid, SUP, t_end=0.1,
-                  observers=(lambda s: calls.append(s.t),),
-                  drag_substeps=substeps)
-        return len(calls)
-
-    single, double = count_steps(1), count_steps(2)
-    assert double == pytest.approx(2 * single, abs=2)
 
 
 def test_evolve_reports_steps_and_dt_range():
@@ -640,6 +622,14 @@ def test_state_snapshot_header_guard(tmp_path):
     bad.write_text("x,rho,u,n\n0.05,1,1,1\n")
     with pytest.raises(tp.DomainError):
         tp.load_state_csv(bad)
+
+
+def test_state_snapshot_sidecar_guard(tmp_path):
+    path = tmp_path / "snap.csv"
+    path.write_text("x,rho,u,n,v\n0.05,1,-2,1,-2\n")
+    (tmp_path / "snap.csv.meta.json").write_text('{"t": 1.0,')
+    with pytest.raises(tp.DomainError, match="snap.csv.meta.json"):
+        tp.load_state_csv(path)
 
 
 def test_snapshot_grid_mismatch_rejected(tmp_path):

@@ -284,6 +284,25 @@ def test_csv_header_guard(tmp_path):
         load_profile_csv(path)
 
 
+@pytest.mark.parametrize("load, header", [
+    (load_profile_csv, PROFILE_HEADER),
+    (tp.load_state_csv, "x,rho,u,n,v"),
+    (tp.load_norm_series_csv, "t,l2,h1,linf,drag_l2"),
+], ids=["profile", "state", "norm_series"])
+@pytest.mark.parametrize("fault", ["unparsable", "short_row"])
+def test_csv_body_guard_names_the_file(tmp_path, load, header, fault):
+    # a bad body is a DomainError naming the file, like a bad header
+    values = ["1"] * len(header.split(","))
+    if fault == "unparsable":
+        values[-1] = "oops"
+    else:
+        values.pop()
+    path = tmp_path / "bad_body.csv"
+    path.write_text(header + "\n" + ",".join(values) + "\n")
+    with pytest.raises(tp.DomainError, match="bad_body.csv"):
+        load(path)
+
+
 # ---------------------------------------------------------------------------
 # decay fits on synthetic data
 # ---------------------------------------------------------------------------
