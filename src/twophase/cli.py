@@ -469,8 +469,12 @@ def _decay_fit_body(config, out_dir, workers):
     count = len(cols["t"])
     if count == 0:
         raise InsufficientDataError(f"{path} holds no records")
-    tag_cols = [(name, _weight_tag(name[2:]))
-                for name in cols if name.startswith("w_")]
+    try:
+        tag_cols = [(name, _weight_tag(name[2:]))
+                    for name in cols if name.startswith("w_")]
+    except ConfigError as err:
+        # a bad column header is a bad data file, not a bad config
+        raise DomainError(f"{path}: {err}") from None
     records = []
     for i in range(count):
         weighted = {tag: float(cols[name][i]) for name, tag in tag_cols}

@@ -2,11 +2,12 @@
 half-line.
 
 The semi-discrete scheme is first order and deliberately plain: Rusanov
-fluxes, centered second differences for the two viscous terms, pointwise
-drag. One kernel evaluates it for both steppers on a stacked block: the
-conserved variables form one (2, 2, N) array ((rho, n), (m1, m2)), padded
-into a (2, 2(N+2)) array whose rows hold phase 1's padded cells followed
-by phase 2's, so each pad, flux and difference runs once over both phases.
+fluxes, pointwise drag, and for both viscous terms one face-flux form
+D(kappa D w), kappa = mu or the face density of phase 2. One kernel
+evaluates it for both steppers on a stacked block: the conserved variables
+form one (2, 2, N) array ((rho, n), (m1, m2)), padded into a (2, 2(N+2))
+array whose rows hold phase 1's padded cells followed by phase 2's, so
+each pad, flux and difference runs once over both phases.
 An isothermal phase (exponent 1) takes p = A rho and c = sqrt(A gamma)
 with no power, the same bits as the power.
 
@@ -195,35 +196,25 @@ def _sound_speed(coef, expo, dens):
     return np.sqrt(coef * expo * dens ** (expo - 1.0))
 
 
-def _sound_speeds(f, rho, n):
-    """Sound speeds sqrt(p'(rho)) and sqrt(p'(n)) of the two phases."""
-    return _sound_speed(f.A1, f.gamma, rho), _sound_speed(f.A2, f.alpha, n)
-
-
-def _advective_dt(state: EvolutionState, grid: Grid1D, spec, cfl: float
-                  ) -> float:
-    """cfl times the advective bound dx / max(|velocity| + sound speed),
-    taken over both phases."""
-    if not 0.0 < cfl < 1.0:
-        raise DomainError(f"cfl must lie in (0, 1), got {cfl}")
-    c1, c2 = _sound_speeds(spec.fluids, state.rho, state.n)
-    adv1 = grid.dx / float(np.max(np.abs(state.u) + c1))
-    adv2 = grid.dx / float(np.max(np.abs(state.v) + c2))
-    return cfl * min(adv1, adv2)
-
-
 def stable_dt(state: EvolutionState, grid: Grid1D, spec, cfl: float = 0.4,
               imex: bool = False) -> float:
-    """Stability step of `step`. For the explicit Heun reference it is the
-    advective bound plus the diffusive bound dx^2 / (2 max(mu/rho, 1)); the
-    phase-2 viscosity n cancels against its density, leaving the unit
-    coefficient. With imex=True viscosity and drag are implicit, which
-    leaves only the advective bound; this is the step `evolve` takes."""
-    adv = _advective_dt(state, grid, spec, cfl)
+    """Stability step of `step`: cfl times the advective bound
+    dx / max(|velocity| + sound speed) over both phases. With imex=True
+    viscosity and drag are implicit, which leaves only this bound; this is
+    the step `evolve` takes. The explicit Heun reference also takes the
+    diffusive bound dx^2 / (2 max(mu/rho, 1)); the phase-2 viscosity n
+    cancels against its density, leaving the unit coefficient."""
+    if not 0.0 < cfl < 1.0:
+        raise DomainError(f"cfl must lie in (0, 1), got {cfl}")
+    f = spec.fluids
+    c1 = _sound_speed(f.A1, f.gamma, state.rho)
+    c2 = _sound_speed(f.A2, f.alpha, state.n)
+    # one division: dx / max(a, b) is min(dx / a, dx / b) exactly
+    adv = cfl * (grid.dx / max(float(np.max(np.abs(state.u) + c1)),
+                               float(np.max(np.abs(state.v) + c2))))
     if imex:
         return adv
-    diff = grid.dx ** 2 / (2.0 * max(float(np.max(spec.fluids.mu
-                                                  / state.rho)), 1.0))
+    diff = grid.dx ** 2 / (2.0 * max(float(np.max(f.mu / state.rho)), 1.0))
     return min(adv, cfl * diff)
 
 
@@ -283,34 +274,39 @@ def _convection(P, vel, f, dx):
     return flux.reshape(2, 2, half)[:, :, :half - 2]
 
 
+def _faces(P, mu):
+    """The (2, N+1) viscous coefficients on the faces of the ghosted block:
+    mu for phase 1, the face density 0.5 (n_i + n_{i+1}) for phase 2."""
+    n_p = P[0, P.shape[1] // 2:]
+    kappa = np.full((2, n_p.size - 1), mu, dtype=float)
+    np.multiply(n_p[:-1] + n_p[1:], 0.5, out=kappa[1])
+    return kappa
+
+
 def _viscosity_drag(P, vel, mu, dx):
-    """mu u_xx, (n v_x)_x and the drag n (v - u), per cell; the drag enters
-    the phase-1 momentum with a plus sign and the phase-2 one with a minus."""
-    half = vel.size // 2
-    u_p, v_p, n_p = vel[:half], vel[half:], P[0, half:]
-    visc1 = mu * (u_p[:-2] - 2.0 * u_p[1:-1] + u_p[2:]) / dx ** 2
-    n_iface = 0.5 * (n_p[:-1] + n_p[1:])
-    v_grad = (v_p[1:] - v_p[:-1]) / dx
-    visc2 = (n_iface[1:] * v_grad[1:] - n_iface[:-1] * v_grad[:-1]) / dx
-    drag = n_p[1:-1] * (v_p[1:-1] - u_p[1:-1])
-    return visc1, visc2, drag
+    """The viscous terms D(kappa D w), mu u_xx and (n v_x)_x, as a (2, N)
+    block, and the drag n (v - u) per cell, which enters the phase-1
+    momentum with a plus sign and the phase-2 one with a minus."""
+    w = vel.reshape(2, -1)
+    flux = _faces(P, mu) * ((w[:, 1:] - w[:, :-1]) / dx)
+    visc = (flux[:, 1:] - flux[:, :-1]) / dx
+    drag = P[0, w.shape[1] + 1:-1] * (w[1, 1:-1] - w[0, 1:-1])
+    return visc, drag
 
 
+# non-finite values propagate silently; the stage checks abort on them
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _rates(U, spec, dx, u_bc, v_bc, right_ghost):
     """Semi-discrete right-hand side of the block: the convective part plus
     the viscous and drag terms."""
-    # let non-finite values propagate silently; the stage check after the
-    # update turns them into a loud abort
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        P, vel = _ghosted(U, u_bc, v_bc, right_ghost)
-        rates = _convection(P, vel, spec.fluids, dx)
-        visc1, visc2, drag = _viscosity_drag(P, vel, spec.fluids.mu, dx)
-        # (convection + viscosity) + drag, one term at a time: the order of
-        # the sums fixes the bits of the Heun reference
-        rates[1, 0] += visc1
-        rates[1, 0] += drag
-        rates[1, 1] += visc2
-        rates[1, 1] -= drag
+    P, vel = _ghosted(U, u_bc, v_bc, right_ghost)
+    rates = _convection(P, vel, spec.fluids, dx)
+    visc, drag = _viscosity_drag(P, vel, spec.fluids.mu, dx)
+    # (convection + viscosity) + drag: the order of the sums fixes the bits
+    # of the Heun reference
+    rates[1] += visc
+    rates[1, 0] += drag
+    rates[1, 1] -= drag
     return rates
 
 
@@ -336,14 +332,19 @@ def _with_block(state, t, U):
                           v_bc=state.v_bc, right_ghost=state.right_ghost)
 
 
+def _forward_euler(U, state, grid, spec, dt):
+    """U + dt R(U) with the state's boundary data, checked at t + dt."""
+    bc = (state.u_bc, state.v_bc, state.right_ghost)
+    U1 = U + dt * _rates(U, spec, grid.dx, *bc)
+    _check(U1, state.t + dt)
+    return U1
+
+
 def _euler_stage(state: EvolutionState, grid: Grid1D, spec, dt: float
                  ) -> EvolutionState:
     """Single forward-Euler stage; the budget tests address it directly."""
-    bc = (state.u_bc, state.v_bc, state.right_ghost)
-    U0 = _block(state)
-    U1 = U0 + dt * _rates(U0, spec, grid.dx, *bc)
-    _check(U1, state.t + dt)
-    return _with_block(state, state.t + dt, U1)
+    return _with_block(state, state.t + dt,
+                       _forward_euler(_block(state), state, grid, spec, dt))
 
 
 def step(state: EvolutionState, grid: Grid1D, spec, dt: float,
@@ -361,8 +362,7 @@ def step(state: EvolutionState, grid: Grid1D, spec, dt: float,
     t = state.t + dt
     bc = (state.u_bc, state.v_bc, state.right_ghost)
     U0 = _block(state)
-    U1 = U0 + dt * _rates(U0, spec, grid.dx, *bc)
-    _check(U1, t)
+    U1 = _forward_euler(U0, state, grid, spec, dt)
     U = 0.5 * (U0 + U1 + dt * _rates(U1, spec, grid.dx, *bc))
     _check(U, t)
     return _with_block(state, t, U)
@@ -381,76 +381,75 @@ IMEX_GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
 IMEX_DELTA = 1.0 - 1.0 / (2.0 * IMEX_GAMMA)
 
 
-def _implicit_momenta(rho, n, r1, r2, h, mu, dx, u_bc, v_bc, right_ghost,
-                      t):
-    """Solve m - h G(m) = r for the momenta at fixed densities, where G is
-    the viscous-plus-drag part of `_rates` with the same ghosts.
+def _implicit_momenta(P, vel, R, h, mu, dx, t):
+    """Solve m - h G(m) = R for the (2, N) momenta at the densities of the
+    ghosted block P, where G is the viscous-plus-drag part of `_rates` with
+    the ghost velocities vel of P and the face coefficients of `_faces`.
 
     Unknowns are the velocities interleaved as (u_0, v_0, u_1, v_1, ...):
-        rho u - h [mu D2 u + n (v - u)] = r1,
-        n v - h [D(n_iface D v) - n (v - u)] = r2.
+        rho u - h [D(mu D u) + n (v - u)] = R[0],
+        n v - h [D(n_face D v) - n (v - u)] = R[1].
     The matrix is symmetric with lower bandwidth 2 and, for positive
     densities, strictly diagonally dominant, hence positive definite.
     """
-    g_rho, g_u, g_n, g_v = right_ghost
-    # the ghost velocities and interface densities of `_ghosted`
-    u_left, v_left = rho[0] * u_bc / rho[0], n[0] * v_bc / n[0]
-    u_right, v_right = g_rho * g_u / g_rho, g_n * g_v / g_n
-    n_p = np.concatenate(([n[0]], n, [g_n]))
-    face = 0.5 * (n_p[:-1] + n_p[1:])
+    dens = P[0].reshape(2, -1)[:, 1:-1]
+    w = vel.reshape(2, -1)
+    kappa = _faces(P, mu)
     k = h / dx ** 2
-    hn = h * n
-    ab = np.empty((3, 2 * rho.size), order="F")
-    ab[0, 0::2] = rho + 2.0 * k * mu + hn
-    ab[0, 1::2] = n + k * (face[:-1] + face[1:]) + hn
+    hn = h * dens[1]
+    diag = dens + k * (kappa[:, :-1] + kappa[:, 1:]) + hn
+    ab = np.empty((3, 2 * dens.shape[1]), order="F")
+    rhs = np.empty(ab.shape[1])
+    # row by row: writes through a (N, 2) view of the band are slower
+    for phase in (0, 1):
+        ab[0, phase::2] = diag[phase]
+        ab[2, phase::2] = -k * kappa[phase, 1:]
+        rhs[phase::2] = R[phase]
     ab[1, 0::2] = -hn
     ab[1, 1::2] = 0.0
-    ab[2, 0::2] = -k * mu
-    ab[2, 1::2] = -k * face[1:]
-    rhs = np.empty(2 * rho.size)
-    rhs[0::2] = r1
-    rhs[1::2] = r2
-    rhs[0] += k * mu * u_left
-    rhs[1] += k * face[0] * v_left
-    rhs[-2] += k * mu * u_right
-    rhs[-1] += k * face[-1] * v_right
+    # the Dirichlet ghosts move to the right-hand side
+    rhs[:2] += k * kappa[:, 0] * w[:, 0]
+    rhs[-2:] += k * kappa[:, -1] * w[:, -1]
     try:
-        vel = solveh_banded(ab, rhs, lower=True, overwrite_ab=True,
+        sol = solveh_banded(ab, rhs, lower=True, overwrite_ab=True,
                             overwrite_b=True, check_finite=False)
     except LinAlgError:
         raise BlowUpError(
             t, "implicit stage matrix not positive definite") from None
-    return rho * vel[0::2], n * vel[1::2]
+    return dens * sol.reshape(-1, 2).T
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _imex_step(state: EvolutionState, grid: Grid1D, spec, dt: float
                ) -> EvolutionState:
     """One ARS(2,2,2) step: explicit Rusanov convection F, implicit
     viscosity and drag G. Densities change only through F; each implicit
     stage solves for the momenta, and G of the middle stage is recovered
     from its solve as (m - rhs) / (gamma dt), never evaluated a second
-    time."""
+    time. Ghosts depend on densities only, so each stage is ghosted once."""
     t = state.t + dt
     h = IMEX_GAMMA * dt
     f, dx = spec.fluids, grid.dx
     bc = (state.u_bc, state.v_bc, state.right_ghost)
     U0 = _block(state)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        Fa = _convection(*_ghosted(U0, *bc), f, dx)
-        # densities of the middle stage, then its momenta's right-hand sides
-        Ub = U0 + h * Fa
-    _check(Ub, t)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        Mb = np.array(_implicit_momenta(*Ub.reshape(4, -1), h, f.mu, dx,
-                                        *bc, t))
-        G = (Mb - Ub[1]) / h
-        Ub[1] = Mb
-        Fb = _convection(*_ghosted(Ub, *bc), f, dx)
-        U = U0 + IMEX_DELTA * dt * Fa
-        U += (1.0 - IMEX_DELTA) * dt * Fb
-        U[1] += (dt - h) * G
+    Fa = _convection(*_ghosted(U0, *bc), f, dx)
+    # densities of the middle stage, then its momenta's right-hand sides
+    U = U0 + h * Fa
     _check(U, t)
-    U[1] = _implicit_momenta(*U.reshape(4, -1), h, f.mu, dx, *bc, t)
+    P, vel = _ghosted(U, *bc)
+    G = _implicit_momenta(P, vel, U[1], h, f.mu, dx, t)
+    P.reshape(2, 2, -1)[1, :, 1:-1] = G
+    Fb = _convection(P, P[1] / P[0], f, dx)
+    # the solved momenta become G of the middle stage in place
+    G -= U[1]
+    G /= h
+    # the last stage; rebinding U and P frees the middle stage's arrays
+    U = U0 + IMEX_DELTA * dt * Fa
+    U += (1.0 - IMEX_DELTA) * dt * Fb
+    U[1] += (dt - h) * G
+    _check(U, t)
+    P, vel = _ghosted(U, *bc)
+    U[1] = _implicit_momenta(P, vel, U[1], h, f.mu, dx, t)
     _check(U, t)
     return _with_block(state, t, U)
 

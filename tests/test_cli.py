@@ -336,13 +336,16 @@ def _raising_body(err):
     return body
 
 
-# each documented exit code with its cause; {tmp} and {bad_series} stand for
-# paths made in the test, and every fragment must appear on stderr
+# each documented exit code with its cause; {tmp}, {bad_series} and
+# {bad_tag_series} stand for paths made in the test, and every fragment
+# must appear on stderr
 @pytest.mark.parametrize("command, extra, raised, code, fragments", [
     ("steady", ("spec.bogus = 1",), None, 2,
      ("unknown key", "'spec.bogus'")),
     ("decay-fit", ("diagnostics.series_path = {bad_series}",), None, 3,
      ("{bad_series}", "'oops'")),
+    ("decay-fit", ("diagnostics.series_path = {bad_tag_series}",), None, 3,
+     ("{bad_tag_series}", "'bogus'")),
     ("decay-fit", ("diagnostics.series_path = {tmp}/absent.csv",), None, 5,
      ("{tmp}/absent.csv",)),
     ("evolve", (), tp.VacuumError(2, 41, 3.5), 4,
@@ -350,13 +353,16 @@ def _raising_body(err):
     ("evolve", (), tp.BlowUpError(3.5), 4, ("non-finite", "t=3.5")),
     ("regime", (), TypeError("unsupported operand"), 1,
      ("error: internal TypeError: unsupported operand",)),
-], ids=["bad_key", "malformed_series", "missing_series", "vacuum",
-        "blow_up", "internal"])
+], ids=["bad_key", "malformed_series", "bad_weight_tag", "missing_series",
+        "vacuum", "blow_up", "internal"])
 def test_exit_codes_name_the_cause(tmp_path, capsys, monkeypatch, command,
                                    extra, raised, code, fragments):
     bad_series = tmp_path / "series.csv"
     bad_series.write_text("t,l2,h1,linf,drag_l2\n0,1,1,1,oops\n")
-    paths = {"tmp": str(tmp_path), "bad_series": str(bad_series)}
+    bad_tag_series = tmp_path / "tagged.csv"
+    bad_tag_series.write_text("t,l2,h1,linf,drag_l2,w_bogus\n0,1,1,1,1,1\n")
+    paths = {"tmp": str(tmp_path), "bad_series": str(bad_series),
+             "bad_tag_series": str(bad_tag_series)}
     if raised is not None:
         monkeypatch.setitem(cli._RUNNERS, command, _raising_body(raised))
     path = write_config(tmp_path, *(line.format(**paths) for line in extra))

@@ -390,8 +390,9 @@ def test_implicit_solve_matches_viscous_drag_terms():
     r2 = n * (-1.9 + 0.04 * np.sin(0.6 * x))
     bc = (-2.01, -1.97, (1.02, -2.0, 0.99, -2.03))
     h = 0.05
-    m1, m2 = _implicit_momenta(rho, n, r1, r2, h, mu, grid.dx, *bc, t=0.0)
-    visc1, visc2, drag = _viscosity_drag(
+    m1, m2 = _implicit_momenta(*_ghosted(np.array(((rho, n), (r1, r2))), *bc),
+                               np.array((r1, r2)), h, mu, grid.dx, t=0.0)
+    (visc1, visc2), drag = _viscosity_drag(
         *_ghosted(np.array(((rho, n), (m1, m2))), *bc), mu, grid.dx)
     res1 = m1 - h * (visc1 + drag) - r1
     res2 = m2 - h * (visc2 - drag) - r2
@@ -462,8 +463,8 @@ def test_imex_settles_on_the_semi_discrete_steady_state():
     s = tp.evolve(start, grid, spec, t_end=40.0).state
     bc = (s.u_bc, s.v_bc, s.right_ghost)
     rates = _rates(_block(s), spec, grid.dx, *bc)
-    visc1, visc2, drag = _viscosity_drag(*_ghosted(_block(s), *bc), UNIT.mu,
-                                         grid.dx)
+    (visc1, visc2), drag = _viscosity_drag(*_ghosted(_block(s), *bc),
+                                           UNIT.mu, grid.dx)
     implicit = max(np.max(np.abs(visc1 + drag)), np.max(np.abs(visc2 - drag)))
     assert implicit > 0.01
     assert max(np.max(np.abs(r)) for r in rates) <= 1e-6 * implicit
