@@ -15,9 +15,8 @@ import numpy as np
 
 from . import model
 from .errors import DomainError, InsufficientDataError, WeightOverflowError
-from .steady import (ALGEBRAIC, EXPONENTIAL, SteadyProfile, matrix_invariants,
-                     read_csv_columns, sigma_profile, solve_cubic,
-                     write_csv_rows)
+from .steady import (ALGEBRAIC, EXPONENTIAL, SteadyProfile, _log_linear_fit,
+                     read_csv_columns, sigma_profile, write_csv_rows)
 
 POSITIVE_DEFINITE = "positive_definite"
 POSITIVE_SEMIDEFINITE = "positive_semidefinite"
@@ -251,14 +250,14 @@ class QuadraticFormReport:
 
 
 def _symmetric_eigenvalues(M):
+    # the closed form keeps an exact zero of a semidefinite 2x2 form exact,
+    # where eigvalsh can return a tiny negative
     if M.shape == (2, 2):
         p, q, r = M[0, 0], M[0, 1], M[1, 1]
         mid = 0.5 * (p + r)
         rad = math.hypot(0.5 * (p - r), q)
         return (mid - rad, mid + rad)
-    tr, m2, det = matrix_invariants(M)
-    roots = solve_cubic(-tr, m2, -det)
-    return tuple(r.real for r in roots)
+    return tuple(np.linalg.eigvalsh(M).tolist())
 
 
 # |smallest eigenvalue| below which a form is semidefinite, not definite
@@ -421,13 +420,8 @@ def fit_temporal_decay(series: NormSeries, which_norm, law: str,
     vals = values[mask]
     if np.any(vals <= 0.0):
         raise DomainError("norm values must be positive inside the window")
-    logn = np.log(vals)
     abscissa = times[mask] if law == EXPONENTIAL else np.log1p(times[mask])
-    slope, intercept = np.polyfit(abscissa, logn, 1)
-    fitted = slope * abscissa + intercept
-    ss_res = float(np.sum((logn - fitted) ** 2))
-    ss_tot = float(np.sum((logn - logn.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    slope, intercept, r2 = _log_linear_fit(abscissa, vals)
     return TemporalDecayFit(model=law, rate=float(-slope),
                             prefactor=float(math.exp(intercept)),
                             r_squared=float(r2), window=(float(t_lo),

@@ -69,8 +69,9 @@ class BlowUpError(RuntimeError):
 
 
 class NumericsError(RuntimeError):
-    """Floating-point machinery failed a self-check (eigenvector residual,
-    boundary rows that do not match the far-field spectrum)."""
+    """Floating-point machinery failed a self-check (a LAPACK eigenpair
+    whose residual |J r - lam r| is too large, boundary rows that do not
+    match the far-field spectrum)."""
 
 
 class InsufficientDataError(ValueError):

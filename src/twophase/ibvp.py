@@ -74,8 +74,6 @@ class PerturbationSpec:
 
     Velocity components are tapered by 1 - exp(-(x/width)^2) so the boundary
     values at x = 0 stay exactly at the prescribed outflow velocities.
-    weight_tag optionally names the weighted class the initial data is meant
-    to represent; it is carried along for bookkeeping, never enforced.
     from_file ignores the shape parameters and loads a full state snapshot.
     """
 
@@ -84,7 +82,6 @@ class PerturbationSpec:
     center: float = 10.0
     width: float = 2.0
     components: tuple = ("u",)
-    weight_tag: object = None
     path: str = ""
 
     def __post_init__(self):

@@ -71,6 +71,20 @@ class ModelSpec:
     def __post_init__(self):
         if not self.u_minus < 0:
             raise DomainError("boundary velocity u_minus must be negative (outflow)")
+        # every far-field quantity (sound speed, Jacobian, a) is built from
+        # A g density^g; binary64 must hold it as a positive finite number
+        f, far = self.fluids, self.far
+        for name, A, g, density in (("rho_plus", f.A1, f.gamma, far.rho_plus),
+                                    ("n_plus", f.A2, f.alpha, far.n_plus)):
+            try:
+                law = A * g * float(density) ** g
+            except OverflowError:
+                law = math.inf
+            if not 0.0 < law < math.inf:
+                raise DomainError(
+                    f"{name}={density:.6g}: the far-field pressure law "
+                    f"A g {name}^g = {law:.3g} is not a positive finite "
+                    "binary64 number")
 
     @property
     def delta(self):

@@ -15,7 +15,8 @@ meet the prescribed boundary velocity at x = 0.
 
 The linearization at the fixed point has one eigenvalue pattern per regime
 (two stable directions when supersonic, one when subsonic, and a genuine
-center direction at sonic). Every regime is solved the same way: one
+center direction at sonic); its eigenpairs, right and left, come from
+LAPACK through scipy.linalg.eig. Every regime is solved the same way: one
 collocation solve on a truncated interval [0, L] with the boundary velocities
 at x = 0 and, at x = L, projection conditions that kill each unstable
 far-field mode (Lentini & Keller, SIAM J. Numer. Anal. 1980; Beyn, IMA J.
@@ -27,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import solve_bvp
 from scipy.interpolate import make_interp_spline
 
@@ -89,9 +91,8 @@ def farfield_jacobian(spec: model.ModelSpec) -> np.ndarray:
 def matrix_invariants(J):
     """Trace, sum of principal 2x2 minors, determinant of a 3x3 matrix.
 
-    These are the elementary symmetric functions of the eigenvalues, used
-    both to build the characteristic cubic and as the closure check on the
-    roots that come back.
+    These are the elementary symmetric functions of the eigenvalues, the
+    Vieta-closure oracle that the tests check eigensystem's roots against.
     """
     J = np.asarray(J, dtype=float)
     tr = J[0, 0] + J[1, 1] + J[2, 2]
@@ -104,53 +105,6 @@ def matrix_invariants(J):
     return tr, inv2, det
 
 
-def solve_cubic(c2: float, c1: float, c0: float):
-    """Roots of lam^3 + c2 lam^2 + c1 lam + c0, sorted by real part.
-
-    Depressed-cubic reduction t = lam + c2/3, then discriminant branching:
-    three real roots via the trigonometric form when 4p^3 + 27q^2 <= 0,
-    one real root plus a conjugate pair via Cardano otherwise.
-    """
-    p = c1 - c2 * c2 / 3.0
-    q = 2.0 * c2 ** 3 / 27.0 - c2 * c1 / 3.0 + c0
-    shift = -c2 / 3.0
-    disc = 4.0 * p ** 3 + 27.0 * q * q
-    if disc <= 0.0:
-        # three real roots (possibly repeated)
-        if p == 0.0:
-            roots = [shift, shift, shift]
-        else:
-            m = 2.0 * math.sqrt(-p / 3.0)
-            # clamp the cosine argument against roundoff at disc ~ 0
-            arg = 3.0 * q / (p * m)
-            arg = min(1.0, max(-1.0, arg))
-            theta = math.acos(arg) / 3.0
-            roots = [shift + m * math.cos(theta - 2.0 * math.pi * k / 3.0)
-                     for k in range(3)]
-        roots = [complex(r) for r in roots]
-    else:
-        # one real root by Cardano, stable choice of cube root
-        rt = math.sqrt(disc / 108.0)
-        w3 = -q / 2.0 + rt if q <= 0 else -q / 2.0 - rt
-        w = math.copysign(abs(w3) ** (1.0 / 3.0), w3)
-        real = w - p / (3.0 * w) if w != 0.0 else 0.0
-        # depressed cubic t^3+pt+q = (t-real)(t^2 + real t + (p + real^2))
-        half = -real / 2.0
-        disc2 = real * real / 4.0 - (p + real * real)
-        im = math.sqrt(-disc2) if disc2 < 0 else 0.0
-        if disc2 < 0:
-            roots = [complex(shift + real),
-                     complex(shift + half, im),
-                     complex(shift + half, -im)]
-        else:
-            s = math.sqrt(disc2)
-            roots = [complex(shift + real),
-                     complex(shift + half + s),
-                     complex(shift + half - s)]
-    roots.sort(key=lambda z: (z.real, z.imag))
-    return roots
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Eigenvalues (sorted by real part), eigenvectors, and sign pattern."""
@@ -160,52 +114,46 @@ class EigenSystem:
     sign_pattern: tuple
 
 
-def _nullspace_vector(M):
-    """Unit vector spanning the (numerical) nullspace of a 3x3 matrix."""
-    _, _, vh = np.linalg.svd(M)
-    return vh[-1].conj()
-
-
 def eigensystem(J) -> EigenSystem:
-    """Eigen-decomposition of the far-field matrix via the characteristic cubic.
+    """Eigen-decomposition of the far-field matrix by LAPACK (geev).
 
-    Eigenvectors come from nullspace extraction of J - lam I; a residual
-    |J r - lam r| above 1e-8 (relative to |J|) is treated as a numerical
-    failure rather than silently returned.
+    Eigenvalues are sorted by (real, imaginary) part and the eigenvectors
+    are unit-norm columns; a residual |J r - lam r| above 1e-8 (relative to
+    max(|J|, 1)) is treated as a numerical failure rather than silently
+    returned.
     """
     J = np.asarray(J, dtype=float)
-    tr, inv2, det = matrix_invariants(J)
-    lambdas = tuple(solve_cubic(-tr, inv2, -det))
+    w, vr = scipy.linalg.eig(J)
+    order = np.lexsort((w.imag, w.real))
+    w, vectors = w[order], vr[:, order].astype(complex)
     scale = max(np.max(np.abs(J)), 1.0)
-    vectors = np.zeros((3, 3), dtype=complex)
-    for i, lam in enumerate(lambdas):
-        r = _nullspace_vector(J - lam * np.eye(3))
+    for lam, r in zip(w, vectors.T):
         res = np.linalg.norm(J @ r - lam * r)
         if res > 1e-8 * scale:
             raise NumericsError(
                 f"eigenvector residual {res:.3e} for eigenvalue {lam:.6g}")
-        vectors[:, i] = r
+    lambdas = tuple(complex(lam) for lam in w)
     pattern = tuple(
         ZERO if abs(lam.real) < ZERO_TOLERANCE else (NEG if lam.real < 0 else POS)
         for lam in lambdas)
     return EigenSystem(lambdas=lambdas, vectors=vectors, sign_pattern=pattern)
 
 
-def _projection_rows(J, lambdas):
+def _projection_rows(J):
     """Rows ell with ell @ y(L) = 0 that kill each unstable far-field mode.
 
-    ell is the left eigenvector, the nullspace of (J - lam I)^T, and is
-    orthogonal to the eigenvectors of every other eigenvalue, so the rows
-    pin exactly the unstable components of y(L). A complex pair contributes
-    the real and imaginary parts of the left eigenvector of one member.
+    ell is the left eigenvector of an eigenvalue with real part above
+    ZERO_TOLERANCE and is orthogonal to the eigenvectors of every other
+    eigenvalue, so the rows pin exactly the unstable components of y(L).
+    A complex pair contributes the real and imaginary parts of the left
+    eigenvector of one member.
     """
+    w, vl = scipy.linalg.eig(J, left=True, right=False)
     rows = []
-    for lam in lambdas:
-        if lam.imag > 0:
-            ell = _nullspace_vector(J.T - lam * np.eye(3))
-            rows.extend((ell.real, ell.imag))
-        elif lam.imag == 0:
-            rows.append(_nullspace_vector(J.T - lam.real * np.eye(3)).real)
+    for lam, ell in zip(w, vl.T):
+        if lam.real <= ZERO_TOLERANCE or lam.imag < 0:
+            continue
+        rows.extend((ell.real, ell.imag) if lam.imag > 0 else (ell.real,))
     return np.array([r / np.linalg.norm(r) for r in rows]).reshape(-1, 3)
 
 
@@ -359,9 +307,7 @@ def _collocate(spec, x_domain, regime, eig):
     d = spec.u_minus - spec.far.u_plus
     delta = spec.delta
     lead = np.eye(3)[[0] if regime.is_subsonic else [0, 2]]
-    ells = _projection_rows(farfield_jacobian(spec),
-                            [lam for lam in eig.lambdas
-                             if lam.real > ZERO_TOLERANCE])
+    ells = _projection_rows(farfield_jacobian(spec))
     if len(lead) + len(ells) != 3:
         raise NumericsError(
             f"{len(ells)} unstable far-field modes for {len(lead)} boundary "
@@ -558,6 +504,18 @@ _QUANTITY_COLUMNS = {
 }
 
 
+def _log_linear_fit(abscissa, values):
+    """Least-squares line through (abscissa, log values): the slope, the
+    intercept and the R^2 of the fit (1 when log values are constant)."""
+    logv = np.log(values)
+    slope, intercept = np.polyfit(abscissa, logv, 1)
+    fitted = slope * abscissa + intercept
+    ss_res = float(np.sum((logv - fitted) ** 2))
+    ss_tot = float(np.sum((logv - logv.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return slope, intercept, r2
+
+
 def fit_spatial_decay(profile: SteadyProfile, quantity: str, law: str,
                       window: tuple, sigma_params=None) -> SpatialDecayFit:
     """Least-squares decay fit of |q(x) - q_inf| on a window.
@@ -590,19 +548,10 @@ def fit_spatial_decay(profile: SteadyProfile, quantity: str, law: str,
     dev = np.abs(q[mask] - _FARFIELD_LIMITS[quantity](profile))
     if np.any(dev <= 0.0):
         raise DomainError("quantity touches its far-field limit inside the window")
-    logd = np.log(dev)
-    if law == EXPONENTIAL:
-        abscissa = x[mask]
-        slope, intercept = np.polyfit(abscissa, logd, 1)
-        rate = -slope
-    else:
-        abscissa = np.log1p(profile.delta * x[mask])
-        slope, intercept = np.polyfit(abscissa, logd, 1)
-        rate = slope
-    fitted = slope * abscissa + intercept
-    ss_res = float(np.sum((logd - fitted) ** 2))
-    ss_tot = float(np.sum((logd - logd.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    exponential = law == EXPONENTIAL
+    abscissa = x[mask] if exponential else np.log1p(profile.delta * x[mask])
+    slope, intercept, r2 = _log_linear_fit(abscissa, dev)
+    rate = -slope if exponential else slope
     return SpatialDecayFit(law=law, rate_or_slope=float(rate),
                            prefactor=float(np.exp(intercept)),
                            r_squared=float(r2), window=(x_lo, x_hi))

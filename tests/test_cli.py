@@ -342,6 +342,11 @@ def _raising_body(err):
 @pytest.mark.parametrize("command, extra, raised, code, fragments", [
     ("steady", ("spec.bogus = 1",), None, 2,
      ("unknown key", "'spec.bogus'")),
+    ("regime", ("spec.rho_plus = 1e120", "spec.gamma = 3"), None, 2,
+     ("rho_plus=1e+120", "not a positive finite")),
+    ("steady", ("spec.rho_plus = 1e-200", "spec.n_plus = 1e-200",
+                "spec.gamma = 3", "spec.alpha = 3"), None, 2,
+     ("rho_plus=1e-200", "not a positive finite")),
     ("decay-fit", ("diagnostics.series_path = {bad_series}",), None, 3,
      ("{bad_series}", "'oops'")),
     ("decay-fit", ("diagnostics.series_path = {bad_tag_series}",), None, 3,
@@ -353,7 +358,8 @@ def _raising_body(err):
     ("evolve", (), tp.BlowUpError(3.5), 4, ("non-finite", "t=3.5")),
     ("regime", (), TypeError("unsupported operand"), 1,
      ("error: internal TypeError: unsupported operand",)),
-], ids=["bad_key", "malformed_series", "bad_weight_tag", "missing_series",
+], ids=["bad_key", "pressure_overflow", "pressure_underflow",
+        "malformed_series", "bad_weight_tag", "missing_series",
         "vacuum", "blow_up", "internal"])
 def test_exit_codes_name_the_cause(tmp_path, capsys, monkeypatch, command,
                                    extra, raised, code, fragments):

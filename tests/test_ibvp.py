@@ -62,9 +62,6 @@ def test_perturbation_spec_validation():
         tp.PerturbationSpec(components=("rho", "w"))
     with pytest.raises(tp.DomainError):
         tp.PerturbationSpec(shape="from_file")
-    tag = tp.AlgebraicNu(1.0)
-    pert = tp.PerturbationSpec(amplitude=1e-3, weight_tag=tag)
-    assert pert.weight_tag is tag
 
 
 def test_perturbation_values_taper_and_support():

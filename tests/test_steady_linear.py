@@ -1,12 +1,10 @@
-"""Far-field linear algebra: Jacobian assembly, cubic roots, sign patterns."""
-
-import math
+"""Far-field linear algebra: Jacobian assembly, eigensystem, projection rows."""
 
 import numpy as np
 import pytest
 
 import twophase as tp
-from twophase.steady import matrix_invariants, solve_cubic, steady_rhs
+from twophase.steady import _projection_rows, matrix_invariants, steady_rhs
 from conftest import random_spec, rng_for
 
 UNIT = tp.FluidConstants(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0)
@@ -47,53 +45,7 @@ def test_jacobian_matches_rhs_linearization(regime):
 
 
 # ---------------------------------------------------------------------------
-# cubic solver
-# ---------------------------------------------------------------------------
-
-def test_cubic_known_factorization():
-    # lam^3 + 3 lam^2 + 0.25 lam - 3 = (lam + 3/2)(lam^2 + 1.5 lam - 2)
-    roots = solve_cubic(3.0, 0.25, -3.0)
-    expect = sorted([-1.5,
-                     (-1.5 - math.sqrt(2.25 + 8.0)) / 2.0,
-                     (-1.5 + math.sqrt(2.25 + 8.0)) / 2.0])
-    got = [r.real for r in roots]
-    assert all(abs(r.imag) == 0.0 for r in roots)
-    np.testing.assert_allclose(got, expect, rtol=1e-12)
-
-
-def test_cubic_repeated_roots():
-    # (lam - 1)^3
-    roots = solve_cubic(-3.0, 3.0, -1.0)
-    np.testing.assert_allclose([r.real for r in roots], [1.0, 1.0, 1.0],
-                               rtol=0, atol=1e-7)
-    # (lam - 1)^2 (lam + 2)
-    roots = solve_cubic(0.0, -3.0, 2.0)
-    np.testing.assert_allclose(sorted(r.real for r in roots), [-2.0, 1.0, 1.0],
-                               rtol=0, atol=1e-7)
-
-
-def test_cubic_complex_pair():
-    # lam^3 - lam^2 + lam - 1 = (lam - 1)(lam^2 + 1)
-    roots = solve_cubic(-1.0, 1.0, -1.0)
-    reals = sorted(r.real for r in roots)
-    imags = sorted(r.imag for r in roots)
-    np.testing.assert_allclose(reals, [0.0, 0.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(imags, [-1.0, 0.0, 1.0], atol=1e-12)
-
-
-def test_cubic_against_numpy_roots():
-    rng = rng_for("cubic-vs-numpy")
-    for _ in range(300):
-        c2, c1, c0 = rng.uniform(-5.0, 5.0, size=3)
-        mine = sorted(solve_cubic(c2, c1, c0), key=lambda z: (z.real, z.imag))
-        ref = sorted(np.roots([1.0, c2, c1, c0]),
-                     key=lambda z: (z.real, z.imag))
-        for a, b in zip(mine, ref):
-            assert abs(a - b) < 1e-7 * max(1.0, abs(b))
-
-
-# ---------------------------------------------------------------------------
-# eigensystem: Vieta closure, sign patterns, eigenvector quality
+# eigensystem and projection rows
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("regime,pattern", [
@@ -164,6 +116,36 @@ def test_sonic_center_eigenvector_direction():
     r = np.real(eig.vectors[:, k[0]])
     r = r / r[0]
     np.testing.assert_allclose(r, [1.0, 0.0, 1.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("regime", ["supersonic", "sonic", "subsonic"])
+def test_projection_rows_annihilate_the_stable_and_center_modes(regime):
+    rng = rng_for("projection-rows", regime)
+    for _ in range(25):
+        spec = random_spec(rng, regime)
+        J = tp.farfield_jacobian(spec)
+        eig = tp.eigensystem(J)
+        rows = _projection_rows(J)
+        assert len(rows) == eig.sign_pattern.count("pos")
+        for k, sign in enumerate(eig.sign_pattern):
+            if sign != "pos":
+                # rows and eigenvectors are unit vectors
+                assert np.max(np.abs(rows @ eig.vectors[:, k])) <= 1e-10
+
+
+def test_projection_rows_of_a_complex_unstable_pair():
+    # J = S diag(-1, [[1, 2], [-2, 1]]) S^-1: eigenvalues -1 and 1 +- 2i
+    S = np.array([[1.0, 0.3, -0.2], [0.5, 1.0, 0.4], [-0.7, 0.2, 1.0]])
+    block = np.array([[-1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, -2.0, 1.0]])
+    J = S @ block @ np.linalg.inv(S)
+    eig = tp.eigensystem(J)
+    assert eig.sign_pattern == ("neg", "pos", "pos")
+    assert abs(eig.lambdas[2].imag) == pytest.approx(2.0, rel=1e-12)
+    rows = _projection_rows(J)
+    assert rows.shape == (2, 3)
+    np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=1e-12)
+    assert np.linalg.matrix_rank(rows) == 2
+    np.testing.assert_allclose(rows @ S[:, 0], 0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
