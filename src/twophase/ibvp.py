@@ -14,8 +14,11 @@ with no power, the same bits as the power.
 `step` advances the scheme either with the explicit SSP-RK2 (Heun)
 reference scheme, for callers that choose a fixed dt, or with the IMEX
 scheme ARS(2,2,2) (Ascher, Ruuth & Spiteri, 1997): convection explicit,
-viscosity and drag implicit through one banded solve per stage, so dt
-follows the advective bound alone. `evolve` marches with the IMEX scheme.
+viscosity and drag implicit, so dt follows the advective bound alone.
+Each implicit stage eliminates half of the 2N velocities exactly (one
+red-black reduction of the two velocity chains joined by the drag) and
+makes one banded Cholesky solve over the other N. `evolve` marches with
+the IMEX scheme.
 The left ghost cell prescribes the outflow velocities, the right ghost
 continues the steady profile past the truncation point so that a converged
 profile is (up to truncation error) a fixed point of the semi-discrete
@@ -224,20 +227,32 @@ def _block(state):
     return np.array(((state.rho, state.n), (state.mom1, state.mom2)))
 
 
+def _ghost_cells(dens, u_bc, v_bc, right_ghost):
+    """The ghost cells of a block with densities dens, as a (2, 2, 2) array
+    ((densities, momenta), phase, (left, right)). The left ghost copies the
+    first cell's densities and carries the prescribed outflow velocities;
+    the right ghost is the frozen profile continuation."""
+    g_rho, g_u, g_n, g_v = right_ghost
+    rho_0, n_0 = dens[:, 0].tolist()
+    return np.array((((rho_0, g_rho), (n_0, g_n)),
+                     ((rho_0 * u_bc, g_rho * g_u), (n_0 * v_bc, g_n * g_v))))
+
+
+def _pad(rows, ghosts):
+    """The rows with their ghost cells at both ends: rows (..., N) and
+    ghosts (..., 2) make one (..., N+2) array."""
+    P = np.empty(rows.shape[:-1] + (rows.shape[-1] + 2,))
+    P[..., 1:-1] = rows
+    P[..., ::rows.shape[-1] + 1] = ghosts
+    return P
+
+
 def _ghosted(U, u_bc, v_bc, right_ghost):
     """The block with one ghost cell on each side of each phase, laid out
     as one (2, 2(N+2)) array: row 0 the densities, row 1 the momenta, each
     row phase 1's padded cells followed by phase 2's. Returns it with its
-    velocities. The left ghost copies the interior densities and carries
-    the prescribed outflow velocities; the right ghost is the frozen
-    profile continuation."""
-    g_rho, g_u, g_n, g_v = right_ghost
-    P = np.empty((2, 2, U.shape[2] + 2))
-    P[:, :, 1:-1] = U
-    P[0, :, 0] = U[0, :, 0]
-    P[1, :, 0] = U[0, :, 0] * (u_bc, v_bc)
-    P[:, :, -1] = ((g_rho, g_n), (g_rho * g_u, g_n * g_v))
-    P = P.reshape(2, -1)
+    velocities; the ghost cells are those of `_ghost_cells`."""
+    P = _pad(U, _ghost_cells(U[0], u_bc, v_bc, right_ghost)).reshape(2, -1)
     return P, P[1] / P[0]
 
 
@@ -271,10 +286,10 @@ def _convection(P, vel, f, dx):
     return flux.reshape(2, 2, half)[:, :, :half - 2]
 
 
-def _faces(P, mu):
-    """The (2, N+1) viscous coefficients on the faces of the ghosted block:
-    mu for phase 1, the face density 0.5 (n_i + n_{i+1}) for phase 2."""
-    n_p = P[0, P.shape[1] // 2:]
+def _faces(n_p, mu):
+    """The (2, N+1) viscous coefficients on the faces of the padded phase-2
+    densities n_p: mu for phase 1, the face density 0.5 (n_i + n_{i+1})
+    for phase 2."""
     kappa = np.full((2, n_p.size - 1), mu, dtype=float)
     np.multiply(n_p[:-1] + n_p[1:], 0.5, out=kappa[1])
     return kappa
@@ -285,7 +300,7 @@ def _viscosity_drag(P, vel, mu, dx):
     block, and the drag n (v - u) per cell, which enters the phase-1
     momentum with a plus sign and the phase-2 one with a minus."""
     w = vel.reshape(2, -1)
-    flux = _faces(P, mu) * ((w[:, 1:] - w[:, :-1]) / dx)
+    flux = _faces(P[0, w.shape[1]:], mu) * ((w[:, 1:] - w[:, :-1]) / dx)
     visc = (flux[:, 1:] - flux[:, :-1]) / dx
     drag = P[0, w.shape[1] + 1:-1] * (w[1, 1:-1] - w[0, 1:-1])
     return visc, drag
@@ -378,42 +393,89 @@ IMEX_GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
 IMEX_DELTA = 1.0 - 1.0 / (2.0 * IMEX_GAMMA)
 
 
-def _implicit_momenta(P, vel, R, h, mu, dx, t):
-    """Solve m - h G(m) = R for the (2, N) momenta at the densities of the
-    ghosted block P, where G is the viscous-plus-drag part of `_rates` with
-    the ghost velocities vel of P and the face coefficients of `_faces`.
+def _swap_odd(a):
+    """Swap the two rows of a (2, M) array in its odd columns, in place:
+    this maps the phase layout to the red/black layout and back."""
+    a[:, 1::2] = a[::-1, 1::2]
+    return a
 
-    Unknowns are the velocities interleaved as (u_0, v_0, u_1, v_1, ...):
+
+def _implicit_momenta(D, wg, R, h, mu, dx, t):
+    """Solve m - h G(m) = R for the (2, N) momenta at the (2, N+2) ghosted
+    densities D, where G is the viscous-plus-drag part of `_rates` with the
+    (2, 2) ghost velocities wg (phase, (left, right)) and the face
+    coefficients of `_faces`.
+
+    The unknowns are the velocities:
         rho u - h [D(mu D u) + n (v - u)] = R[0],
         n v - h [D(n_face D v) - n (v - u)] = R[1].
-    The matrix is symmetric with lower bandwidth 2 and, for positive
-    densities, strictly diagonally dominant, hence positive definite.
+    The symmetric matrix is a ladder: two velocity chains joined by the
+    drag rungs. Colour the unknowns red (phase i % 2 in cell i) and black
+    (the other phase). Each black unknown couples only to red ones, the
+    rung of its cell and its own phase in the two neighbouring cells, and
+    the same holds for red; with the rows swapped in the odd columns
+    (`_swap_odd`) the matrix is [[D_R, B], [B^T, D_E]] with D_R and D_E
+    diagonal and B tridiagonal. One exact red-black elimination (the first
+    level of cyclic reduction) leaves the Schur complement
+    S = D_R - B D_E^-1 B^T, pentadiagonal on N unknowns, which
+    `solveh_banded` factors; the black velocities follow from
+    x_E = D_E^-1 (b_E - B^T x_R). The full matrix is positive definite
+    exactly when D_E is and S is, that is when every black pivot is
+    positive and the Cholesky factorization of S succeeds; for positive
+    densities it is strictly diagonally dominant, hence both hold.
     """
-    dens = P[0].reshape(2, -1)[:, 1:-1]
-    w = vel.reshape(2, -1)
-    kappa = _faces(P, mu)
-    k = h / dx ** 2
+    dens = D[:, 1:-1]
+    kappa = _faces(D[1], mu)
+    kappa *= h / dx ** 2
     hn = h * dens[1]
-    diag = dens + k * (kappa[:, :-1] + kappa[:, 1:]) + hn
-    ab = np.empty((3, 2 * dens.shape[1]), order="F")
-    rhs = np.empty(ab.shape[1])
-    # row by row: writes through a (N, 2) view of the band are slower
-    for phase in (0, 1):
-        ab[0, phase::2] = diag[phase]
-        ab[2, phase::2] = -k * kappa[phase, 1:]
-        rhs[phase::2] = R[phase]
-    ab[1, 0::2] = -hn
-    ab[1, 1::2] = 0.0
-    # the Dirichlet ghosts move to the right-hand side
-    rhs[:2] += k * kappa[:, 0] * w[:, 0]
-    rhs[-2:] += k * kappa[:, -1] * w[:, -1]
+    # the diagonal, then the Dirichlet ghosts on the right-hand side
+    diag = kappa[:, :-1] + kappa[:, 1:]
+    diag += dens
+    diag += hn
+    rhs = R.copy()
+    rhs[:, 0] += kappa[:, 0] * wg[:, 0]
+    rhs[:, -1] += kappa[:, -1] * wg[:, 1]
+    d_red, d_black = _swap_odd(diag)
+    b_red, b_black = _swap_odd(rhs)
+    # B holds minus these: the rung hn, and on each interior face up, which
+    # joins the red unknown on its left to the black one on its right, and
+    # lo, which joins the red unknown on its right to the black on its left
+    up, lo = _swap_odd(kappa[:, 1:-1])
+    if not d_black.min() > 0.0:
+        raise BlowUpError(t, "implicit stage matrix not positive definite")
+    e = np.divide(1.0, d_black, out=d_black)
+    he = hn * e
+    ue = up * e[1:]
+    le = lo * e[:-1]
+    # the band of S (diagonal, then two subdiagonals) and y = b_R - B e b_E
+    ab = np.zeros((3, dens.shape[1]), order="F")
+    np.multiply(hn, he, out=ab[0])
+    ab[0, :-1] += up * ue
+    ab[0, 1:] += lo * le
+    np.subtract(d_red, ab[0], out=ab[0])
+    np.multiply(he[:-1], lo, out=ab[1, :-1])
+    ab[1, :-1] += ue * hn[1:]
+    ab[1] *= -1.0
+    np.multiply(ue[:-1], lo[1:], out=ab[2, :-2])
+    ab[2] *= -1.0
+    b_red += he * b_black
+    b_red[:-1] += ue * b_black[1:]
+    b_red[1:] += le * b_black[:-1]
     try:
-        sol = solveh_banded(ab, rhs, lower=True, overwrite_ab=True,
-                            overwrite_b=True, check_finite=False)
+        x_red = solveh_banded(ab, b_red, lower=True, overwrite_ab=True,
+                              overwrite_b=True, check_finite=False)
     except LinAlgError:
         raise BlowUpError(
             t, "implicit stage matrix not positive definite") from None
-    return dens * sol.reshape(-1, 2).T
+    # x_E = e (b_E - B^T x_R), then both back in the phase layout
+    rhs[0] = x_red
+    b_black += hn * x_red
+    b_black[1:] += up * x_red[:-1]
+    b_black[:-1] += lo * x_red[1:]
+    b_black *= e
+    _swap_odd(rhs)
+    rhs *= dens
+    return rhs
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -423,7 +485,8 @@ def _imex_step(state: EvolutionState, grid: Grid1D, spec, dt: float
     viscosity and drag G. Densities change only through F; each implicit
     stage solves for the momenta, and G of the middle stage is recovered
     from its solve as (m - rhs) / (gamma dt), never evaluated a second
-    time. Ghosts depend on densities only, so each stage is ghosted once."""
+    time. Ghosts depend on densities only, so each stage is ghosted once;
+    the solves read only the ghosted densities and the ghost velocities."""
     t = state.t + dt
     h = IMEX_GAMMA * dt
     f, dx = spec.fluids, grid.dx
@@ -433,20 +496,23 @@ def _imex_step(state: EvolutionState, grid: Grid1D, spec, dt: float
     # densities of the middle stage, then its momenta's right-hand sides
     U = U0 + h * Fa
     _check(U, t)
-    P, vel = _ghosted(U, *bc)
-    G = _implicit_momenta(P, vel, U[1], h, f.mu, dx, t)
-    P.reshape(2, 2, -1)[1, :, 1:-1] = G
+    ghosts = _ghost_cells(U[0], *bc)
+    P = _pad(U, ghosts)
+    M = _implicit_momenta(P[0], ghosts[1] / ghosts[0], U[1], h, f.mu, dx, t)
+    P[1, :, 1:-1] = M
+    P = P.reshape(2, -1)
     Fb = _convection(P, P[1] / P[0], f, dx)
     # the solved momenta become G of the middle stage in place
-    G -= U[1]
-    G /= h
+    M -= U[1]
+    M /= h
     # the last stage; rebinding U and P frees the middle stage's arrays
     U = U0 + IMEX_DELTA * dt * Fa
     U += (1.0 - IMEX_DELTA) * dt * Fb
-    U[1] += (dt - h) * G
+    U[1] += (dt - h) * M
     _check(U, t)
-    P, vel = _ghosted(U, *bc)
-    U[1] = _implicit_momenta(P, vel, U[1], h, f.mu, dx, t)
+    ghosts = _ghost_cells(U[0], *bc)
+    U[1] = _implicit_momenta(_pad(U[0], ghosts[0]), ghosts[1] / ghosts[0],
+                             U[1], h, f.mu, dx, t)
     _check(U, t)
     return _with_block(state, t, U)
 

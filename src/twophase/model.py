@@ -74,6 +74,7 @@ class ModelSpec:
         # every far-field quantity (sound speed, Jacobian, a) is built from
         # A g density^g; binary64 must hold it as a positive finite number
         f, far = self.fluids, self.far
+        laws = []
         for name, A, g, density in (("rho_plus", f.A1, f.gamma, far.rho_plus),
                                     ("n_plus", f.A2, f.alpha, far.n_plus)):
             try:
@@ -85,6 +86,13 @@ class ModelSpec:
                     f"{name}={density:.6g}: the far-field pressure law "
                     f"A g {name}^g = {law:.3g} is not a positive finite "
                     "binary64 number")
+            laws.append(law)
+        # the mixture sound speed adds the two laws
+        if sum(laws) == math.inf:
+            raise DomainError(
+                f"rho_plus={far.rho_plus:.6g}, n_plus={far.n_plus:.6g}: the "
+                "sum of the far-field pressure laws A1 gamma rho_plus^gamma "
+                "+ A2 alpha n_plus^alpha overflows binary64")
 
     @property
     def delta(self):

@@ -347,6 +347,9 @@ def _raising_body(err):
     ("steady", ("spec.rho_plus = 1e-200", "spec.n_plus = 1e-200",
                 "spec.gamma = 3", "spec.alpha = 3"), None, 2,
      ("rho_plus=1e-200", "not a positive finite")),
+    ("regime", ("spec.rho_plus = 3.5e102", "spec.n_plus = 3.5e102",
+                "spec.gamma = 3", "spec.alpha = 3"), None, 2,
+     ("rho_plus=3.5e+102", "n_plus=3.5e+102", "overflows")),
     ("decay-fit", ("diagnostics.series_path = {bad_series}",), None, 3,
      ("{bad_series}", "'oops'")),
     ("decay-fit", ("diagnostics.series_path = {bad_tag_series}",), None, 3,
@@ -359,8 +362,8 @@ def _raising_body(err):
     ("regime", (), TypeError("unsupported operand"), 1,
      ("error: internal TypeError: unsupported operand",)),
 ], ids=["bad_key", "pressure_overflow", "pressure_underflow",
-        "malformed_series", "bad_weight_tag", "missing_series",
-        "vacuum", "blow_up", "internal"])
+        "pressure_sum_overflow", "malformed_series", "bad_weight_tag",
+        "missing_series", "vacuum", "blow_up", "internal"])
 def test_exit_codes_name_the_cause(tmp_path, capsys, monkeypatch, command,
                                    extra, raised, code, fragments):
     bad_series = tmp_path / "series.csv"

@@ -1,5 +1,6 @@
 """Grid, initialization, time stepping, and evolution bookkeeping."""
 
+import dataclasses
 import json
 import math
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 import twophase as tp
-from twophase.ibvp import (_block, _euler_stage, _ghosted, _implicit_momenta,
-                           _rates, _viscosity_drag)
+from twophase.ibvp import (_block, _euler_stage, _faces, _ghost_cells,
+                           _ghosted, _implicit_momenta, _pad, _rates,
+                           _viscosity_drag)
 
 from conftest import flat_profile, per_value_csv, rng_for
 
@@ -374,6 +376,13 @@ def test_step_rejects_nonpositive_dt():
 # IMEX stepping: implicit solve, order, failure
 # ---------------------------------------------------------------------------
 
+def implicit_momenta(dens, R, bc, h, mu, dx):
+    """`_implicit_momenta` at the densities and ghosts of a block."""
+    ghosts = _ghost_cells(dens, *bc)
+    return _implicit_momenta(_pad(dens, ghosts[0]), ghosts[1] / ghosts[0], R,
+                             h, mu, dx, t=0.0)
+
+
 def test_implicit_solve_matches_viscous_drag_terms():
     # the banded solve must invert exactly m - h G(m), with G the viscous
     # and drag terms _rates adds: a lost term, a wrong sign or a wrong
@@ -387,8 +396,8 @@ def test_implicit_solve_matches_viscous_drag_terms():
     r2 = n * (-1.9 + 0.04 * np.sin(0.6 * x))
     bc = (-2.01, -1.97, (1.02, -2.0, 0.99, -2.03))
     h = 0.05
-    m1, m2 = _implicit_momenta(*_ghosted(np.array(((rho, n), (r1, r2))), *bc),
-                               np.array((r1, r2)), h, mu, grid.dx, t=0.0)
+    m1, m2 = implicit_momenta(np.array((rho, n)), np.array((r1, r2)), bc, h,
+                              mu, grid.dx)
     (visc1, visc2), drag = _viscosity_drag(
         *_ghosted(np.array(((rho, n), (m1, m2))), *bc), mu, grid.dx)
     res1 = m1 - h * (visc1 + drag) - r1
@@ -397,6 +406,48 @@ def test_implicit_solve_matches_viscous_drag_terms():
     assert np.max(np.abs(res2)) <= 1e-12 * np.max(np.abs(r2))
     # and the implicit terms are not negligible at this h
     assert np.max(np.abs(m1 - r1)) > 1e-3
+
+
+def dense_implicit_momenta(dens, R, bc, h, mu, dx):
+    """The implicit stage solved with the assembled 2N x 2N matrix over
+    the interleaved velocities (u_0, v_0, u_1, v_1, ...)."""
+    cells = dens.shape[1]
+    ghosts = _ghost_cells(dens, *bc)
+    wg = ghosts[1] / ghosts[0]
+    kappa = _faces(_pad(dens, ghosts[0])[1], mu)
+    k = h / dx ** 2
+    A = np.zeros((2 * cells, 2 * cells))
+    b = np.zeros(2 * cells)
+    for p in (0, 1):
+        for i in range(cells):
+            r = 2 * i + p
+            A[r, r] = (dens[p, i] + k * (kappa[p, i] + kappa[p, i + 1])
+                       + h * dens[1, i])
+            A[r, r + 1 - 2 * p] = -h * dens[1, i]
+            if i > 0:
+                A[r, r - 2] = -k * kappa[p, i]
+            if i < cells - 1:
+                A[r, r + 2] = -k * kappa[p, i + 1]
+            b[r] = R[p, i]
+        b[p] += k * kappa[p, 0] * wg[p, 0]
+        b[2 * cells - 2 + p] += k * kappa[p, -1] * wg[p, 1]
+    return dens * np.linalg.solve(A, b).reshape(-1, 2).T
+
+
+@FLUIDS
+@pytest.mark.parametrize("cells", [1, 2, 3, 4, 5, 64])
+def test_reduced_implicit_solve_matches_dense_solve(fluids, cells):
+    # the red-black elimination is exact: odd and even N, from a weak to a
+    # dominant coupling h, against the assembled matrix
+    rng = rng_for(f"reduced-solve-{cells}")
+    dx = 12.8 / cells
+    for h in (1e-4, 1e-2, 1.0, 100.0):
+        dens = 1.0 + 0.3 * rng.random((2, cells))
+        R = dens * (-2.0 + 0.1 * rng.standard_normal((2, cells)))
+        bc = (-2.01, -1.97, (1.02, -2.0, 0.99, -2.03))
+        got = implicit_momenta(dens, R, bc, h, fluids.mu, dx)
+        want = dense_implicit_momenta(dens, R, bc, h, fluids.mu, dx)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_imex_drag_relaxation_second_order():
@@ -473,17 +524,18 @@ def test_imex_settles_on_the_semi_discrete_steady_state():
 
 def test_evolve_failed_implicit_solve_raises_blowup():
     # a negative right-ghost density makes the implicit matrix indefinite;
-    # the factorization failure surfaces as the documented BlowUpError
-    grid = tp.make_grid(10.0, 1000)
-    state = homogeneous_state(1000, 1.0, -2.0, 1.0, -2.0, t=0.5)
-    state = tp.EvolutionState(t=state.t, rho=state.rho, u=state.u,
-                              n=state.n, v=state.v, mom1=state.mom1,
-                              mom2=state.mom2, u_bc=state.u_bc,
-                              v_bc=state.v_bc,
-                              right_ghost=(1.0, -2.0, -5.0, -2.0))
-    with pytest.raises(tp.BlowUpError, match="not positive definite") as err:
-        tp.evolve(state, grid, SUP, t_end=1.0)
-    assert err.value.t > 0.5
+    # the failure surfaces as the documented BlowUpError. In the last cell
+    # the phase-2 unknown is black at 999 cells, where a black pivot fails,
+    # and red at 1000, where the factorization of the reduced system fails
+    for cells in (999, 1000):
+        grid = tp.make_grid(10.0, cells)
+        state = dataclasses.replace(
+            homogeneous_state(cells, 1.0, -2.0, 1.0, -2.0, t=0.5),
+            right_ghost=(1.0, -2.0, -5.0, -2.0))
+        with pytest.raises(tp.BlowUpError,
+                           match="not positive definite") as err:
+            tp.evolve(state, grid, SUP, t_end=1.0)
+        assert err.value.t > 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ criterion 08's twin marches, and after 50 IMEX steps each at the current
 both initial steps. Running it on two checkouts tells whether a
 change to the kernel keeps the bits; `--save PATH` also writes the final
 states to an .npz, keyed `<setup>_<stepper>_<array>`, for a comparison by
-tolerance where the bits may move.
+tolerance where the bits may move. `--compare PATH` reads such an .npz
+and adds to each line, per stepper, the largest relative deviation
+max |this - saved| / max |saved| of each final array.
 
-    PYTHONPATH=src python3 tools/step_digest.py [--save PATH]
+    PYTHONPATH=src python3 tools/step_digest.py [--save PATH] [--compare PATH]
 
 The setups: criterion 07's (unit fluids, Mach 2, delta 0.002, 2048
 cells), criterion 08's (unit fluids, sonic, delta 0.05, 1024 cells), and a
@@ -64,11 +66,20 @@ def _sha(state):
     return h.hexdigest()[:12]
 
 
+def _deviation(new, old):
+    """max |new - old| / max |old|, to two significant digits."""
+    return float(f"{np.max(np.abs(new - old)) / np.max(np.abs(old)):.2g}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--save", metavar="PATH",
                         help="write the final states to this .npz file")
+    parser.add_argument("--compare", metavar="PATH",
+                        help="report deviations from the final states in "
+                             "this .npz file, written by --save")
     args = parser.parse_args(argv)
+    saved = np.load(args.compare) if args.compare else None
     finals = {}
     for name, spec, cells, components in setups():
         profile = tp.solve_steady(spec, tp.SteadySolveOptions(x_domain=101.0))
@@ -85,6 +96,11 @@ def main(argv=None):
             line[f"{stepper}_dt"] = float.hex(dt)
             for arr in ARRAYS:
                 finals[f"{name}_{stepper}_{arr}"] = getattr(final, arr)
+            if saved is not None:
+                line[f"{stepper}_deviation"] = {
+                    arr: _deviation(getattr(final, arr),
+                                    saved[f"{name}_{stepper}_{arr}"])
+                    for arr in ARRAYS}
         print(json.dumps(line), flush=True)
     if args.save:
         np.savez(args.save, **finals)
