@@ -122,14 +122,23 @@ class NormSeries:
         return np.array([r.t for r in self.records])
 
 
-def perturbation(state, profile: SteadyProfile, grid) -> PerturbationField:
-    """Componentwise deviation of an evolution state from the steady profile."""
+def _profile_at_centers(state, profile: SteadyProfile, grid):
+    """rho~, u~, n~ and v~ linearly interpolated to the cell centers, the
+    four columns a perturbation needs, after checking that the state fits
+    the grid and the grid the profile."""
     if len(state.rho) != grid.cells:
         raise DomainError(
             f"state has {len(state.rho)} cells, grid {grid.cells}")
     if grid.length > profile.x[-1]:
         raise DomainError("grid extends past the steady profile domain")
-    rho_t, u_t, n_t, v_t, _, _ = profile.interp(grid.centers)
+    return tuple(np.interp(grid.centers, profile.x, c)
+                 for c in (profile.rho_t, profile.u_t, profile.n_t,
+                           profile.v_t))
+
+
+def perturbation(state, profile: SteadyProfile, grid) -> PerturbationField:
+    """Componentwise deviation of an evolution state from the steady profile."""
+    rho_t, u_t, n_t, v_t = _profile_at_centers(state, profile, grid)
     return PerturbationField(phi=state.rho - rho_t, psi=state.u - u_t,
                              phi_bar=state.n - n_t, psi_bar=state.v - v_t)
 
@@ -162,12 +171,11 @@ def phi_potential(fluids: model.FluidConstants, density: float,
 def energy_total(state, profile: SteadyProfile, grid,
                  fluids: model.FluidConstants) -> float:
     """Midpoint quadrature of the relative energy of both phases."""
-    field = perturbation(state, profile, grid)
-    rho_t, _, n_t, _, _, _ = profile.interp(grid.centers)
-    e1 = state.rho * (0.5 * field.psi ** 2
+    rho_t, u_t, n_t, v_t = _profile_at_centers(state, profile, grid)
+    e1 = state.rho * (0.5 * (state.u - u_t) ** 2
                       + _phi_closed_form(fluids.A1, fluids.gamma,
                                          state.rho, rho_t))
-    e2 = state.n * (0.5 * field.psi_bar ** 2
+    e2 = state.n * (0.5 * (state.v - v_t) ** 2
                     + _phi_closed_form(fluids.A2, fluids.alpha,
                                        state.n, n_t))
     return float(grid.dx * np.sum(e1 + e2))

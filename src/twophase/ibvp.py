@@ -29,7 +29,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, solveh_banded
@@ -144,6 +144,11 @@ class EvolutionState:
     u_bc: float
     v_bc: float
     right_ghost: tuple
+    # the (2, 2, N) block that `step` returned rho, n, mom1 and mom2 as rows
+    # of; not an init argument, so a state built or replaced by a caller
+    # carries none
+    _stack: np.ndarray = field(default=None, init=False, repr=False,
+                               compare=False)
 
 
 def initialize(profile: SteadyProfile, grid: Grid1D,
@@ -223,7 +228,14 @@ def stable_dt(state: EvolutionState, grid: Grid1D, spec, cfl: float = 0.4,
 # ---------------------------------------------------------------------------
 
 def _block(state):
-    """The conserved variables as one (2, 2, N) block ((rho, n), (m1, m2))."""
+    """The conserved variables as one (2, 2, N) block ((rho, n), (m1, m2)):
+    the block that `step` returned them as rows of while they still are its
+    rows, else a copy. Neither stepper writes into the block it starts
+    from."""
+    U = state._stack
+    if (U is not None and state.rho.base is U and state.n.base is U
+            and state.mom1.base is U and state.mom2.base is U):
+        return U
     return np.array(((state.rho, state.n), (state.mom1, state.mom2)))
 
 
@@ -339,9 +351,11 @@ def _check(U, t):
 def _with_block(state, t, U):
     """The state at time t whose conserved arrays are the rows of U."""
     vel = U[1] / U[0]
-    return EvolutionState(t=t, rho=U[0, 0], u=vel[0], n=U[0, 1], v=vel[1],
-                          mom1=U[1, 0], mom2=U[1, 1], u_bc=state.u_bc,
-                          v_bc=state.v_bc, right_ghost=state.right_ghost)
+    new = EvolutionState(t=t, rho=U[0, 0], u=vel[0], n=U[0, 1], v=vel[1],
+                         mom1=U[1, 0], mom2=U[1, 1], u_bc=state.u_bc,
+                         v_bc=state.v_bc, right_ghost=state.right_ghost)
+    object.__setattr__(new, "_stack", U)
+    return new
 
 
 def _forward_euler(U, state, grid, spec, dt):

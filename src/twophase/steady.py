@@ -21,7 +21,11 @@ collocation solve on a truncated interval [0, L] with the boundary velocities
 at x = 0 and, at x = L, projection conditions that kill each unstable
 far-field mode (Lentini & Keller, SIAM J. Numer. Anal. 1980; Beyn, IMA J.
 Numer. Anal. 1990). The regime sets only how many boundary velocities are
-imposed, the mesh and the initial guess.
+imposed, the start mesh and the initial guess. The solve gets the
+closed-form Jacobians of the system and of the linear boundary rows, so
+solve_bvp (Kierzenka & Shampine, ACM TOMS 2001) estimates neither by
+finite differences; the right-hand side and its Jacobian share one
+evaluation of each phase's pressure.
 """
 
 import math
@@ -56,6 +60,12 @@ TAIL_FLOOR = 1e-12
 SIGMA_END = 1e-3
 # largest phase-2 boundary miss of a boundary-compatible profile
 MATCH_TOLERANCE = 1e-6
+# start mesh off the sonic point: LAYER_NODES nodes in the layer of the
+# fastest stable mode, LAYER_DECAYS of its decay lengths but at most
+# LAYER_SHARE of the interval, and LAYER_NODES more on the rest
+LAYER_NODES = 60
+LAYER_DECAYS = 8.0
+LAYER_SHARE = 0.25
 
 
 # no longer raised by the package; bench/tests/test_bench.py still raises it
@@ -168,8 +178,12 @@ def _rhs_params(spec):
             spec.mass_flux_1, spec.mass_flux_2)
 
 
-def _rhs_vectorized(params, U):
-    """Vectorized right-hand side on a (3, m) stack of states."""
+def _terms(params, U):
+    """The pieces that the right-hand side and its Jacobian share, at a
+    (3, m) stack of states: the velocities u~ and v~, the phase-2 density
+    n~, both pressures, q1 = p1'(rho~) / u~^2 and the phase-2 bracket. The
+    two pressures are the only fractional powers: p'(rho) = gam p / rho and
+    rho~ u~ = m1 give q1 = gam p1 / (m1 u~)."""
     A1, A2, gam, alp, mu, rp, np_, up, m1, m2 = params
     u_bar, w_bar, v_bar = U
     ut = up + u_bar
@@ -178,13 +192,41 @@ def _rhs_vectorized(params, U):
         raise SingularityError(1)
     if np.any(vt >= 0.0):
         raise SingularityError(2)
-    rt = m1 / ut
     nt = m2 / vt
-    p1p = A1 * gam * rt ** (gam - 1.0)
-    w_dot = (m1 * (1.0 - p1p / (ut * ut)) * w_bar - m2 * (1.0 - ut / vt)) / mu
-    bracket = (m1 * u_bar + (A1 * rt ** gam - A1 * rp ** gam)
-               + m2 * v_bar + (A2 * nt ** alp - A2 * np_ ** alp) - mu * w_bar)
+    p1 = A1 * (m1 / ut) ** gam
+    p2 = A2 * nt ** alp
+    bracket = (m1 * u_bar + (p1 - A1 * rp ** gam)
+               + m2 * v_bar + (p2 - A2 * np_ ** alp) - mu * w_bar)
+    return ut, vt, nt, p1, p2, gam * p1 / (m1 * ut), bracket
+
+
+def _rhs_vectorized(params, U):
+    """Vectorized right-hand side on a (3, m) stack of states."""
+    A1, A2, gam, alp, mu, rp, np_, up, m1, m2 = params
+    w_bar = U[1]
+    ut, vt, nt, _, _, q1, bracket = _terms(params, U)
+    w_dot = (m1 * (1.0 - q1) * w_bar - m2 * (1.0 - ut / vt)) / mu
     return np.vstack((w_bar, w_dot, bracket / nt))
+
+
+def _rhs_jacobian(params, U):
+    """Closed-form Jacobian of _rhs_vectorized on a (3, m) stack of states,
+    a (3, 3, m) stack; at U = 0 it is farfield_jacobian.
+
+    With p'(rho) = gam p / rho and rho~ u~ = m1, dp1/du_bar = -gam p1 / u~
+    and dq1/du_bar = -(gam + 1) q1 / u~; dp2/dv_bar = -alp p2 / v~.
+    """
+    A1, A2, gam, alp, mu, rp, np_, up, m1, m2 = params
+    ut, vt, nt, p1, p2, q1, bracket = _terms(params, U)
+    J = np.zeros((3, 3, U.shape[1]))
+    J[0, 1] = 1.0
+    J[1, 0] = (m1 * (gam + 1.0) * q1 * U[1] / ut + m2 / vt) / mu
+    J[1, 1] = m1 * (1.0 - q1) / mu
+    J[1, 2] = -m2 * ut / (mu * vt * vt)
+    J[2, 0] = (m1 - gam * p1 / ut) / nt
+    J[2, 1] = -mu / nt
+    J[2, 2] = (bracket - alp * p2) / m2 + vt
+    return J
 
 
 def steady_rhs(spec: model.ModelSpec, state) -> np.ndarray:
@@ -293,11 +335,18 @@ def _collocate(spec, x_domain, regime, eig):
     mode is killed by its left eigenvector, which leaves y(L) on the stable
     (and, at sonic, center) subspace of the linearization.
 
-    Sonic: the mesh is uniform in 1/sigma, so nodes thin out with the
-    algebraic tail, and the guess is the center asymptotics u_bar = v_bar =
-    -sigma, w_bar = a sigma^2 with the closed-form sigma. Otherwise: a
-    uniform mesh on an interval long enough for the slow stable mode to
-    fall to TAIL_FLOOR, with that mode's decay as the guess.
+    Sonic: the 400-node start mesh is uniform in 1/sigma, so nodes thin
+    out with the algebraic tail, and the guess is the center asymptotics
+    u_bar = v_bar = -sigma, w_bar = a sigma^2 with the closed-form sigma.
+    Otherwise: an interval long enough for the slow stable mode to fall to
+    TAIL_FLOOR, with that mode's decay as the guess, and a start mesh of
+    two uniform pieces, LAYER_NODES nodes in the layer of the fastest
+    stable mode (LAYER_DECAYS of its decay lengths, at most LAYER_SHARE of
+    the interval) and LAYER_NODES on the rest, so that solve_bvp need not
+    find that layer by refinement.
+
+    solve_bvp gets fun_jac = _rhs_jacobian and the constant Jacobians of
+    the boundary rows as bc_jac.
 
     Returns a quintic spline through the collocation nodes, which keeps the
     second derivatives that steady_residual's stencils see continuous, and
@@ -326,16 +375,26 @@ def _collocate(spec, x_domain, regime, eig):
         sig = 1.0 / inv
         guess = np.vstack((-sig, a * sig * sig, -sig))
     else:
-        slow = max(lam.real for lam in eig.lambdas if lam.real < 0)
+        stable = [lam.real for lam in eig.lambdas if lam.real < 0]
+        slow, fast = max(stable), min(stable)
         if x_domain is None:
             scale = max(1.0, abs(spec.far.u_plus))
             x_domain = math.log(delta / (TAIL_FLOOR * scale)) / abs(slow)
-        x_nodes = np.linspace(0.0, x_domain, 100)
+        layer = min(LAYER_SHARE * x_domain, LAYER_DECAYS / abs(fast))
+        x_nodes = np.concatenate((
+            np.linspace(0.0, layer, LAYER_NODES, endpoint=False),
+            np.linspace(layer, x_domain, LAYER_NODES)))
         guess = d * np.exp(slow * x_nodes) * np.array([[1.0], [slow], [1.0]])
 
+    # the boundary rows are linear, so their Jacobians are constant
+    bc_a = np.vstack((lead, np.zeros((len(ells), 3))))
+    bc_b = np.vstack((np.zeros((len(lead), 3)), ells))
     sol = solve_bvp(lambda x, y: _rhs_vectorized(params, y),
                     lambda ya, yb: np.concatenate((lead @ ya - d, ells @ yb)),
-                    x_nodes, guess, tol=BVP_TOL, max_nodes=BVP_MAX_NODES)
+                    x_nodes, guess,
+                    fun_jac=lambda x, y: _rhs_jacobian(params, y),
+                    bc_jac=lambda ya, yb: (bc_a, bc_b),
+                    tol=BVP_TOL, max_nodes=BVP_MAX_NODES)
     if not sol.success:
         raise ShootingError(f"collocation failed: {sol.message}",
                             residual=float(np.max(sol.rms_residuals)))

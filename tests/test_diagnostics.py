@@ -1,5 +1,6 @@
 """Perturbation fields, potentials, weighted norms, and temporal decay fits."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import twophase as tp
+from twophase.diagnostics import _phi_closed_form
 
 from conftest import flat_profile, per_value_csv, rng_for
 
@@ -64,6 +66,36 @@ def test_perturbation_zero_and_roundtrip(unit_setup):
     np.testing.assert_array_equal(u_t + field.psi, state.u)
     np.testing.assert_array_equal(n_t + field.phi_bar, state.n)
     np.testing.assert_array_equal(v_t + field.psi_bar, state.v)
+
+
+def test_perturbation_and_energy_keep_the_full_interpolation_bits():
+    # a profile whose six columns all differ, on a grid whose centers fall
+    # between the profile nodes
+    fluids = tp.FluidConstants(A1=1.3, A2=0.7, gamma=1.4, alpha=2.1, mu=0.6)
+    far = tp.FarFieldState(rho_plus=1.2, n_plus=0.8, u_plus=-2.0)
+    spec = tp.ModelSpec(fluids=fluids, far=far, u_minus=-2.0)
+    flat = flat_profile(spec, x_max=30.0, points=301)
+    x = flat.x
+    profile = dataclasses.replace(
+        flat, rho_t=1.2 + 0.1 * np.exp(-x), u_t=-2.0 - 0.05 * np.exp(-x),
+        n_t=0.8 + 0.2 * np.exp(-0.5 * x), v_t=-2.0 - 0.1 * np.exp(-0.5 * x),
+        ux_t=0.05 * np.exp(-x), vx_t=0.05 * np.exp(-0.5 * x))
+    grid = make_grid(30.0, 997)
+    bump = 0.01 * np.exp(-((grid.centers - 7.0) / 2.0) ** 2)
+    state = state_from(profile, grid, drho=bump, du=-bump, dn=2 * bump,
+                       dv=3 * bump)
+    rho_t, u_t, n_t, v_t, _, _ = profile.interp(grid.centers)
+    field = tp.perturbation(state, profile, grid)
+    np.testing.assert_array_equal(field.phi, state.rho - rho_t)
+    np.testing.assert_array_equal(field.psi, state.u - u_t)
+    np.testing.assert_array_equal(field.phi_bar, state.n - n_t)
+    np.testing.assert_array_equal(field.psi_bar, state.v - v_t)
+    e1 = state.rho * (0.5 * field.psi ** 2 + _phi_closed_form(
+        fluids.A1, fluids.gamma, state.rho, rho_t))
+    e2 = state.n * (0.5 * field.psi_bar ** 2 + _phi_closed_form(
+        fluids.A2, fluids.alpha, state.n, n_t))
+    assert tp.energy_total(state, profile, grid, fluids) == \
+        float(grid.dx * np.sum(e1 + e2))
 
 
 def test_perturbation_grid_mismatch(unit_setup):

@@ -372,6 +372,43 @@ def test_step_rejects_nonpositive_dt():
         tp.step(state, grid, SUP, -1e-3)
 
 
+@pytest.mark.parametrize("imex", [False, True], ids=["heun", "imex"])
+def test_step_reuses_its_own_block_only(imex):
+    spec = sup_spec(HOT)
+    grid = tp.make_grid(10.0, 64)
+    pert = tp.PerturbationSpec(shape="compact_bump", amplitude=1e-3,
+                               center=5.0, width=2.0,
+                               components=("rho", "u", "n", "v"))
+    state = tp.initialize(flat_profile(spec), grid, pert)
+    s1 = tp.step(state, grid, spec, 1e-3, imex=imex)
+    U = _block(s1)
+    assert U.shape == (2, 2, 64)
+    np.testing.assert_array_equal(
+        U, np.array(((s1.rho, s1.n), (s1.mom1, s1.mom2))))
+    # the block of a stepped state is the one its rows live in
+    assert _block(s1) is U and s1.rho.base is U
+    # a replaced or caller-built state gets a fresh block of equal bits
+    fields = {k: getattr(s1, k) for k in ("t", "rho", "u", "n", "v", "mom1",
+                                          "mom2", "u_bc", "v_bc",
+                                          "right_ghost")}
+    for other in (dataclasses.replace(s1, t=0.5), tp.EvolutionState(**fields),
+                  dataclasses.replace(s1, rho=s1.n, n=s1.rho)):
+        fresh = _block(other)
+        assert fresh is not U
+        np.testing.assert_array_equal(
+            fresh, np.array(((other.rho, other.n),
+                             (other.mom1, other.mom2))))
+    # and stepping a replaced copy gives the same bits as stepping s1
+    s2 = tp.step(s1, grid, spec, 1e-3, imex=imex)
+    s2_copy = tp.step(dataclasses.replace(s1), grid, spec, 1e-3, imex=imex)
+    for name in ("rho", "u", "n", "v", "mom1", "mom2"):
+        np.testing.assert_array_equal(getattr(s2, name),
+                                      getattr(s2_copy, name))
+    # the step read its start block without writing into it
+    np.testing.assert_array_equal(
+        U, np.array(((s1.rho, s1.n), (s1.mom1, s1.mom2))))
+
+
 # ---------------------------------------------------------------------------
 # IMEX stepping: implicit solve, order, failure
 # ---------------------------------------------------------------------------

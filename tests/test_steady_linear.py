@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import twophase as tp
-from twophase.steady import _projection_rows, matrix_invariants, steady_rhs
+from twophase.steady import (_projection_rows, _rhs_jacobian, _rhs_params,
+                             _rhs_vectorized, matrix_invariants, steady_rhs)
 from conftest import random_spec, rng_for
 
 UNIT = tp.FluidConstants(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0)
@@ -168,6 +169,38 @@ def test_rhs_frozen_values():
         steady_rhs(spec, (0.01, -0.003, -0.02)),
         [-0.003, 68370603.0 / 1999850500.0, 364277.0 / 19900000.0],
         rtol=1e-13)
+
+
+@pytest.mark.parametrize("regime", ["supersonic", "sonic", "subsonic"])
+def test_rhs_jacobian_matches_central_differences(regime):
+    rng = rng_for("rhs-jacobian", regime)
+    for _ in range(10):
+        spec = random_spec(rng, regime, delta=0.02)
+        params = _rhs_params(spec)
+        scale = abs(spec.far.u_plus)
+        # offsets below |u_plus| keep both velocities negative
+        U = rng.uniform(-0.5, 0.5, (3, 16)) * scale
+        J = _rhs_jacobian(params, U)
+        assert J.shape == (3, 3, 16)
+        size = np.max(np.abs(J), axis=(0, 1))
+        h = 1e-6 * scale
+        for j in range(3):
+            e = np.zeros((3, 1))
+            e[j] = h
+            col = (_rhs_vectorized(params, U + e)
+                   - _rhs_vectorized(params, U - e)) / (2.0 * h)
+            assert np.all(np.max(np.abs(col - J[:, j]), axis=0)
+                          <= 1e-6 * size)
+
+
+@pytest.mark.parametrize("regime", ["supersonic", "sonic", "subsonic"])
+def test_rhs_jacobian_at_the_far_field_is_farfield_jacobian(regime):
+    rng = rng_for("rhs-jacobian-far-field", regime)
+    for _ in range(10):
+        spec = random_spec(rng, regime, delta=0.02)
+        J = tp.farfield_jacobian(spec)
+        at_zero = _rhs_jacobian(_rhs_params(spec), np.zeros((3, 1)))[:, :, 0]
+        assert np.max(np.abs(at_zero - J)) <= 1e-13 * np.max(np.abs(J))
 
 
 def test_rhs_singularity_by_phase():
