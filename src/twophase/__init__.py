@@ -25,7 +25,6 @@ from .model import (DerivedConstants, FarFieldState, FluidConstants,
 from .steady import (EigenSystem, SpatialDecayFit, SteadyProfile,
                      SteadySolveOptions, eigensystem, farfield_jacobian,
                      fit_spatial_decay, load_profile_csv, save_profile_csv,
-                     sigma_profile, solve_steady, steady_residual,
-                     steady_rhs)
+                     sigma_profile, solve_steady, steady_residual)
 
 __version__ = "0.1.0"

@@ -47,7 +47,7 @@ _REQUIRED = object()
 
 @dataclass(frozen=True)
 class _Key:
-    kind: str            # float, optfloat, int, bool, str, list
+    kind: str            # float, optfloat, int, str, list
     default: object
     check: object = None  # value -> error message or None
 
@@ -109,7 +109,6 @@ _SCHEMA = {
     "steady.x_domain": _Key("optfloat", None, _positive),
     "steady.points": _Key("int", 2048, _at_least_one),
     "steady.max_delta": _Key("float", 0.1, _positive),
-    "steady.allow_large_delta": _Key("bool", False),
     "evolve.t_end": _Key("float", 10.0, _nonnegative),
     "evolve.cfl": _Key("float", 0.4, _unit_open),
     "evolve.observer_stride": _Key("int", 10, _at_least_one),
@@ -150,11 +149,6 @@ def _parse_value(key, raw, kind):
             return None if raw == "" else float(raw)
         if kind == "int":
             return int(raw, 10)
-        if kind == "bool":
-            low = raw.lower()
-            if low not in ("true", "false"):
-                raise ValueError
-            return low == "true"
         if kind == "list":
             return tuple(item.strip() for item in raw.split(",")
                          if item.strip())
@@ -168,8 +162,6 @@ def _format_value(value, kind):
         return repr(value)
     if kind == "optfloat":
         return "" if value is None else repr(value)
-    if kind == "bool":
-        return "true" if value else "false"
     if kind == "list":
         return ",".join(value)
     return str(value)
@@ -234,8 +226,6 @@ class ExperimentConfig:
         if x_domain is None:
             x_domain = v["steady.x_domain"]
         return SteadySolveOptions(max_delta=v["steady.max_delta"],
-                                  allow_large_delta=v[
-                                      "steady.allow_large_delta"],
                                   x_domain=x_domain,
                                   points=v["steady.points"])
 
@@ -323,12 +313,11 @@ def _cross_validate(config):
     except DomainError as err:
         raise ConfigError(str(err)) from err
     v = config.values
-    if (spec.delta > v["steady.max_delta"]
-            and not v["steady.allow_large_delta"]):
+    if spec.delta > v["steady.max_delta"]:
         raise ConfigError(
             f"spec.u_minus: delta={spec.delta:.4g} exceeds "
             f"steady.max_delta={v['steady.max_delta']:.4g}; set "
-            "steady.allow_large_delta = true to proceed anyway")
+            "steady.max_delta = inf to proceed anyway")
 
 
 def parse_config(path, overrides=()) -> ExperimentConfig:
@@ -391,23 +380,24 @@ def _steady_body(config, out_dir, workers):
     prefix = config.values["output.prefix"]
     profile_name = f"{prefix}_profile.csv"
     save_profile_csv(profile, os.path.join(out_dir, profile_name))
+    regime = profile.regime
     report = {
-        "regime": profile.regime.label,
-        "mach": float(profile.regime.mach),
-        "delta": float(profile.delta),
+        "regime": regime.label,
+        "mach": float(regime.mach),
+        "delta": float(spec.delta),
         "residual": float(steady_residual(spec, profile)),
         "mass_flux_error_1": float(np.max(np.abs(
             profile.rho_t * profile.u_t - spec.mass_flux_1))),
         "mass_flux_error_2": float(np.max(np.abs(
             profile.n_t * profile.v_t - spec.mass_flux_2))),
-        "achieved_u_minus": float(profile.achieved_u_minus),
-        "achieved_v_minus": float(profile.achieved_v_minus),
-        "boundary_compatible": bool(profile.boundary_compatible),
+        "achieved_u_minus": float(profile.u_t[0]),
+        "achieved_v_minus": float(profile.v_t[0]),
+        "boundary_compatible": profile.boundary_compatible,
         "sigma0": float(profile.sigma0),
         "x_domain": float(profile.x[-1]),
     }
-    if profile.delta > 0.0:
-        law = ALGEBRAIC if profile.regime.is_sonic else EXPONENTIAL
+    if spec.delta > 0.0:
+        law = ALGEBRAIC if regime.is_sonic else EXPONENTIAL
         x_hi = float(profile.x[-1])
         fit = fit_spatial_decay(profile, "u", law,
                                 (0.25 * x_hi, 0.75 * x_hi))

@@ -131,9 +131,7 @@ def _profile_at_centers(state, profile: SteadyProfile, grid):
             f"state has {len(state.rho)} cells, grid {grid.cells}")
     if grid.length > profile.x[-1]:
         raise DomainError("grid extends past the steady profile domain")
-    return tuple(np.interp(grid.centers, profile.x, c)
-                 for c in (profile.rho_t, profile.u_t, profile.n_t,
-                           profile.v_t))
+    return profile.interp(grid.centers)
 
 
 def perturbation(state, profile: SteadyProfile, grid) -> PerturbationField:

@@ -158,11 +158,10 @@ def initialize(profile: SteadyProfile, grid: Grid1D,
         raise DomainError(
             f"grid length {grid.length:.6g} exceeds the profile domain "
             f"{profile.x[-1]:.6g}")
-    ghost = profile.interp(grid.length + 0.5 * grid.dx)
-    right_ghost = (float(ghost[0]), float(ghost[1]),
-                   float(ghost[2]), float(ghost[3]))
-    u_bc = float(profile.achieved_u_minus)
-    v_bc = float(profile.achieved_v_minus)
+    right_ghost = tuple(float(g) for g in
+                        profile.interp(grid.length + 0.5 * grid.dx))
+    u_bc = float(profile.u_t[0])
+    v_bc = float(profile.v_t[0])
     if pert.shape == FROM_FILE:
         x, cols, meta = load_state_csv(pert.path)
         if not np.array_equal(x, grid.centers):
@@ -174,7 +173,7 @@ def initialize(profile: SteadyProfile, grid: Grid1D,
         if "right_ghost" in meta:
             right_ghost = tuple(float(g) for g in meta["right_ghost"])
     else:
-        rho_t, u_t, n_t, v_t, _, _ = profile.interp(grid.centers)
+        rho_t, u_t, n_t, v_t = profile.interp(grid.centers)
         vals = perturbation_values(pert, grid.centers)
         rho0 = rho_t + vals["rho"]
         u0 = u_t + vals["u"]
@@ -208,9 +207,16 @@ def stable_dt(state: EvolutionState, grid: Grid1D, spec, cfl: float = 0.4,
     viscosity and drag are implicit, which leaves only this bound; this is
     the step `evolve` takes. The explicit Heun reference also takes the
     diffusive bound dx^2 / (2 max(mu/rho, 1)); the phase-2 viscosity n
-    cancels against its density, leaving the unit coefficient."""
+    cancels against its density, leaving the unit coefficient.
+
+    Heun is stable while dt (a/dx + 2 kappa/dx^2) <= 1, a the largest
+    |velocity| + sound speed and kappa = max(mu/rho, 1). At cfl <= 1/2 the
+    smaller of the two bounds meets it whatever their ratio, so Heun
+    accepts cfl in (0, 1/2] only; IMEX accepts (0, 1)."""
     if not 0.0 < cfl < 1.0:
         raise DomainError(f"cfl must lie in (0, 1), got {cfl}")
+    if not imex and cfl > 0.5:
+        raise DomainError(f"the Heun step needs cfl <= 0.5, got {cfl}")
     f = spec.fluids
     c1 = _sound_speed(f.A1, f.gamma, state.rho)
     c2 = _sound_speed(f.A2, f.alpha, state.n)
@@ -364,13 +370,6 @@ def _forward_euler(U, state, grid, spec, dt):
     U1 = U + dt * _rates(U, spec, grid.dx, *bc)
     _check(U1, state.t + dt)
     return U1
-
-
-def _euler_stage(state: EvolutionState, grid: Grid1D, spec, dt: float
-                 ) -> EvolutionState:
-    """Single forward-Euler stage; the budget tests address it directly."""
-    return _with_block(state, state.t + dt,
-                       _forward_euler(_block(state), state, grid, spec, dt))
 
 
 def step(state: EvolutionState, grid: Grid1D, spec, dt: float,

@@ -136,12 +136,14 @@ def eigensystem(J) -> EigenSystem:
     w, vr = scipy.linalg.eig(J)
     order = np.lexsort((w.imag, w.real))
     w, vectors = w[order], vr[:, order].astype(complex)
+    # the residual of J / scale, in which no product overflows
     scale = max(np.max(np.abs(J)), 1.0)
+    scaled = J / scale
     for lam, r in zip(w, vectors.T):
-        res = np.linalg.norm(J @ r - lam * r)
-        if res > 1e-8 * scale:
-            raise NumericsError(
-                f"eigenvector residual {res:.3e} for eigenvalue {lam:.6g}")
+        res = np.linalg.norm(scaled @ r - (lam / scale) * r)
+        if res > 1e-8:
+            raise NumericsError(f"relative eigenvector residual {res:.3e} "
+                                f"for eigenvalue {lam:.6g}")
     lambdas = tuple(complex(lam) for lam in w)
     pattern = tuple(
         ZERO if abs(lam.real) < ZERO_TOLERANCE else (NEG if lam.real < 0 else POS)
@@ -229,17 +231,6 @@ def _rhs_jacobian(params, U):
     return J
 
 
-def steady_rhs(spec: model.ModelSpec, state) -> np.ndarray:
-    """Full nonlinear right-hand side at one reduced state (u_bar, w_bar, v_bar).
-
-    Densities are recovered from the mass fluxes, so the state must keep both
-    phase velocities negative; a crossing raises SingularityError naming the
-    offending phase.
-    """
-    U = np.array([float(s) for s in state]).reshape(3, 1)
-    return _rhs_vectorized(_rhs_params(spec), U)[:, 0]
-
-
 def sigma_profile(a: float, sigma0: float, x):
     """Exact solution sigma0 / (1 + a sigma0 x) of sigma_x = -a sigma^2."""
     if a <= 0 or sigma0 <= 0:
@@ -253,14 +244,15 @@ def sigma_profile(a: float, sigma0: float, x):
 
 @dataclass(frozen=True)
 class SteadyProfile:
-    """Discrete steady profile on a uniform half-line grid starting at 0.
+    """Discrete steady profile of `spec` on a uniform half-line grid
+    starting at 0.
 
     rho_t, u_t, n_t, v_t are the profile values, ux_t and vx_t their first
-    derivatives. achieved_u_minus is the boundary velocity the construction
-    actually realized (u_t[0]); achieved_v_minus likewise for the second
-    phase, which can differ from the request in the subsonic regime where the
-    admissible boundary set is one-dimensional. sigma0 is the boundary value
-    of the slow decay scale (meaningful in the sonic regime, equal to delta).
+    derivatives. Everything else follows from these and the spec: delta
+    and the far field are the spec's, and the boundary velocities the
+    construction realized are u_t[0] and v_t[0]. v_t[0] can differ from
+    spec.u_minus in the subsonic regime, where the admissible boundary set
+    is one-dimensional; boundary_compatible says whether it meets it.
     """
 
     x: np.ndarray
@@ -270,20 +262,27 @@ class SteadyProfile:
     v_t: np.ndarray
     ux_t: np.ndarray
     vx_t: np.ndarray
-    regime: model.Regime
-    delta: float
-    achieved_u_minus: float
-    achieved_v_minus: float
-    boundary_compatible: bool
-    sigma0: float
-    rho_plus: float
-    u_plus: float
-    n_plus: float
+    spec: model.ModelSpec
+
+    @property
+    def regime(self) -> model.Regime:
+        return model.classify_regime(self.spec)
+
+    @property
+    def sigma0(self) -> float:
+        """Boundary value of the slow decay scale: delta (meaningful in
+        the sonic regime)."""
+        return self.spec.delta
+
+    @property
+    def boundary_compatible(self) -> bool:
+        """Whether v_t[0] meets spec.u_minus to MATCH_TOLERANCE."""
+        return bool(abs(self.v_t[0] - self.spec.u_minus) <= MATCH_TOLERANCE)
 
     def interp(self, x_new):
-        """Linear interpolation of all six fields onto new coordinates."""
-        cols = (self.rho_t, self.u_t, self.n_t, self.v_t, self.ux_t, self.vx_t)
-        return tuple(np.interp(x_new, self.x, c) for c in cols)
+        """rho~, u~, n~ and v~ linearly interpolated onto new coordinates."""
+        return tuple(np.interp(x_new, self.x, c)
+                     for c in (self.rho_t, self.u_t, self.n_t, self.v_t))
 
 
 @dataclass(frozen=True)
@@ -297,33 +296,27 @@ class SpatialDecayFit:
 
 @dataclass(frozen=True)
 class SteadySolveOptions:
-    """delta may exceed max_delta only with allow_large_delta; x_domain is
-    the profile interval length (None: derived from the spec); points is
-    the output grid size before refinement."""
+    """max_delta caps delta (inf lifts the cap); x_domain is the profile
+    interval length (None: derived from the spec); points is the output
+    grid size before refinement."""
 
     max_delta: float = 0.1
-    allow_large_delta: bool = False
     x_domain: float = None
     points: int = 2048
 
 
-def _build_profile(spec, x, states, regime, boundary_compatible):
+def _build_profile(spec, x, states):
     u_bar, w_bar, v_bar = states
-    far = spec.far
     # the RHS raises SingularityError unless both velocities are negative;
     # with both mass fluxes negative the recovered densities are then
     # automatically positive
     rhs_values = _rhs_vectorized(_rhs_params(spec), states)
-    u_t = far.u_plus + u_bar
-    v_t = far.u_plus + v_bar
-    rho_t = spec.mass_flux_1 / u_t
-    n_t = spec.mass_flux_2 / v_t
+    u_t = spec.far.u_plus + u_bar
+    v_t = spec.far.u_plus + v_bar
     return SteadyProfile(
-        x=x, rho_t=rho_t, u_t=u_t, n_t=n_t, v_t=v_t,
-        ux_t=w_bar, vx_t=rhs_values[2], regime=regime, delta=spec.delta,
-        achieved_u_minus=float(u_t[0]), achieved_v_minus=float(v_t[0]),
-        boundary_compatible=boundary_compatible, sigma0=spec.delta,
-        rho_plus=far.rho_plus, u_plus=far.u_plus, n_plus=far.n_plus)
+        x=x, rho_t=spec.mass_flux_1 / u_t, u_t=u_t,
+        n_t=spec.mass_flux_2 / v_t, v_t=v_t, ux_t=w_bar,
+        vx_t=rhs_values[2], spec=spec)
 
 
 def _collocate(spec, x_domain, regime, eig):
@@ -409,46 +402,39 @@ def solve_steady(spec: model.ModelSpec,
     _collocate), sampled on a uniform grid of `points` nodes.
     Supersonic and sonic: both boundary velocities are imposed.
     Subsonic: only u(0) is; the phase-2 boundary velocity is then determined
-    by the trajectory and reported via achieved_v_minus /
-    boundary_compatible instead of being enforced.
+    by the trajectory and reported as v_t[0] and boundary_compatible
+    instead of being enforced.
     Off the sonic point the grid is refined past `points` (up to
     BVP_MAX_NODES) until steady_residual, a fourth-order stencil
     truncation error, is at most RESIDUAL_BOUND; a stiff boundary layer
     needs more nodes than `points` to resolve.
     """
     opts = options or SteadySolveOptions()
-    delta = spec.delta
-    if delta > opts.max_delta and not opts.allow_large_delta:
+    far, delta = spec.far, spec.delta
+    if delta > opts.max_delta:
         raise DomainError(
             f"delta={delta:.4g} exceeds max_delta={opts.max_delta:.4g}; "
-            "the construction is a small-delta method (set allow_large_delta "
-            "to override)")
-    regime = model.classify_regime(spec)
+            "the construction is a small-delta method (max_delta = inf "
+            "lifts the cap)")
 
     if delta == 0.0:
         x_domain = opts.x_domain if opts.x_domain is not None else 20.0
         x = np.linspace(0.0, x_domain, opts.points)
         zero = np.zeros_like(x)
-        far = spec.far
         return SteadyProfile(
             x=x, rho_t=np.full_like(x, far.rho_plus),
             u_t=np.full_like(x, far.u_plus),
             n_t=np.full_like(x, far.n_plus),
             v_t=np.full_like(x, far.u_plus),
-            ux_t=zero, vx_t=zero.copy(), regime=regime, delta=0.0,
-            achieved_u_minus=far.u_plus, achieved_v_minus=far.u_plus,
-            boundary_compatible=True, sigma0=0.0,
-            rho_plus=far.rho_plus, u_plus=far.u_plus, n_plus=far.n_plus)
+            ux_t=zero, vx_t=zero.copy(), spec=spec)
 
+    regime = model.classify_regime(spec)
     eig = eigensystem(farfield_jacobian(spec))
     spline, x_domain = _collocate(spec, opts.x_domain, regime, eig)
-    d = spec.u_minus - spec.far.u_plus
 
     def sample(n):
         x = np.linspace(0.0, x_domain, n)
-        states = spline(x)
-        compatible = abs(states[2, 0] - d) <= MATCH_TOLERANCE
-        return _build_profile(spec, x, states, regime, compatible)
+        return _build_profile(spec, x, spline(x))
 
     n = opts.points
     profile = sample(n)
@@ -457,11 +443,15 @@ def solve_steady(spec: model.ModelSpec,
         tol = 3.0 * sigma_profile(model.derived_constants(spec).a,
                                   delta, x_domain)
     else:
-        tol = max(1e-8 * max(1.0, abs(spec.far.u_plus)), 100.0 * TAIL_FLOOR)
-    end_gap = max(abs(profile.rho_t[-1] - spec.far.rho_plus),
-                  abs(profile.u_t[-1] - spec.far.u_plus),
-                  abs(profile.n_t[-1] - spec.far.n_plus),
-                  abs(profile.v_t[-1] - spec.far.u_plus))
+        tol = max(1e-8 * max(1.0, abs(far.u_plus)), 100.0 * TAIL_FLOOR)
+    # the gaps in velocity units: the mass fluxes give, to first order,
+    # |rho~ - rho_plus| = (rho_plus / |u_plus|) |u~ - u_plus|, and the
+    # same for n~
+    speed = abs(far.u_plus)
+    end_gap = max(abs(profile.rho_t[-1] - far.rho_plus) * speed / far.rho_plus,
+                  abs(profile.u_t[-1] - far.u_plus),
+                  abs(profile.n_t[-1] - far.n_plus) * speed / far.n_plus,
+                  abs(profile.v_t[-1] - far.u_plus))
     if end_gap > tol:
         raise ShootingError(
             f"far-field convergence failed: end gap {end_gap:.3e} > {tol:.3e}")
@@ -548,13 +538,13 @@ def steady_residual(spec: model.ModelSpec, profile: SteadyProfile) -> float:
 
 
 _FARFIELD_LIMITS = {
-    "rho": lambda p: p.rho_plus,
-    "u": lambda p: p.u_plus,
-    "n": lambda p: p.n_plus,
-    "v": lambda p: p.u_plus,
-    "ux": lambda p: 0.0,
-    "vx": lambda p: 0.0,
-    "ux_over_sigma2": lambda p: 0.0,
+    "rho": lambda far: far.rho_plus,
+    "u": lambda far: far.u_plus,
+    "n": lambda far: far.n_plus,
+    "v": lambda far: far.u_plus,
+    "ux": lambda far: 0.0,
+    "vx": lambda far: 0.0,
+    "ux_over_sigma2": lambda far: 0.0,
 }
 
 _QUANTITY_COLUMNS = {
@@ -604,11 +594,12 @@ def fit_spatial_decay(profile: SteadyProfile, quantity: str, law: str,
         raise InsufficientDataError(
             f"decay window [{x_lo:.6g}, {x_hi:.6g}] holds only "
             f"{int(mask.sum())} samples (need 8)")
-    dev = np.abs(q[mask] - _FARFIELD_LIMITS[quantity](profile))
+    dev = np.abs(q[mask] - _FARFIELD_LIMITS[quantity](profile.spec.far))
     if np.any(dev <= 0.0):
         raise DomainError("quantity touches its far-field limit inside the window")
     exponential = law == EXPONENTIAL
-    abscissa = x[mask] if exponential else np.log1p(profile.delta * x[mask])
+    abscissa = (x[mask] if exponential
+                else np.log1p(profile.spec.delta * x[mask]))
     slope, intercept, r2 = _log_linear_fit(abscissa, dev)
     rate = -slope if exponential else slope
     return SpatialDecayFit(law=law, rate_or_slope=float(rate),

@@ -1,5 +1,6 @@
 """Shared builders for randomized specs across the test suite."""
 
+import dataclasses
 import zlib
 
 import numpy as np
@@ -60,10 +61,7 @@ def flat_profile(spec, x_max=50.0, points=501):
         n_t=np.full_like(x, far.n_plus),
         v_t=np.full_like(x, far.u_plus),
         ux_t=zeros, vx_t=zeros,
-        regime=tp.classify_regime(spec), delta=0.0,
-        achieved_u_minus=far.u_plus, achieved_v_minus=far.u_plus,
-        boundary_compatible=True, sigma0=0.0,
-        rho_plus=far.rho_plus, u_plus=far.u_plus, n_plus=far.n_plus)
+        spec=dataclasses.replace(spec, u_minus=far.u_plus))
 
 
 def per_value_csv(header, rows):

@@ -216,8 +216,8 @@ def test_criterion_03_supersonic_steady_quality(supersonic_case):
     flux1 = float(np.max(np.abs(prof.rho_t * prof.u_t - spec.mass_flux_1)))
     flux2 = float(np.max(np.abs(prof.n_t * prof.v_t - spec.mass_flux_2)))
     assert flux1 <= 1e-10 and flux2 <= 1e-10
-    assert abs(prof.achieved_u_minus - spec.u_minus) <= 1e-8
-    assert abs(prof.achieved_v_minus - spec.u_minus) <= 1e-8
+    assert abs(prof.u_t[0] - spec.u_minus) <= 1e-8
+    assert abs(prof.v_t[0] - spec.u_minus) <= 1e-8
     assert seconds < 10.0
     print(f"criterion 03 PASS: residual {residual:.1e}, mass-flux error "
           f"{max(flux1, flux2):.1e}, boundary hit to 1e-8, solved in "
@@ -358,10 +358,7 @@ def synthetic_profile(x, u_dev, delta):
     return tp.SteadyProfile(
         x=x, rho_t=ones, u_t=-2.0 + u_dev, n_t=ones.copy(),
         v_t=np.full_like(x, -2.0), ux_t=np.zeros_like(x),
-        vx_t=np.zeros_like(x), regime=tp.classify_regime(spec),
-        delta=delta, achieved_u_minus=float(-2.0 + u_dev[0]),
-        achieved_v_minus=-2.0, boundary_compatible=False, sigma0=delta,
-        rho_plus=1.0, u_plus=-2.0, n_plus=1.0)
+        vx_t=np.zeros_like(x), spec=spec)
 
 
 def test_criterion_10_energy_suite():

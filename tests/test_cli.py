@@ -102,10 +102,12 @@ def test_config_rejections_name_the_problem(tmp_path, extra, fragment):
 
 @pytest.mark.parametrize("key", ["steady.eps_seed", "steady.ode_tol",
                                  "steady.newton_tol", "steady.sigma_seed",
-                                 "evolve.drag_substeps"])
+                                 "evolve.drag_substeps",
+                                 "steady.allow_large_delta"])
 def test_retired_shooting_keys_rejected(tmp_path, key):
     # the steady solver no longer shoots, so its knobs left the schema, as
-    # did the knobs that had one value in use
+    # did the knobs that had one value in use and the large-delta switch,
+    # which steady.max_delta = inf replaces
     with pytest.raises(tp.ConfigError) as err:
         cli.parse_config(write_config(tmp_path, f"{key} = 1e-6"))
     assert "unknown key" in str(err.value)
@@ -128,10 +130,14 @@ def test_bad_override_rejected(tmp_path):
 
 
 def test_large_delta_allowed_behind_flag(tmp_path):
+    with pytest.raises(tp.ConfigError, match="steady.max_delta = inf"):
+        cli.parse_config(write_config(tmp_path, "spec.u_minus = -2.5"))
     path = write_config(tmp_path, "spec.u_minus = -2.5",
-                        "steady.allow_large_delta = true")
+                        "steady.max_delta = inf")
     config = cli.parse_config(path)
     assert config.model_spec().delta == pytest.approx(0.5)
+    assert config.steady_options().max_delta == math.inf
+    assert "steady.max_delta = inf\n" in config.canonical_text()
 
 
 def test_weight_tag_parsing(tmp_path):
@@ -350,6 +356,11 @@ def _raising_body(err):
     ("regime", ("spec.rho_plus = 3.5e102", "spec.n_plus = 3.5e102",
                 "spec.gamma = 3", "spec.alpha = 3"), None, 2,
      ("rho_plus=3.5e+102", "n_plus=3.5e+102", "overflows")),
+    # each law is 1.0e307 and their sum finite, but the far-field matrix
+    # has no accurate eigenvectors at that scale
+    ("regime", ("spec.rho_plus = 1.5e102", "spec.n_plus = 1.5e102",
+                "spec.gamma = 3", "spec.alpha = 3"), None, 4,
+     ("relative eigenvector residual 1.000e+00",)),
     ("decay-fit", ("diagnostics.series_path = {bad_series}",), None, 3,
      ("{bad_series}", "'oops'")),
     ("decay-fit", ("diagnostics.series_path = {bad_tag_series}",), None, 3,
@@ -362,7 +373,8 @@ def _raising_body(err):
     ("regime", (), TypeError("unsupported operand"), 1,
      ("error: internal TypeError: unsupported operand",)),
 ], ids=["bad_key", "pressure_overflow", "pressure_underflow",
-        "pressure_sum_overflow", "malformed_series", "bad_weight_tag",
+        "pressure_sum_overflow", "eigenvector_residual", "malformed_series",
+        "bad_weight_tag",
         "missing_series", "vacuum", "blow_up", "internal"])
 def test_exit_codes_name_the_cause(tmp_path, capsys, monkeypatch, command,
                                    extra, raised, code, fragments):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import twophase as tp
-from twophase.ibvp import (_block, _euler_stage, _faces, _ghost_cells,
+from twophase.ibvp import (_block, _faces, _forward_euler, _ghost_cells,
                            _ghosted, _implicit_momenta, _pad, _rates,
                            _viscosity_drag)
 
@@ -150,6 +150,39 @@ def test_stable_dt_cfl_validation():
             tp.stable_dt(state, grid, SUP, cfl=cfl)
 
 
+@pytest.mark.parametrize("u_plus, cells", [(-2.0, 512), (-2.0, 128),
+                                           (-3.0, 128)])
+def test_heun_is_stable_at_every_cfl_stable_dt_accepts(u_plus, cells):
+    # Heun is stable while dt (a/dx + 2 kappa/dx^2) <= 1; stable_dt's
+    # min(cfl dx/a, cfl dx^2/(2 kappa)) meets that at any cfl <= 1/2. The
+    # three setups put the limit at cfl 0.872, 0.631 and 0.561, so cfl 0.6
+    # and 0.9 march unstably on at least one of them and must be refused
+    spec = tp.ModelSpec(fluids=UNIT,
+                        far=tp.FarFieldState(rho_plus=1.0, n_plus=1.0,
+                                             u_plus=u_plus),
+                        u_minus=u_plus)
+    profile = flat_profile(spec)
+    grid = tp.make_grid(50.0, cells)
+    bump = tp.PerturbationSpec(shape="compact_bump", amplitude=1e-3,
+                               center=25.0, width=5.0,
+                               components=("rho", "u", "n", "v"))
+    state0 = tp.initialize(profile, grid, bump)
+    for cfl in (0.3, 0.4, 0.5):
+        state = state0
+        dt = tp.stable_dt(state, grid, spec, cfl=cfl)
+        energy = tp.energy_total(state, profile, grid, UNIT)
+        for _ in range(600):
+            state = tp.step(state, grid, spec, dt)
+            after = tp.energy_total(state, profile, grid, UNIT)
+            assert after <= energy
+            energy = after
+    for cfl in (0.6, 0.9):
+        with pytest.raises(tp.DomainError, match="cfl <= 0.5"):
+            tp.stable_dt(state0, grid, spec, cfl=cfl)
+    # the implicit viscosity leaves IMEX the advective bound alone
+    assert tp.stable_dt(state0, grid, spec, cfl=0.9, imex=True) > 0.0
+
+
 # ---------------------------------------------------------------------------
 # stepping: fixed points, drag relaxation, budgets
 # ---------------------------------------------------------------------------
@@ -188,8 +221,9 @@ def test_drag_relaxation_matches_heun_closed_form():
     exact = gap0 * math.exp(-rate * dt)
     assert stepped.v[j] - stepped.u[j] == pytest.approx(exact, abs=1e-8)
     # a single Euler stage only gets the first-order term
-    euler = _euler_stage(state, grid, SUP, dt)
-    gap_euler = euler.v[j] - euler.u[j]
+    (rho1, n1), (m1, m2) = _forward_euler(_block(state), state, grid, SUP,
+                                          dt)
+    gap_euler = m2[j] / n1[j] - m1[j] / rho1[j]
     assert gap_euler == pytest.approx(gap0 * (1.0 - rate * dt), rel=1e-12)
     assert abs(gap_euler - exact) > abs(
         (stepped.v[j] - stepped.u[j]) - exact)
@@ -231,7 +265,7 @@ def test_euler_stage_mass_budget(fluids):
     state = smooth_state(grid)
     rho, u, n, v = state.rho, state.u, state.n, state.v
     dt = 1e-3
-    out = _euler_stage(state, grid, spec, dt)
+    (rho1, n1), _ = _forward_euler(_block(state), state, grid, spec, dt)
 
     def rusanov_mass(rl, ul, cl, rr, ur, cr):
         a = max(abs(ul) + cl, abs(ur) + cr)
@@ -247,8 +281,8 @@ def test_euler_stage_mass_budget(fluids):
         return dmass + dt * (f_right - f_left)
 
     scale = grid.dx * rho.sum()
-    res1 = budget(rho, u, out.rho, rho[0], state.u_bc, 1.0, -2.0, phase=1)
-    res2 = budget(n, v, out.n, n[0], state.v_bc, 1.0, -2.0, phase=2)
+    res1 = budget(rho, u, rho1, rho[0], state.u_bc, 1.0, -2.0, phase=1)
+    res2 = budget(n, v, n1, n[0], state.v_bc, 1.0, -2.0, phase=2)
     assert abs(res1) <= 1e-12 * scale
     assert abs(res2) <= 1e-12 * scale
 
@@ -264,7 +298,7 @@ def test_euler_stage_momentum_budget(fluids):
     grid = tp.make_grid(12.8, 64)
     dx, dt = grid.dx, 1e-3
     state = smooth_state(grid)
-    out = _euler_stage(state, grid, spec, dt)
+    _, (mom1, mom2) = _forward_euler(_block(state), state, grid, spec, dt)
 
     def rusanov_momentum(left, right, phase):
         def parts(r, w):
@@ -285,7 +319,7 @@ def test_euler_stage_momentum_budget(fluids):
         coef_l, coef_r = ((f.mu, f.mu) if phase == 1
                           else (r[0], 0.5 * (r[-1] + g_r)))
         boundary -= (coef_r * (g_w - w[-1]) - coef_l * (w[0] - w_bc)) / dx
-    dmom = dx * ((out.mom1.sum() + out.mom2.sum())
+    dmom = dx * ((mom1.sum() + mom2.sum())
                  - (state.mom1.sum() + state.mom2.sum()))
     scale = dx * np.abs(state.mom1).sum()
     assert abs(dmom + dt * boundary) <= 1e-12 * scale

@@ -1,6 +1,7 @@
 """End-to-end steady construction: collocation, decay fits, CSV."""
 
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -40,10 +41,9 @@ def test_supersonic_boundary_and_fluxes(supersonic_case):
     spec, prof = supersonic_case
     assert prof.regime.is_supersonic
     assert prof.boundary_compatible
-    assert abs(prof.achieved_u_minus - spec.u_minus) <= 1e-8
-    assert abs(prof.achieved_v_minus - spec.u_minus) <= 1e-8
-    assert prof.achieved_u_minus == prof.u_t[0]
-    assert prof.achieved_v_minus == prof.v_t[0]
+    assert abs(prof.u_t[0] - spec.u_minus) <= 1e-8
+    assert abs(prof.v_t[0] - spec.u_minus) <= 1e-8
+    assert prof.spec == spec
     # recovered densities keep the mass fluxes pointwise
     assert np.max(np.abs(prof.rho_t * prof.u_t - spec.mass_flux_1)) <= 1e-10
     assert np.max(np.abs(prof.n_t * prof.v_t - spec.mass_flux_2)) <= 1e-10
@@ -74,14 +74,14 @@ def test_random_specs_converge(regime):
         prof = tp.solve_steady(spec)
         assert np.max(np.abs(prof.rho_t * prof.u_t - spec.mass_flux_1)) <= 1e-12
         assert np.max(np.abs(prof.n_t * prof.v_t - spec.mass_flux_2)) <= 1e-12
-        assert abs(prof.achieved_u_minus - spec.u_minus) <= 1e-8
+        assert abs(prof.u_t[0] - spec.u_minus) <= 1e-8
         if regime == "supersonic":
             assert prof.boundary_compatible
-            assert abs(prof.achieved_v_minus - spec.u_minus) <= 1e-8
+            assert abs(prof.v_t[0] - spec.u_minus) <= 1e-8
         else:
             # only u(0) is imposed; the trajectory sets v(0)
             assert not prof.boundary_compatible
-            assert abs(prof.achieved_v_minus - spec.u_minus) > 1e-6
+            assert abs(prof.v_t[0] - spec.u_minus) > 1e-6
         # the residual is a truncation measurement, so its absolute size
         # tracks the stiffest boundary layer; require refinement improvement
         # unless the profile already sits below a small absolute floor
@@ -98,8 +98,8 @@ def assert_criterion_03_checks(spec, prof, seconds):
     assert tp.steady_residual(spec, prof) <= 1e-6
     assert np.max(np.abs(prof.rho_t * prof.u_t - spec.mass_flux_1)) <= 1e-10
     assert np.max(np.abs(prof.n_t * prof.v_t - spec.mass_flux_2)) <= 1e-10
-    assert abs(prof.achieved_u_minus - spec.u_minus) <= 1e-8
-    assert abs(prof.achieved_v_minus - spec.u_minus) <= 1e-8
+    assert abs(prof.u_t[0] - spec.u_minus) <= 1e-8
+    assert abs(prof.v_t[0] - spec.u_minus) <= 1e-8
     assert seconds < 10.0
 
 
@@ -156,16 +156,15 @@ def test_random_specs_solve_or_raise_documented_errors(
     except (tp.DomainError, tp.ShootingError, tp.SingularityError,
             tp.NumericsError):
         return
-    assert abs(prof.achieved_u_minus - spec.u_minus) <= 1e-8
+    assert abs(prof.u_t[0] - spec.u_minus) <= 1e-8
 
 
 def test_subsonic_reports_second_boundary_velocity():
     spec = unit_spec(-0.5, -0.55)
     prof = tp.solve_steady(spec)
     assert prof.regime.is_subsonic
-    assert abs(prof.achieved_u_minus - spec.u_minus) <= 1e-10
+    assert abs(prof.u_t[0] - spec.u_minus) <= 1e-10
     assert not prof.boundary_compatible
-    assert prof.achieved_v_minus == prof.v_t[0]
     X = prof.x[-1]
     fit = tp.fit_spatial_decay(prof, "u", "exponential", (X / 2, X))
     assert fit.r_squared >= 0.99
@@ -180,8 +179,8 @@ def test_sonic_boundary_enforced(sonic_case):
     spec, prof = sonic_case
     assert prof.regime.is_sonic
     assert prof.boundary_compatible
-    assert abs(prof.achieved_u_minus - spec.u_minus) <= 1e-8
-    assert abs(prof.achieved_v_minus - spec.u_minus) <= 1e-8
+    assert abs(prof.u_t[0] - spec.u_minus) <= 1e-8
+    assert abs(prof.v_t[0] - spec.u_minus) <= 1e-8
     assert prof.sigma0 == spec.delta
 
 
@@ -231,20 +230,63 @@ def test_delta_guard_and_override():
     spec = unit_spec(-2.0, -2.05)
     with pytest.raises(tp.DomainError):
         tp.solve_steady(spec, tp.SteadySolveOptions(max_delta=0.01))
-    prof = tp.solve_steady(
-        spec, tp.SteadySolveOptions(max_delta=0.01, allow_large_delta=True))
-    assert abs(prof.achieved_u_minus - spec.u_minus) <= 1e-8
+    prof = tp.solve_steady(spec, tp.SteadySolveOptions(max_delta=math.inf))
+    assert abs(prof.u_t[0] - spec.u_minus) <= 1e-8
 
 
 def test_interp_is_linear(supersonic_case):
     _, prof = supersonic_case
+    columns = (prof.rho_t, prof.u_t, prof.n_t, prof.v_t)
     at_nodes = prof.interp(prof.x[:10])
-    np.testing.assert_array_equal(at_nodes[1], prof.u_t[:10])
+    assert len(at_nodes) == 4
+    for got, col in zip(at_nodes, columns):
+        np.testing.assert_array_equal(got, col[:10])
     mid = 0.5 * (prof.x[3] + prof.x[4])
     vals = prof.interp(mid)
-    for got, col in zip(vals, (prof.rho_t, prof.u_t, prof.n_t,
-                               prof.v_t, prof.ux_t, prof.vx_t)):
+    assert len(vals) == 4
+    for got, col in zip(vals, columns):
         assert got == pytest.approx(0.5 * (col[3] + col[4]), rel=1e-12)
+
+
+def test_replaced_columns_carry_no_stale_boundary_data(supersonic_case):
+    # the boundary velocities and boundary_compatible follow the samples,
+    # so initialize takes those of a profile whose columns were replaced
+    _, prof = supersonic_case
+    shifted = dataclasses.replace(prof, u_t=prof.u_t + 1e-3,
+                                  v_t=prof.v_t + 1e-3)
+    state = tp.initialize(shifted, tp.make_grid(10.0, 64),
+                          tp.PerturbationSpec())
+    assert state.u_bc == shifted.u_t[0] != prof.u_t[0]
+    assert state.v_bc == shifted.v_t[0] != prof.v_t[0]
+    assert prof.boundary_compatible and not shifted.boundary_compatible
+
+
+# ---------------------------------------------------------------------------
+# the far-field end-gap check
+# ---------------------------------------------------------------------------
+
+def test_sonic_end_gap_measures_densities_in_velocity_units():
+    # the n gap at L exceeded 3 sigma(L) (3.189e-3 > 3.000e-3) while u and
+    # v met it; through the mass flux, |n~ - n_plus| |u_plus| / n_plus is
+    # the gap in velocity units, and the profile passes
+    fluids = tp.FluidConstants(A1=0.3208, A2=0.3243, gamma=1.4423,
+                               alpha=2.2497, mu=0.4870)
+    u_plus = tp.sonic_velocity(fluids, 2.5549, 0.5630)
+    far = tp.FarFieldState(rho_plus=2.5549, n_plus=0.5630, u_plus=u_plus)
+    spec = tp.ModelSpec(fluids=fluids, far=far, u_minus=u_plus - 0.0305)
+    prof = tp.solve_steady(spec)
+    assert prof.regime.is_sonic
+    assert abs(prof.u_t[0] - spec.u_minus) <= 1e-8
+    assert abs(prof.v_t[0] - spec.u_minus) <= 1e-8
+    assert np.max(np.abs(prof.rho_t * prof.u_t - spec.mass_flux_1)) <= 1e-10
+    assert np.max(np.abs(prof.n_t * prof.v_t - spec.mass_flux_2)) <= 1e-10
+
+
+def test_end_gap_rejects_a_profile_cut_off_early():
+    spec = unit_spec(-2.0, -2.05)
+    with pytest.raises(tp.ShootingError,
+                       match=r"end gap 2\.449e-03 > 2\.000e-08"):
+        tp.solve_steady(spec, tp.SteadySolveOptions(x_domain=2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +356,7 @@ def synthetic_profile(x, u_dev, delta):
     return tp.SteadyProfile(
         x=x, rho_t=ones, u_t=-2.0 + u_dev, n_t=ones.copy(),
         v_t=np.full_like(x, -2.0), ux_t=np.zeros_like(x),
-        vx_t=np.zeros_like(x), regime=tp.classify_regime(spec),
-        delta=delta, achieved_u_minus=float(-2.0 + u_dev[0]),
-        achieved_v_minus=-2.0, boundary_compatible=False, sigma0=delta,
-        rho_plus=1.0, u_plus=-2.0, n_plus=1.0)
+        vx_t=np.zeros_like(x), spec=spec)
 
 
 def test_fit_recovers_synthetic_exponential():
