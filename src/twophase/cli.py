@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -64,6 +65,10 @@ def _nonnegative(v):
     return None if v >= 0 else "must be nonnegative"
 
 
+def _finite_nonnegative(v):
+    return None if 0 <= v < math.inf else "must be finite and nonnegative"
+
+
 def _at_least_one(v):
     return None if v >= 1 else "must be at least 1"
 
@@ -109,7 +114,7 @@ _SCHEMA = {
     "steady.x_domain": _Key("optfloat", None, _positive),
     "steady.points": _Key("int", 2048, _at_least_one),
     "steady.max_delta": _Key("float", 0.1, _positive),
-    "evolve.t_end": _Key("float", 10.0, _nonnegative),
+    "evolve.t_end": _Key("float", 10.0, _finite_nonnegative),
     "evolve.cfl": _Key("float", 0.4, _unit_open),
     "evolve.observer_stride": _Key("int", 10, _at_least_one),
     "evolve.wall_clock_budget": _Key("optfloat", None, _positive),

@@ -4,7 +4,8 @@ half-line.
 The semi-discrete scheme is first order and deliberately plain: Rusanov
 fluxes, pointwise drag, and for both viscous terms one face-flux form
 D(kappa D w), kappa = mu or the face density of phase 2. One kernel
-evaluates it for both steppers on a stacked block: the conserved variables
+evaluates it for both steppers on a stacked block: the conserved variables,
+all that an `EvolutionState` stores (its velocities are derived from them),
 form one (2, 2, N) array ((rho, n), (m1, m2)), padded into a (2, 2(N+2))
 array whose rows hold phase 1's padded cells followed by phase 2's, so
 each pad, flux and difference runs once over both phases.
@@ -90,6 +91,10 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.shape not in _SHAPES:
             raise DomainError(f"unknown perturbation shape {self.shape!r}")
+        for name in ("amplitude", "center", "width"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"perturbation {name} must be finite, "
+                                  f"got {getattr(self, name)}")
         if self.width <= 0.0:
             raise DomainError("perturbation width must be positive")
         unknown = [c for c in self.components if c not in _COMPONENTS]
@@ -127,7 +132,7 @@ def perturbation_values(pert: PerturbationSpec, x) -> dict:
 
 @dataclass(frozen=True)
 class EvolutionState:
-    """Cell-averaged primitives plus the conserved momenta.
+    """Cell-averaged densities and momenta; u and v are derived from them.
 
     u_bc and v_bc are the outflow velocities the left ghost enforces;
     right_ghost holds (rho, u, n, v) of the steady profile continued one
@@ -136,9 +141,7 @@ class EvolutionState:
 
     t: float
     rho: np.ndarray
-    u: np.ndarray
     n: np.ndarray
-    v: np.ndarray
     mom1: np.ndarray
     mom2: np.ndarray
     u_bc: float
@@ -150,35 +153,41 @@ class EvolutionState:
     _stack: np.ndarray = field(default=None, init=False, repr=False,
                                compare=False)
 
+    @property
+    def u(self):
+        return self.mom1 / self.rho
+
+    @property
+    def v(self):
+        return self.mom2 / self.n
+
 
 def initialize(profile: SteadyProfile, grid: Grid1D,
                pert: PerturbationSpec) -> EvolutionState:
-    """Steady profile interpolated to the cell centers plus a perturbation."""
+    """Steady profile interpolated to the cell centers plus a perturbation,
+    or a snapshot read back, as the state of its densities and momenta."""
     if grid.length > profile.x[-1] * (1.0 + 1e-12):
         raise DomainError(
             f"grid length {grid.length:.6g} exceeds the profile domain "
             f"{profile.x[-1]:.6g}")
     right_ghost = tuple(float(g) for g in
                         profile.interp(grid.length + 0.5 * grid.dx))
-    u_bc = float(profile.u_t[0])
-    v_bc = float(profile.v_t[0])
+    u_bc, v_bc = float(profile.u_t[0]), float(profile.v_t[0])
     if pert.shape == FROM_FILE:
         x, cols, meta = load_state_csv(pert.path)
         if not np.array_equal(x, grid.centers):
-            raise DomainError("snapshot coordinates differ from the grid")
+            raise DomainError(
+                f"{pert.path}: the snapshot's {x.size} cell centers differ "
+                f"from the grid's {grid.cells}")
         rho0, u0, n0, v0 = cols["rho"], cols["u"], cols["n"], cols["v"]
-        t0 = float(meta.get("t", 0.0))
-        u_bc = float(meta.get("u_bc", u_bc))
-        v_bc = float(meta.get("v_bc", v_bc))
-        if "right_ghost" in meta:
-            right_ghost = tuple(float(g) for g in meta["right_ghost"])
+        t0 = meta.get("t", 0.0)
+        u_bc = meta.get("u_bc", u_bc)
+        v_bc = meta.get("v_bc", v_bc)
+        right_ghost = meta.get("right_ghost", right_ghost)
     else:
-        rho_t, u_t, n_t, v_t = profile.interp(grid.centers)
         vals = perturbation_values(pert, grid.centers)
-        rho0 = rho_t + vals["rho"]
-        u0 = u_t + vals["u"]
-        n0 = n_t + vals["n"]
-        v0 = v_t + vals["v"]
+        rho0, u0, n0, v0 = (col + vals[c] for c, col in
+                            zip(_COMPONENTS, profile.interp(grid.centers)))
         t0 = 0.0
     for phase, dens in ((1, rho0), (2, n0)):
         low = np.nonzero(dens <= DENSITY_FLOOR)[0]
@@ -186,9 +195,9 @@ def initialize(profile: SteadyProfile, grid: Grid1D,
             raise DomainError(
                 f"initial phase-{phase} density at or below the floor "
                 f"at cell {int(low[0])}; perturbation rejected")
-    return EvolutionState(t=t0, rho=rho0, u=u0, n=n0, v=v0,
-                          mom1=rho0 * u0, mom2=n0 * v0,
-                          u_bc=u_bc, v_bc=v_bc, right_ghost=right_ghost)
+    return EvolutionState(t=t0, rho=rho0, n=n0, mom1=rho0 * u0,
+                          mom2=n0 * v0, u_bc=u_bc, v_bc=v_bc,
+                          right_ghost=right_ghost)
 
 
 def _sound_speed(coef, expo, dens):
@@ -356,10 +365,9 @@ def _check(U, t):
 
 def _with_block(state, t, U):
     """The state at time t whose conserved arrays are the rows of U."""
-    vel = U[1] / U[0]
-    new = EvolutionState(t=t, rho=U[0, 0], u=vel[0], n=U[0, 1], v=vel[1],
-                         mom1=U[1, 0], mom2=U[1, 1], u_bc=state.u_bc,
-                         v_bc=state.v_bc, right_ghost=state.right_ghost)
+    new = EvolutionState(t=t, rho=U[0, 0], n=U[0, 1], mom1=U[1, 0],
+                         mom2=U[1, 1], u_bc=state.u_bc, v_bc=state.v_bc,
+                         right_ghost=state.right_ghost)
     object.__setattr__(new, "_stack", U)
     return new
 
@@ -378,8 +386,7 @@ def step(state: EvolutionState, grid: Grid1D, spec, dt: float,
     vacuum. By default this is the explicit SSP-RK2 (Heun) reference scheme,
     stable up to `stable_dt`. imex=True takes one ARS(2,2,2) step instead,
     stable up to `stable_dt(..., imex=True)`; `evolve` marches with it.
-    The returned state's rho, n, mom1 and mom2 are the rows of one
-    (2, 2, N) block, and u and v the rows of another."""
+    The returned state's four arrays are the rows of one (2, 2, N) block."""
     if dt <= 0.0:
         raise DomainError("step needs dt > 0")
     if imex:
@@ -561,6 +568,8 @@ def evolve(state: EvolutionState, grid: Grid1D, spec, t_end: float,
     cfl resolves it in time. A wall-clock budget in seconds turns an
     overlong run into a truncated result instead of an error.
     """
+    if not math.isfinite(t_end):
+        raise DomainError(f"t_end must be finite, got {t_end}")
     if t_end < state.t:
         raise DomainError("t_end lies before the state time")
     if observer_stride < 1:
@@ -635,14 +644,39 @@ def save_state_csv(state: EvolutionState, grid: Grid1D, path,
         fh.write("\n")
 
 
+def _finite_numbers(value, count, name):
+    """value as a float (count 1) or a tuple of count floats, if it is
+    that many finite JSON numbers; else DomainError naming it."""
+    items = value if count > 1 and isinstance(value, list) else [value]
+    try:
+        nums = tuple(float(v) for v in items if type(v) in (int, float))
+    except OverflowError:
+        nums = ()
+    if not (len(items) == len(nums) == count
+            and all(map(math.isfinite, nums))):
+        want = "a finite number" if count == 1 else f"{count} finite numbers"
+        raise DomainError(f"{name} must be {want}, got {value!r}")
+    return nums[0] if count == 1 else nums
+
+
 def load_state_csv(path):
-    """Read a snapshot back: coordinates, primitive columns, metadata dict."""
+    """Read a snapshot back: coordinates, primitive columns, metadata dict.
+    The sidecar's resume fields, where present, come back checked: t, u_bc
+    and v_bc as finite floats, right_ghost as a tuple of four."""
     cols = read_csv_columns(path, "snapshot", STATE_HEADER.__eq__)
+    meta_path = _meta_path(path)
     meta = {}
-    if os.path.exists(_meta_path(path)):
-        with open(_meta_path(path)) as fh:
+    if os.path.exists(meta_path):
+        with open(meta_path) as fh:
             try:
                 meta = json.load(fh)
             except ValueError as err:
-                raise DomainError(f"{_meta_path(path)}: {err}") from None
+                raise DomainError(f"{meta_path}: {err}") from None
+        if not isinstance(meta, dict):
+            raise DomainError(f"{meta_path}: expected a JSON object")
+        for key, count in (("t", 1), ("u_bc", 1), ("v_bc", 1),
+                           ("right_ghost", 4)):
+            if key in meta:
+                meta[key] = _finite_numbers(meta[key], count,
+                                            f"{meta_path}: {key}")
     return cols.pop("x"), cols, meta

@@ -336,15 +336,25 @@ def test_invalid_override_exits_2(tmp_path):
                      "--override", "spec.u_minus=2.0"]) == 2
 
 
+def write_snapshot(path, length, cells):
+    """A flat unit-fluid state at Mach 2 on the given grid, with its
+    sidecar, as `save_state_csv` writes it."""
+    full = np.full(cells, 1.0)
+    state = tp.EvolutionState(t=0.0, rho=full, n=full, mom1=-2.0 * full,
+                              mom2=-2.0 * full, u_bc=-2.0, v_bc=-2.0,
+                              right_ghost=(1.0, -2.0, 1.0, -2.0))
+    tp.save_state_csv(state, tp.make_grid(length, cells), path)
+
+
 def _raising_body(err):
     def body(config, out_dir, workers):
         raise err
     return body
 
 
-# each documented exit code with its cause; {tmp}, {bad_series} and
-# {bad_tag_series} stand for paths made in the test, and every fragment
-# must appear on stderr
+# each documented exit code with its cause; {tmp}, {bad_series},
+# {bad_tag_series} and {snapshot} (64 cells on [0, 10]) stand for paths
+# made in the test, and every fragment must appear on stderr
 @pytest.mark.parametrize("command, extra, raised, code, fragments", [
     ("steady", ("spec.bogus = 1",), None, 2,
      ("unknown key", "'spec.bogus'")),
@@ -372,18 +382,39 @@ def _raising_body(err):
     ("evolve", (), tp.BlowUpError(3.5), 4, ("non-finite", "t=3.5")),
     ("regime", (), TypeError("unsupported operand"), 1,
      ("error: internal TypeError: unsupported operand",)),
+    ("evolve", ("grid.length = 20", "steady.x_domain = 19"), None, 3,
+     ("grid length 20 exceeds the profile domain 19",)),
+    ("evolve", ("grid.length = 10", "grid.cells = 32",
+                "evolve.pert_shape = from_file",
+                "evolve.pert_path = {snapshot}"), None, 3,
+     ("{snapshot}", "64 cell centers", "grid's 32")),
+    ("evolve", ("evolve.t_end = inf",), None, 2,
+     ("evolve.t_end", "finite")),
+    ("evolve", ("evolve.pert_amplitude = nan",), None, 2,
+     ("amplitude must be finite",)),
+    ("evolve", ("evolve.pert_amplitude = inf",), None, 2,
+     ("amplitude must be finite",)),
+    ("evolve", ("evolve.pert_center = inf",), None, 2,
+     ("center must be finite",)),
+    ("evolve", ("evolve.pert_width = inf",), None, 2,
+     ("width must be finite",)),
 ], ids=["bad_key", "pressure_overflow", "pressure_underflow",
         "pressure_sum_overflow", "eigenvector_residual", "malformed_series",
         "bad_weight_tag",
-        "missing_series", "vacuum", "blow_up", "internal"])
+        "missing_series", "vacuum", "blow_up", "internal",
+        "grid_beyond_profile", "snapshot_grid_mismatch", "t_end_inf",
+        "pert_amplitude_nan", "pert_amplitude_inf", "pert_center_inf",
+        "pert_width_inf"])
 def test_exit_codes_name_the_cause(tmp_path, capsys, monkeypatch, command,
                                    extra, raised, code, fragments):
     bad_series = tmp_path / "series.csv"
     bad_series.write_text("t,l2,h1,linf,drag_l2\n0,1,1,1,oops\n")
     bad_tag_series = tmp_path / "tagged.csv"
     bad_tag_series.write_text("t,l2,h1,linf,drag_l2,w_bogus\n0,1,1,1,1,1\n")
+    snapshot = tmp_path / "snap64.csv"
+    write_snapshot(snapshot, 10.0, 64)
     paths = {"tmp": str(tmp_path), "bad_series": str(bad_series),
-             "bad_tag_series": str(bad_tag_series)}
+             "bad_tag_series": str(bad_tag_series), "snapshot": str(snapshot)}
     if raised is not None:
         monkeypatch.setitem(cli._RUNNERS, command, _raising_body(raised))
     path = write_config(tmp_path, *(line.format(**paths) for line in extra))
@@ -392,6 +423,31 @@ def test_exit_codes_name_the_cause(tmp_path, capsys, monkeypatch, command,
     err = capsys.readouterr().err
     for fragment in fragments:
         assert fragment.format(**paths) in err
+
+
+@pytest.mark.parametrize("sidecar, fragment", [
+    ('{"right_ghost": [1.0, -2.0, 1.0]}', "right_ghost must be 4 finite"),
+    ('{"right_ghost": [1.0, -2.0, 1.0, Infinity]}',
+     "right_ghost must be 4 finite"),
+    ('{"t": "soon"}', "t must be a finite number"),
+    ('{"t": true}', "t must be a finite number"),
+    ('{"u_bc": null}', "u_bc must be a finite number"),
+    ('{"v_bc": NaN}', "v_bc must be a finite number"),
+    ('[0.0]', "expected a JSON object"),
+], ids=["ghost_short", "ghost_inf", "t_text", "t_bool", "u_bc_null",
+        "v_bc_nan", "not_an_object"])
+def test_malformed_snapshot_sidecar_exits_3(tmp_path, capsys, sidecar,
+                                            fragment):
+    snapshot = tmp_path / "snap.csv"
+    write_snapshot(snapshot, 10.0, 100)
+    meta = tmp_path / "snap.csv.meta.json"
+    meta.write_text(sidecar)
+    path = write_config(tmp_path, "evolve.pert_shape = from_file",
+                        f"evolve.pert_path = {snapshot}", lines=EVOLVE_LINES)
+    assert cli.main(["evolve", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"{meta}: {fragment}" in err
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,9 @@ def sup_spec(fluids):
 
 def homogeneous_state(cells, rho, u, n, v, t=0.0):
     full = np.full(cells, 1.0)
-    return tp.EvolutionState(t=t, rho=rho * full, u=u * full, n=n * full,
-                             v=v * full, mom1=rho * u * full,
-                             mom2=n * v * full, u_bc=u, v_bc=v,
-                             right_ghost=(rho, u, n, v))
+    return tp.EvolutionState(t=t, rho=rho * full, n=n * full,
+                             mom1=rho * u * full, mom2=n * v * full, u_bc=u,
+                             v_bc=v, right_ghost=(rho, u, n, v))
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +63,10 @@ def test_perturbation_spec_validation():
         tp.PerturbationSpec(components=("rho", "w"))
     with pytest.raises(tp.DomainError):
         tp.PerturbationSpec(shape="from_file")
+    for name in ("amplitude", "center", "width"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(tp.DomainError, match=f"{name} must be finite"):
+                tp.PerturbationSpec(**{name: bad})
 
 
 def test_perturbation_values_taper_and_support():
@@ -250,8 +253,8 @@ def smooth_state(grid):
     u = -2.0 + 0.05 * np.cos(0.3 * x)
     n = 1.0 + 0.08 * np.cos(0.4 * x)
     v = -2.0 + 0.04 * np.sin(0.6 * x)
-    return tp.EvolutionState(t=0.0, rho=rho, u=u, n=n, v=v, mom1=rho * u,
-                             mom2=n * v, u_bc=-2.0, v_bc=-2.0,
+    return tp.EvolutionState(t=0.0, rho=rho, n=n, mom1=rho * u, mom2=n * v,
+                             u_bc=-2.0, v_bc=-2.0,
                              right_ghost=(1.0, -2.0, 1.0, -2.0))
 
 
@@ -330,9 +333,9 @@ def test_step_detects_vacuum():
     full = np.full(100, 1.0)
     rho = np.full(100, 1e-8)
     u = -5.0 + 0.4 * grid.centers
-    state = tp.EvolutionState(t=0.0, rho=rho, u=u, n=full, v=-2.0 * full,
-                              mom1=rho * u, mom2=-2.0 * full, u_bc=-5.0,
-                              v_bc=-2.0, right_ghost=(1e-8, -1.0, 1.0, -2.0))
+    state = tp.EvolutionState(t=0.0, rho=rho, n=full, mom1=rho * u,
+                              mom2=-2.0 * full, u_bc=-5.0, v_bc=-2.0,
+                              right_ghost=(1e-8, -1.0, 1.0, -2.0))
     with pytest.raises(tp.VacuumError) as err:
         tp.step(state, grid, SUP, 1e-3)
     assert err.value.phase == 1
@@ -345,8 +348,7 @@ def test_step_detects_blowup():
     state = homogeneous_state(100, 1.0, -2.0, 1.0, -2.0, t=0.25)
     mom1 = state.mom1.copy()
     mom1[7] = 1e308
-    state = tp.EvolutionState(t=state.t, rho=state.rho,
-                              u=mom1 / state.rho, n=state.n, v=state.v,
+    state = tp.EvolutionState(t=state.t, rho=state.rho, n=state.n,
                               mom1=mom1, mom2=state.mom2, u_bc=state.u_bc,
                               v_bc=state.v_bc, right_ghost=state.right_ghost)
     with pytest.raises(tp.BlowUpError) as err:
@@ -364,8 +366,7 @@ def patched_state(**patches):
     mom1 = -2.0 * rho
     if "mom2" not in patches:
         mom2 = -2.0 * n
-    return tp.EvolutionState(t=base.t, rho=rho, u=mom1 / rho, n=n,
-                             v=mom2 / n, mom1=mom1, mom2=mom2,
+    return tp.EvolutionState(t=base.t, rho=rho, n=n, mom1=mom1, mom2=mom2,
                              u_bc=base.u_bc, v_bc=base.v_bc,
                              right_ghost=base.right_ghost)
 
@@ -397,6 +398,21 @@ def test_stage_check_error_order(case, imex):
         assert (err.value.phase, err.value.cell) == (phase, cell)
 
 
+@pytest.mark.parametrize("name, factor", [("rho", 0.5), ("mom1", 2.0),
+                                          ("n", 0.5), ("mom2", 2.0)])
+def test_replaced_arrays_move_the_velocities(name, factor):
+    # a state stores only densities and momenta: replacing one of them
+    # moves the velocity read from it, and the step stable_dt takes
+    grid = tp.make_grid(10.0, 100)
+    base = homogeneous_state(100, 1.0, -2.0, 1.0, -2.0)
+    state = dataclasses.replace(base, **{name: factor * getattr(base, name)})
+    np.testing.assert_array_equal(state.u, state.mom1 / state.rho)
+    np.testing.assert_array_equal(state.v, state.mom2 / state.n)
+    # the changed phase now moves at |velocity| 4; unit sound speeds add 1
+    assert max(np.max(np.abs(state.u)), np.max(np.abs(state.v))) == 4.0
+    assert tp.stable_dt(state, grid, SUP, imex=True) == 0.4 * (grid.dx / 5.0)
+
+
 def test_step_rejects_nonpositive_dt():
     grid = tp.make_grid(10.0, 100)
     state = tp.initialize(flat_profile(SUP), grid, tp.PerturbationSpec())
@@ -422,9 +438,8 @@ def test_step_reuses_its_own_block_only(imex):
     # the block of a stepped state is the one its rows live in
     assert _block(s1) is U and s1.rho.base is U
     # a replaced or caller-built state gets a fresh block of equal bits
-    fields = {k: getattr(s1, k) for k in ("t", "rho", "u", "n", "v", "mom1",
-                                          "mom2", "u_bc", "v_bc",
-                                          "right_ghost")}
+    fields = {k: getattr(s1, k) for k in ("t", "rho", "n", "mom1", "mom2",
+                                          "u_bc", "v_bc", "right_ghost")}
     for other in (dataclasses.replace(s1, t=0.5), tp.EvolutionState(**fields),
                   dataclasses.replace(s1, rho=s1.n, n=s1.rho)):
         fresh = _block(other)
@@ -654,6 +669,9 @@ def test_evolve_validation():
         tp.evolve(state, grid, SUP, t_end=-1.0)
     with pytest.raises(tp.DomainError):
         tp.evolve(state, grid, SUP, t_end=1.0, observer_stride=0)
+    for t_end in (math.inf, math.nan):
+        with pytest.raises(tp.DomainError, match="t_end must be finite"):
+            tp.evolve(state, grid, SUP, t_end=t_end)
 
 
 def test_evolve_wall_clock_truncation():
