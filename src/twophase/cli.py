@@ -113,7 +113,6 @@ _SCHEMA = {
     "grid.cells": _Key("int", 1024, _at_least_one),
     "steady.x_domain": _Key("optfloat", None, _positive),
     "steady.points": _Key("int", 2048, _at_least_one),
-    "steady.max_delta": _Key("float", 0.1, _positive),
     "evolve.t_end": _Key("float", 10.0, _finite_nonnegative),
     "evolve.cfl": _Key("float", 0.4, _unit_open),
     "evolve.observer_stride": _Key("int", 10, _at_least_one),
@@ -230,8 +229,7 @@ class ExperimentConfig:
         v = self.values
         if x_domain is None:
             x_domain = v["steady.x_domain"]
-        return SteadySolveOptions(max_delta=v["steady.max_delta"],
-                                  x_domain=x_domain,
+        return SteadySolveOptions(x_domain=x_domain,
                                   points=v["steady.points"])
 
     def perturbation_spec(self):
@@ -311,18 +309,12 @@ def _cross_validate(config):
     # re-run the module-level invariant gates so a bad config dies with
     # exit code 2 instead of surfacing later as a solver error
     try:
-        spec = config.model_spec()
+        config.model_spec()
         config.perturbation_spec()
         config.weight_tags()
         config.fit_window()
     except DomainError as err:
         raise ConfigError(str(err)) from err
-    v = config.values
-    if spec.delta > v["steady.max_delta"]:
-        raise ConfigError(
-            f"spec.u_minus: delta={spec.delta:.4g} exceeds "
-            f"steady.max_delta={v['steady.max_delta']:.4g}; set "
-            "steady.max_delta = inf to proceed anyway")
 
 
 def parse_config(path, overrides=()) -> ExperimentConfig:

@@ -30,8 +30,9 @@ class SingularityError(RuntimeError):
 
 class ShootingError(RuntimeError):
     """The steady boundary-value solve failed: the collocation did not
-    converge or the profile missed the far field. Carries the last
-    residual when there is one. (The name predates the collocation
+    converge, the profile missed the far field, or its residual stayed
+    above the bound at the node cap. Carries the last residual when there
+    is one. (The name predates the collocation
     solver and is kept for callers.)"""
 
     def __init__(self, message, residual=None):

@@ -221,7 +221,10 @@ def stable_dt(state: EvolutionState, grid: Grid1D, spec, cfl: float = 0.4,
     Heun is stable while dt (a/dx + 2 kappa/dx^2) <= 1, a the largest
     |velocity| + sound speed and kappa = max(mu/rho, 1). At cfl <= 1/2 the
     smaller of the two bounds meets it whatever their ratio, so Heun
-    accepts cfl in (0, 1/2] only; IMEX accepts (0, 1)."""
+    accepts cfl in (0, 1/2] only; IMEX accepts (0, 1).
+
+    A state whose largest wave speed is not finite has no stable step:
+    BlowUpError at the state's time."""
     if not 0.0 < cfl < 1.0:
         raise DomainError(f"cfl must lie in (0, 1), got {cfl}")
     if not imex and cfl > 0.5:
@@ -229,9 +232,13 @@ def stable_dt(state: EvolutionState, grid: Grid1D, spec, cfl: float = 0.4,
     f = spec.fluids
     c1 = _sound_speed(f.A1, f.gamma, state.rho)
     c2 = _sound_speed(f.A2, f.alpha, state.n)
+    a1 = float(np.max(np.abs(state.u) + c1))
+    a2 = float(np.max(np.abs(state.v) + c2))
+    # both are NaN or nonnegative, so the sum is finite iff both are
+    if not math.isfinite(a1 + a2):
+        raise BlowUpError(state.t)
     # one division: dx / max(a, b) is min(dx / a, dx / b) exactly
-    adv = cfl * (grid.dx / max(float(np.max(np.abs(state.u) + c1)),
-                               float(np.max(np.abs(state.v) + c2))))
+    adv = cfl * (grid.dx / max(a1, a2))
     if imex:
         return adv
     diff = grid.dx ** 2 / (2.0 * max(float(np.max(f.mu / state.rho)), 1.0))
@@ -661,9 +668,18 @@ def _finite_numbers(value, count, name):
 
 def load_state_csv(path):
     """Read a snapshot back: coordinates, primitive columns, metadata dict.
-    The sidecar's resume fields, where present, come back checked: t, u_bc
-    and v_bc as finite floats, right_ghost as a tuple of four."""
+    Every value must be finite; else DomainError naming the file, the
+    column and the first row that holds one. The sidecar's resume fields,
+    where present, come back checked: t, u_bc and v_bc as finite floats,
+    right_ghost as a tuple of four."""
     cols = read_csv_columns(path, "snapshot", STATE_HEADER.__eq__)
+    names = list(cols)
+    table = np.column_stack([cols[name] for name in names])
+    bad = np.argwhere(~np.isfinite(table))
+    if len(bad):
+        row, col = bad[0]
+        raise DomainError(f"{path}: non-finite {names[col]} value "
+                          f"{table[row, col]} in data row {row + 1}")
     meta_path = _meta_path(path)
     meta = {}
     if os.path.exists(meta_path):

@@ -296,11 +296,9 @@ class SpatialDecayFit:
 
 @dataclass(frozen=True)
 class SteadySolveOptions:
-    """max_delta caps delta (inf lifts the cap); x_domain is the profile
-    interval length (None: derived from the spec); points is the output
-    grid size before refinement."""
+    """x_domain is the profile interval length (None: derived from the
+    spec); points is the output grid size before refinement."""
 
-    max_delta: float = 0.1
     x_domain: float = None
     points: int = 2048
 
@@ -408,15 +406,14 @@ def solve_steady(spec: model.ModelSpec,
     BVP_MAX_NODES) until steady_residual, a fourth-order stencil
     truncation error, is at most RESIDUAL_BOUND; a stiff boundary layer
     needs more nodes than `points` to resolve.
+
+    Every delta is accepted: the result is a profile that met these
+    checks, or a SingularityError (a velocity reached zero), a
+    ShootingError (no convergence, a far-field miss, or a residual still
+    above RESIDUAL_BOUND at BVP_MAX_NODES) or a DomainError.
     """
     opts = options or SteadySolveOptions()
     far, delta = spec.far, spec.delta
-    if delta > opts.max_delta:
-        raise DomainError(
-            f"delta={delta:.4g} exceeds max_delta={opts.max_delta:.4g}; "
-            "the construction is a small-delta method (max_delta = inf "
-            "lifts the cap)")
-
     if delta == 0.0:
         x_domain = opts.x_domain if opts.x_domain is not None else 20.0
         x = np.linspace(0.0, x_domain, opts.points)
@@ -455,16 +452,21 @@ def solve_steady(spec: model.ModelSpec,
     if end_gap > tol:
         raise ShootingError(
             f"far-field convergence failed: end gap {end_gap:.3e} > {tol:.3e}")
-    while not regime.is_sonic and n < BVP_MAX_NODES:
-        res = steady_residual(spec, profile)
-        if res <= RESIDUAL_BOUND:
-            break
+    if regime.is_sonic:
+        return profile
+    res = steady_residual(spec, profile)
+    while res > RESIDUAL_BOUND:
+        if n >= BVP_MAX_NODES:
+            raise ShootingError(
+                f"steady residual above {RESIDUAL_BOUND:.0e} on {n} "
+                "points, the node cap", residual=res)
         # size the next grid from the fourth-order error scaling, with a
         # 10% margin, and at least halve the node spacing
         n = min(BVP_MAX_NODES,
                 max(2 * n - 1, 1 + math.ceil(
                     (n - 1) * 1.1 * (res / RESIDUAL_BOUND) ** 0.25)))
         profile = sample(n)
+        res = steady_residual(spec, profile)
     return profile
 
 

@@ -21,7 +21,7 @@ from twophase.diagnostics import (POSITIVE_DEFINITE, POSITIVE_SEMIDEFINITE,
                                   SigmaNu)
 from twophase.steady import matrix_invariants
 
-from conftest import flat_profile, random_fluids, random_spec, rng_for
+from helpers import flat_profile, random_fluids, random_spec, rng_for
 
 UNIT = tp.FluidConstants(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0)
 

@@ -91,7 +91,7 @@ def test_override_round_trip(tmp_path):
     (("diagnostics.weights = alg1,poly2",), "weight tag"),
     (("diagnostics.fit_window = 5",), "t_lo:t_hi"),
     (("diagnostics.fit_window = 5:2",), "below"),
-    (("spec.u_minus = -2.5",), "max_delta"),
+    (("steady.points = 0",), "at least 1"),
     (("evolve.pert_shape = from_file",), "path"),
 ])
 def test_config_rejections_name_the_problem(tmp_path, extra, fragment):
@@ -103,11 +103,12 @@ def test_config_rejections_name_the_problem(tmp_path, extra, fragment):
 @pytest.mark.parametrize("key", ["steady.eps_seed", "steady.ode_tol",
                                  "steady.newton_tol", "steady.sigma_seed",
                                  "evolve.drag_substeps",
-                                 "steady.allow_large_delta"])
+                                 "steady.allow_large_delta",
+                                 "steady.max_delta"])
 def test_retired_shooting_keys_rejected(tmp_path, key):
     # the steady solver no longer shoots, so its knobs left the schema, as
-    # did the knobs that had one value in use and the large-delta switch,
-    # which steady.max_delta = inf replaces
+    # did the knobs that had one value in use and the cap on delta with its
+    # switch: solve_steady verifies every profile it returns
     with pytest.raises(tp.ConfigError) as err:
         cli.parse_config(write_config(tmp_path, f"{key} = 1e-6"))
     assert "unknown key" in str(err.value)
@@ -130,14 +131,11 @@ def test_bad_override_rejected(tmp_path):
 
 
 def test_large_delta_allowed_behind_flag(tmp_path):
-    with pytest.raises(tp.ConfigError, match="steady.max_delta = inf"):
-        cli.parse_config(write_config(tmp_path, "spec.u_minus = -2.5"))
-    path = write_config(tmp_path, "spec.u_minus = -2.5",
-                        "steady.max_delta = inf")
-    config = cli.parse_config(path)
+    # nothing caps delta: a large one parses like any other
+    config = cli.parse_config(write_config(tmp_path, "spec.u_minus = -2.5"))
     assert config.model_spec().delta == pytest.approx(0.5)
-    assert config.steady_options().max_delta == math.inf
-    assert "steady.max_delta = inf\n" in config.canonical_text()
+    assert config.steady_options() == tp.SteadySolveOptions()
+    assert "max_delta" not in config.canonical_text()
 
 
 def test_weight_tag_parsing(tmp_path):
@@ -353,8 +351,9 @@ def _raising_body(err):
 
 
 # each documented exit code with its cause; {tmp}, {bad_series},
-# {bad_tag_series} and {snapshot} (64 cells on [0, 10]) stand for paths
-# made in the test, and every fragment must appear on stderr
+# {bad_tag_series}, {snapshot} (64 cells on [0, 10]) and {nan_snapshot}
+# (the same with u = nan in data row 6) stand for paths made in the test,
+# and every fragment must appear on stderr
 @pytest.mark.parametrize("command, extra, raised, code, fragments", [
     ("steady", ("spec.bogus = 1",), None, 2,
      ("unknown key", "'spec.bogus'")),
@@ -398,13 +397,17 @@ def _raising_body(err):
      ("center must be finite",)),
     ("evolve", ("evolve.pert_width = inf",), None, 2,
      ("width must be finite",)),
+    ("evolve", ("grid.length = 10", "grid.cells = 64",
+                "evolve.pert_shape = from_file",
+                "evolve.pert_path = {nan_snapshot}"), None, 3,
+     ("{nan_snapshot}", "non-finite u value nan in data row 6")),
 ], ids=["bad_key", "pressure_overflow", "pressure_underflow",
         "pressure_sum_overflow", "eigenvector_residual", "malformed_series",
         "bad_weight_tag",
         "missing_series", "vacuum", "blow_up", "internal",
         "grid_beyond_profile", "snapshot_grid_mismatch", "t_end_inf",
         "pert_amplitude_nan", "pert_amplitude_inf", "pert_center_inf",
-        "pert_width_inf"])
+        "pert_width_inf", "snapshot_nan"])
 def test_exit_codes_name_the_cause(tmp_path, capsys, monkeypatch, command,
                                    extra, raised, code, fragments):
     bad_series = tmp_path / "series.csv"
@@ -413,8 +416,16 @@ def test_exit_codes_name_the_cause(tmp_path, capsys, monkeypatch, command,
     bad_tag_series.write_text("t,l2,h1,linf,drag_l2,w_bogus\n0,1,1,1,1,1\n")
     snapshot = tmp_path / "snap64.csv"
     write_snapshot(snapshot, 10.0, 64)
+    nan_snapshot = tmp_path / "snapnan.csv"
+    write_snapshot(nan_snapshot, 10.0, 64)
+    lines = nan_snapshot.read_text().splitlines(keepends=True)
+    cells = lines[6].split(",")
+    cells[2] = "nan"
+    lines[6] = ",".join(cells)
+    nan_snapshot.write_text("".join(lines))
     paths = {"tmp": str(tmp_path), "bad_series": str(bad_series),
-             "bad_tag_series": str(bad_tag_series), "snapshot": str(snapshot)}
+             "bad_tag_series": str(bad_tag_series), "snapshot": str(snapshot),
+             "nan_snapshot": str(nan_snapshot)}
     if raised is not None:
         monkeypatch.setitem(cli._RUNNERS, command, _raising_body(raised))
     path = write_config(tmp_path, *(line.format(**paths) for line in extra))

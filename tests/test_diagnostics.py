@@ -11,7 +11,7 @@ from scipy.integrate import quad
 import twophase as tp
 from twophase.diagnostics import _phi_closed_form
 
-from conftest import flat_profile, per_value_csv, rng_for
+from helpers import flat_profile, per_value_csv, rng_for
 
 UNIT = tp.FluidConstants(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0)
 

@@ -12,7 +12,7 @@ from twophase.ibvp import (_block, _faces, _forward_euler, _ghost_cells,
                            _ghosted, _implicit_momenta, _pad, _rates,
                            _viscosity_drag)
 
-from conftest import flat_profile, per_value_csv, rng_for
+from helpers import flat_profile, per_value_csv, rng_for
 
 UNIT = tp.FluidConstants(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0)
 # non-isothermal: the only fluid whose steps run the pressure powers
@@ -151,6 +151,33 @@ def test_stable_dt_cfl_validation():
     for cfl in (0.0, 1.0, -0.5):
         with pytest.raises(tp.DomainError):
             tp.stable_dt(state, grid, SUP, cfl=cfl)
+
+
+def with_momentum(state, name, cell, value):
+    mom = getattr(state, name).copy()
+    mom[cell] = value
+    return dataclasses.replace(state, **{name: mom})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["mom1", "mom2"])
+@pytest.mark.parametrize("imex", [False, True], ids=["heun", "imex"])
+def test_stable_dt_rejects_non_finite_velocity(bad, name, imex):
+    # NaN and infinite velocities alike leave no stable step
+    grid = tp.make_grid(10.0, 100)
+    state = with_momentum(homogeneous_state(100, 1.0, -2.0, 1.0, -2.0,
+                                            t=1.5), name, 40, bad)
+    with pytest.raises(tp.BlowUpError, match=r"non-finite .* at t=1\.5$"):
+        tp.stable_dt(state, grid, SUP, imex=imex)
+
+
+def test_evolve_reports_infinite_velocity_as_blow_up():
+    # a blow-up (exit 4), not the DomainError of a zero step (exit 3)
+    grid = tp.make_grid(10.0, 100)
+    state = with_momentum(homogeneous_state(100, 1.0, -2.0, 1.0, -2.0),
+                          "mom1", 40, math.inf)
+    with pytest.raises(tp.BlowUpError, match="t=0$"):
+        tp.evolve(state, grid, SUP, t_end=1.0)
 
 
 @pytest.mark.parametrize("u_plus, cells", [(-2.0, 512), (-2.0, 128),

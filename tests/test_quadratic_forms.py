@@ -11,7 +11,7 @@ import twophase as tp
 from twophase.diagnostics import (INDEFINITE, POSITIVE_DEFINITE,
                                   POSITIVE_SEMIDEFINITE)
 
-from conftest import random_spec, rng_for
+from helpers import random_spec, rng_for
 
 UNIT = tp.FluidConstants(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0)
 UNIT_SONIC = tp.ModelSpec(fluids=UNIT,

@@ -6,7 +6,7 @@ import pytest
 import twophase as tp
 from twophase.steady import (_projection_rows, _rhs_jacobian, _rhs_params,
                              _rhs_vectorized, matrix_invariants)
-from conftest import random_spec, rng_for
+from helpers import random_spec, rng_for
 
 UNIT = tp.FluidConstants(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0)
 
