@@ -22,9 +22,10 @@ from .model import (DerivedConstants, FarFieldState, FluidConstants,
                     ModelSpec, Regime, classify_regime, derived_constants,
                     pressure, pressure_derivative, sonic_pressure_condition,
                     sonic_velocity, sound_speed)
-from .steady import (EigenSystem, SpatialDecayFit, SteadyProfile,
-                     SteadySolveOptions, eigensystem, farfield_jacobian,
-                     fit_spatial_decay, load_profile_csv, save_profile_csv,
-                     sigma_profile, solve_steady, steady_residual)
+from .steady import (EigenSystem, SolveStats, SpatialDecayFit,
+                     SteadyProfile, SteadySolveOptions, eigensystem,
+                     farfield_jacobian, fit_spatial_decay, load_profile_csv,
+                     save_profile_csv, sigma_profile, solve_steady,
+                     steady_residual)
 
 __version__ = "0.1.0"

@@ -392,6 +392,7 @@ def _steady_body(config, out_dir, workers):
         "boundary_compatible": profile.boundary_compatible,
         "sigma0": float(profile.sigma0),
         "x_domain": float(profile.x[-1]),
+        "solve": None if profile.stats is None else asdict(profile.stats),
     }
     if spec.delta > 0.0:
         law = ALGEBRAIC if regime.is_sonic else EXPONENTIAL
@@ -473,9 +474,12 @@ def _decay_fit_body(config, out_dir, workers):
                                   drag_l2=float(cols["drag_l2"][i]),
                                   weighted=weighted))
     series = NormSeries(tuple(records))
-    fit = fit_temporal_decay(series, v["diagnostics.fit_norm"],
-                             v["diagnostics.fit_law"],
-                             window=config.fit_window())
+    try:
+        fit = fit_temporal_decay(series, v["diagnostics.fit_norm"],
+                                 v["diagnostics.fit_law"],
+                                 window=config.fit_window())
+    except DomainError as err:
+        raise DomainError(f"{path}: {err}") from None
     prefix = v["output.prefix"]
     fit_name = f"{prefix}_fit.json"
     _write_json(os.path.join(out_dir, fit_name),

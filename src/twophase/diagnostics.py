@@ -406,7 +406,8 @@ def fit_temporal_decay(series: NormSeries, which_norm, law: str,
 
     Algebraic law regresses log N on log(1+t) (rate is the power, positive
     for decay); exponential law regresses log N on t. window defaults to the
-    final half of the records.
+    final half of the records. A non-finite value inside the window raises
+    DomainError naming the record's time.
     """
     if law not in (EXPONENTIAL, ALGEBRAIC):
         raise DomainError(f"unknown law {law!r}")
@@ -424,6 +425,11 @@ def fit_temporal_decay(series: NormSeries, which_norm, law: str,
             f"fit window [{t_lo:.6g}, {t_hi:.6g}] holds only "
             f"{int(mask.sum())} records (need 8)")
     vals = values[mask]
+    finite = np.isfinite(vals)
+    if not np.all(finite):
+        k = int(np.argmin(finite))
+        raise DomainError(f"non-finite {which_norm} value {float(vals[k])!r} "
+                          f"in the record at t={times[mask][k]:.6g}")
     if np.any(vals <= 0.0):
         raise DomainError("norm values must be positive inside the window")
     abscissa = times[mask] if law == EXPONENTIAL else np.log1p(times[mask])

@@ -21,15 +21,23 @@ collocation solve on a truncated interval [0, L] with the boundary velocities
 at x = 0 and, at x = L, projection conditions that kill each unstable
 far-field mode (Lentini & Keller, SIAM J. Numer. Anal. 1980; Beyn, IMA J.
 Numer. Anal. 1990). The regime sets only how many boundary velocities are
-imposed, the start mesh and the initial guess. The solve gets the
-closed-form Jacobians of the system and of the linear boundary rows, so
-solve_bvp (Kierzenka & Shampine, ACM TOMS 2001) estimates neither by
-finite differences; the right-hand side and its Jacobian share one
-evaluation of each phase's pressure.
+imposed, the initial guess and the decay laws the start mesh is graded by.
+The solve gets the closed-form Jacobians of the system and of the linear
+boundary rows, so solve_bvp (Kierzenka & Shampine, ACM TOMS 2001)
+estimates neither by finite differences; the right-hand side and its
+Jacobian share one evaluation of each phase's pressure.
+
+The start mesh equidistributes the collocation error that the
+linearization at the far field predicts (Ascher, Mattheij & Russell 1995,
+section 9.3): exponential layers off the sonic point, at the rates and
+amplitudes of the stable modes, and at sonic the algebraic tail
+sigma(x) = delta / (1 + a delta x) with a stable layer at x = 0 and an
+unstable one at x = L. solve_bvp then seldom needs a second pass.
 """
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -60,12 +68,8 @@ TAIL_FLOOR = 1e-12
 SIGMA_END = 1e-3
 # largest phase-2 boundary miss of a boundary-compatible profile
 MATCH_TOLERANCE = 1e-6
-# start mesh off the sonic point: LAYER_NODES nodes in the layer of the
-# fastest stable mode, LAYER_DECAYS of its decay lengths but at most
-# LAYER_SHARE of the interval, and LAYER_NODES more on the rest
-LAYER_NODES = 60
-LAYER_DECAYS = 8.0
-LAYER_SHARE = 0.25
+# uniform floor of the start mesh density, in nodes per interval
+MESH_FLOOR = 80
 
 
 # no longer raised by the package; bench/tests/test_bench.py still raises it
@@ -243,6 +247,22 @@ def sigma_profile(a: float, sigma0: float, x):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class SolveStats:
+    """What one solve_steady call did: the start mesh size, solve_bvp's
+    final node count and passes (Newton solves, one per mesh), the output
+    grid size, the last steady_residual of the refinement loop (None at
+    sonic, where none is taken) and the wall time of the whole call in
+    seconds."""
+
+    start_nodes: int
+    nodes: int
+    passes: int
+    points: int
+    residual: float
+    seconds: float
+
+
+@dataclass(frozen=True)
 class SteadyProfile:
     """Discrete steady profile of `spec` on a uniform half-line grid
     starting at 0.
@@ -253,6 +273,9 @@ class SteadyProfile:
     construction realized are u_t[0] and v_t[0]. v_t[0] can differ from
     spec.u_minus in the subsonic regime, where the admissible boundary set
     is one-dimensional; boundary_compatible says whether it meets it.
+    stats records how solve_steady built the profile (None for profiles
+    built otherwise, and for delta = 0, which needs no solve); it takes no
+    part in comparisons.
     """
 
     x: np.ndarray
@@ -263,6 +286,7 @@ class SteadyProfile:
     ux_t: np.ndarray
     vx_t: np.ndarray
     spec: model.ModelSpec
+    stats: SolveStats = field(default=None, compare=False)
 
     @property
     def regime(self) -> model.Regime:
@@ -317,6 +341,22 @@ def _build_profile(spec, x, states):
         vx_t=rhs_values[2], spec=spec)
 
 
+def _start_mesh(density, x_domain, width):
+    """Nodes 0 = x_0 < ... < x_n = x_domain, one per unit of the integral
+    of the node density: the inverse of its cumulative integral. The
+    integral is taken by the trapezoid rule on an auxiliary grid of 1000
+    points from each end, graded geometrically from spacing `width` up, so
+    it resolves layers as thin as `width` at either end."""
+    s = width * np.expm1(np.linspace(0.0, math.log1p(x_domain / width),
+                                     1000, endpoint=False))
+    aux = np.union1d(s, x_domain - s)
+    rho = density(aux)
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1])
+                                           * np.diff(aux))))
+    n = min(BVP_MAX_NODES, math.ceil(cum[-1]) + 1)
+    return np.interp(np.linspace(0.0, cum[-1], n), cum, aux)
+
+
 def _collocate(spec, x_domain, regime, eig):
     """Projection-boundary collocation, one construction for every regime.
 
@@ -326,33 +366,53 @@ def _collocate(spec, x_domain, regime, eig):
     mode is killed by its left eigenvector, which leaves y(L) on the stable
     (and, at sonic, center) subspace of the linearization.
 
-    Sonic: the 400-node start mesh is uniform in 1/sigma, so nodes thin
-    out with the algebraic tail, and the guess is the center asymptotics
-    u_bar = v_bar = -sigma, w_bar = a sigma^2 with the closed-form sigma.
-    Otherwise: an interval long enough for the slow stable mode to fall to
-    TAIL_FLOOR, with that mode's decay as the guess, and a start mesh of
-    two uniform pieces, LAYER_NODES nodes in the layer of the fastest
-    stable mode (LAYER_DECAYS of its decay lengths, at most LAYER_SHARE of
-    the interval) and LAYER_NODES on the rest, so that solve_bvp need not
-    find that layer by refinement.
+    Sonic: the guess is the center asymptotics u_bar = v_bar = -sigma,
+    w_bar = a sigma^2 with the closed-form sigma. Otherwise: an interval
+    long enough for the slow stable mode to fall to TAIL_FLOOR, with that
+    mode's decay as the guess.
+
+    The start mesh equidistributes the error of the fourth-order
+    collocation that the linearization at the far field predicts,
+    h^4 |y^(5)| = BVP_TOL. That keeps the profile accurate to about
+    BVP_TOL, and it leaves the residual that solve_bvp checks, which is
+    third order (about 0.006 h^3 |y^(4)| on an interval of length h),
+    below BVP_TOL wherever h |lambda| > 0.006, so solve_bvp seldom refines
+    the mesh. The node density is (|y^(5)| / BVP_TOL)^(1/4) plus a uniform
+    floor of MESH_FLOOR nodes on the interval. The floor bounds the error
+    that accumulates along the tail, where the residual is small but
+    decays slowly or, at sonic, not at all, and it keeps the spline
+    through the nodes accurate relative to the tail that the decay fits
+    read. |y^(5)| is the sum of
+    - each stable mode's |c_k| |lambda_k|^5 e^{Re lambda_k x}, with the
+      amplitudes c_k from the boundary rows at x = 0;
+    - at sonic, the algebraic tail, |sigma^(5)| = 120 a^5 sigma^6;
+    - at sonic, a layer of the unstable mode at x = L. The center manifold
+      is curved, y = -sigma r_0 + sigma^2 q with r_0 = (1, 0, 1) and
+      q = a (0, 1, J11 / J10) from the w row of the linearization J, so the
+      linear projection rows leave that mode an amplitude of about
+      sigma(L)^2 |q|; the same term at x = 0 excites the fast stable mode.
 
     solve_bvp gets fun_jac = _rhs_jacobian and the constant Jacobians of
     the boundary rows as bc_jac.
 
     Returns a quintic spline through the collocation nodes, which keeps the
-    second derivatives that steady_residual's stencils see continuous, and
-    the interval length L.
+    second derivatives that steady_residual's stencils see continuous, the
+    interval length L, the start mesh size, and solve_bvp's node count and
+    passes.
     """
     params = _rhs_params(spec)
     d = spec.u_minus - spec.far.u_plus
     delta = spec.delta
     lead = np.eye(3)[[0] if regime.is_subsonic else [0, 2]]
-    ells = _projection_rows(farfield_jacobian(spec))
+    J = farfield_jacobian(spec)
+    ells = _projection_rows(J)
     if len(lead) + len(ells) != 3:
         raise NumericsError(
             f"{len(ells)} unstable far-field modes for {len(lead)} boundary "
             "velocities; projection collocation needs 3 boundary rows")
 
+    lams = np.array(eig.lambdas)
+    stable = lams.real < -ZERO_TOLERANCE
     if regime.is_sonic:
         if d >= 0.0:
             raise DomainError("sonic profiles decay through u~ < u_plus; "
@@ -361,20 +421,42 @@ def _collocate(spec, x_domain, regime, eig):
         if x_domain is None:
             sigma_end = SIGMA_END if SIGMA_END < delta else 0.1 * delta
             x_domain = (1.0 / sigma_end - 1.0 / delta) / a
-        inv = np.linspace(1.0 / delta, 1.0 / delta + a * x_domain, 400)
-        x_nodes = (inv - 1.0 / delta) / a
-        sig = 1.0 / inv
-        guess = np.vstack((-sig, a * sig * sig, -sig))
+        curve = a * np.array([0.0, 1.0, J[1, 1] / J[1, 0]])
+        kept = lams.real < ZERO_TOLERANCE
+        rhs = d - delta ** 2 * (lead @ curve)
     else:
-        stable = [lam.real for lam in eig.lambdas if lam.real < 0]
-        slow, fast = max(stable), min(stable)
+        slow = np.max(lams[stable].real)
         if x_domain is None:
             scale = max(1.0, abs(spec.far.u_plus))
             x_domain = math.log(delta / (TAIL_FLOOR * scale)) / abs(slow)
-        layer = min(LAYER_SHARE * x_domain, LAYER_DECAYS / abs(fast))
-        x_nodes = np.concatenate((
-            np.linspace(0.0, layer, LAYER_NODES, endpoint=False),
-            np.linspace(layer, x_domain, LAYER_NODES)))
+        kept = stable
+        rhs = np.full(len(lead), d)
+    amps = np.linalg.solve(lead @ eig.vectors[:, kept], rhs)
+    weights = np.abs(amps[stable[kept]]) * np.abs(lams[stable]) ** 5
+    rates = lams[stable].real
+
+    def modes(x):
+        return weights @ np.exp(np.outer(rates, x))
+
+    if regime.is_sonic:
+        unstable = lams[lams.real > ZERO_TOLERANCE][0]
+        end_weight = (sigma_profile(a, delta, x_domain) ** 2
+                      * np.linalg.norm(curve) * abs(unstable) ** 5)
+
+        def density(x):
+            sig = sigma_profile(a, delta, x)
+            fifth = (modes(x) + 120.0 * a ** 5 * sig ** 6
+                     + end_weight * np.exp(unstable.real * (x - x_domain)))
+            return (fifth / BVP_TOL) ** 0.25 + MESH_FLOOR / x_domain
+    else:
+        def density(x):
+            return (modes(x) / BVP_TOL) ** 0.25 + MESH_FLOOR / x_domain
+    x_nodes = _start_mesh(density, x_domain, 1.0 / np.max(np.abs(lams)))
+
+    if regime.is_sonic:
+        sig = sigma_profile(a, delta, x_nodes)
+        guess = np.vstack((-sig, a * sig * sig, -sig))
+    else:
         guess = d * np.exp(slow * x_nodes) * np.array([[1.0], [slow], [1.0]])
 
     # the boundary rows are linear, so their Jacobians are constant
@@ -389,7 +471,8 @@ def _collocate(spec, x_domain, regime, eig):
     if not sol.success:
         raise ShootingError(f"collocation failed: {sol.message}",
                             residual=float(np.max(sol.rms_residuals)))
-    return make_interp_spline(sol.x, sol.y, k=5, axis=1), x_domain
+    return (make_interp_spline(sol.x, sol.y, k=5, axis=1), x_domain,
+            len(x_nodes), len(sol.x), sol.niter)
 
 
 def solve_steady(spec: model.ModelSpec,
@@ -412,6 +495,7 @@ def solve_steady(spec: model.ModelSpec,
     ShootingError (no convergence, a far-field miss, or a residual still
     above RESIDUAL_BOUND at BVP_MAX_NODES) or a DomainError.
     """
+    started = time.perf_counter()
     opts = options or SteadySolveOptions()
     far, delta = spec.far, spec.delta
     if delta == 0.0:
@@ -427,7 +511,8 @@ def solve_steady(spec: model.ModelSpec,
 
     regime = model.classify_regime(spec)
     eig = eigensystem(farfield_jacobian(spec))
-    spline, x_domain = _collocate(spec, opts.x_domain, regime, eig)
+    spline, x_domain, start_nodes, nodes, passes = _collocate(
+        spec, opts.x_domain, regime, eig)
 
     def sample(n):
         x = np.linspace(0.0, x_domain, n)
@@ -452,10 +537,8 @@ def solve_steady(spec: model.ModelSpec,
     if end_gap > tol:
         raise ShootingError(
             f"far-field convergence failed: end gap {end_gap:.3e} > {tol:.3e}")
-    if regime.is_sonic:
-        return profile
-    res = steady_residual(spec, profile)
-    while res > RESIDUAL_BOUND:
+    res = None if regime.is_sonic else steady_residual(spec, profile)
+    while res is not None and res > RESIDUAL_BOUND:
         if n >= BVP_MAX_NODES:
             raise ShootingError(
                 f"steady residual above {RESIDUAL_BOUND:.0e} on {n} "
@@ -467,7 +550,9 @@ def solve_steady(spec: model.ModelSpec,
                     (n - 1) * 1.1 * (res / RESIDUAL_BOUND) ** 0.25)))
         profile = sample(n)
         res = steady_residual(spec, profile)
-    return profile
+    return replace(profile, stats=SolveStats(
+        start_nodes=start_nodes, nodes=nodes, passes=passes, points=n,
+        residual=res, seconds=time.perf_counter() - started))
 
 
 # ---------------------------------------------------------------------------

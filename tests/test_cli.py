@@ -172,6 +172,14 @@ def test_steady_subcommand(tmp_path, capsys):
     assert fit["law"] == "exponential"
     assert fit["r_squared"] > 0.99
     assert fit["rate_or_slope"] == pytest.approx(1.5, rel=0.01)
+    solve = report["solve"]
+    assert sorted(solve) == ["nodes", "passes", "points", "residual",
+                             "seconds", "start_nodes"]
+    for key in ("nodes", "passes", "points", "start_nodes"):
+        assert type(solve[key]) is int and solve[key] >= 1
+    assert solve["points"] == 2048
+    assert solve["residual"] == report["residual"]
+    assert type(solve["seconds"]) is float and solve["seconds"] > 0.0
 
     cols = tp.load_profile_csv(out / "run_profile.csv")
     assert abs(cols["u_t"][0] + 2.05) < 1e-8
@@ -185,6 +193,7 @@ def test_steady_zero_delta(tmp_path):
     assert report["delta"] == 0.0
     assert report["residual"] < 1e-12
     assert report["decay_fit"] is None
+    assert report["solve"] is None
 
 
 def test_regime_subcommand(tmp_path):
@@ -292,6 +301,27 @@ def test_decay_fit_subcommand(tmp_path):
     assert fit["prefactor"] == pytest.approx(5.0, rel=1e-6)
     assert fit["r_squared"] == pytest.approx(1.0, abs=1e-12)
     assert fit["records"] == 30
+
+
+def test_decay_fit_nan_in_window_exits_3(tmp_path, capsys):
+    records = tuple(
+        tp.NormRecord(t=float(tk),
+                      l2=math.nan if tk == 20 else math.exp(-tk / 2),
+                      l2_components=(), h1=1.0, linf=1.0, drag_l2=1.0,
+                      weighted={})
+        for tk in range(30))
+    series_path = tmp_path / "series.csv"
+    tp.save_norm_series_csv(tp.NormSeries(records), series_path)
+    path = write_config(tmp_path,
+                        f"diagnostics.series_path = {series_path}",
+                        "diagnostics.fit_norm = l2",
+                        "diagnostics.fit_law = exponential")
+    out = tmp_path / "out"
+    assert cli.main(["decay-fit", "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert str(series_path) in err
+    assert "non-finite l2 value nan in the record at t=20" in err
+    assert not (out / "run_fit.json").exists()
 
 
 def test_decay_fit_requires_series_path(tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -143,6 +144,50 @@ def test_stiff_layer_refines_output_grid():
     assert_criterion_03_checks(spec, prof, seconds)
 
 
+@pytest.mark.parametrize("u_plus", [-2.0, -1.0, -0.5])
+def test_acceptance_specs_solve_in_at_most_two_passes(u_plus):
+    # the criterion 03/04/05 specs: the graded start mesh resolves each
+    # profile, so solve_bvp refines at most once
+    spec = unit_spec(u_plus, u_plus - 0.05)
+    prof = tp.solve_steady(spec)
+    stats = prof.stats
+    assert stats.passes <= 2
+    assert stats.start_nodes <= stats.nodes <= tp.steady.BVP_MAX_NODES
+    assert stats.points == len(prof.x)
+    assert stats.seconds > 0.0
+    if prof.regime.is_sonic:
+        assert stats.residual is None
+    else:
+        assert stats.residual == tp.steady_residual(spec, prof)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       regime=st.sampled_from(["supersonic", "subsonic", "sonic"]),
+       delta=st.floats(0.005, 0.05))
+def test_start_mesh_spans_the_interval(seed, regime, delta):
+    spec = random_spec(np.random.default_rng(seed), regime, delta=delta)
+    meshes = []
+
+    def recording(fun, bc, x, y, **kwargs):
+        meshes.append(x)
+        return solve_bvp(fun, bc, x, y, **kwargs)
+
+    solve_bvp = tp.steady.solve_bvp
+    with mock.patch.object(tp.steady, "solve_bvp", recording):
+        try:
+            prof = tp.solve_steady(spec)
+        except (tp.ShootingError, tp.SingularityError):
+            prof = None
+    (x,) = meshes
+    assert x[0] == 0.0
+    assert np.all(np.diff(x) > 0.0)
+    assert len(x) <= tp.steady.BVP_MAX_NODES
+    if prof is not None:
+        assert x[-1] == prof.x[-1]
+        assert prof.stats.start_nodes == len(x)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(A1=st.floats(0.3, 3.0), A2=st.floats(0.3, 3.0),
        gamma=st.floats(1.0, 3.0), alpha=st.floats(1.0, 3.0),
@@ -232,6 +277,7 @@ def test_zero_delta_returns_constant_profile():
     assert np.all(prof.v_t == -2.0)
     assert np.all(prof.ux_t == 0.0) and np.all(prof.vx_t == 0.0)
     assert tp.steady_residual(spec, prof) == 0.0
+    assert prof.stats is None
 
 
 def test_large_delta_returns_verified_profiles():

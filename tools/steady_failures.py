@@ -7,7 +7,9 @@ ranges of the test suite's random_spec: A1, A2, rho_plus, n_plus in
 u_plus - u_minus in [0.005, 0.05]. Spec i falls in regime i mod 3, so each
 regime gets 500. Every spec is solved with the default options; a spec
 fails when solve_steady raises. It prints one JSON line: the failures by
-regime and error type, the failing indices and the wall time.
+regime and error type, the failing indices, the wall time and, per regime,
+the median solve_bvp passes and collocation nodes of the specs that solved
+(from each profile's SolveStats).
 
     PYTHONPATH=src python3 tools/steady_failures.py
 
@@ -16,6 +18,7 @@ regime and error type, the failing indices and the wall time.
 """
 
 import json
+import statistics
 import time
 
 import numpy as np
@@ -65,19 +68,25 @@ def specs():
 def main():
     draw = specs()
     failures = {regime: {} for regime in REGIMES}
+    stats = {regime: [] for regime in REGIMES}
     indices = []
     started = time.perf_counter()
     for i, (regime, spec) in enumerate(draw):
         try:
-            tp.solve_steady(spec)
+            stats[regime].append(tp.solve_steady(spec).stats)
         except Exception as err:  # every raise counts, documented or not
             kind = type(err).__name__
             failures[regime][kind] = failures[regime].get(kind, 0) + 1
             indices.append(i)
     wall = time.perf_counter() - started
+    solve = {regime: {
+        "passes": float(statistics.median(s.passes for s in solved)),
+        "nodes": float(statistics.median(s.nodes for s in solved))}
+        for regime, solved in stats.items() if solved}
     print(json.dumps({"specs": len(draw), "seed": SEED,
                       "failed": len(indices), "failures": failures,
-                      "indices": indices, "wall_s": round(wall, 2)}))
+                      "indices": indices, "wall_s": round(wall, 2),
+                      "median_solve": solve}))
 
 
 if __name__ == "__main__":
