@@ -258,7 +258,7 @@ class SolveStats:
     nodes: int
     passes: int
     points: int
-    residual: float
+    residual: float | None
     seconds: float
 
 
@@ -286,7 +286,7 @@ class SteadyProfile:
     ux_t: np.ndarray
     vx_t: np.ndarray
     spec: model.ModelSpec
-    stats: SolveStats = field(default=None, compare=False)
+    stats: SolveStats | None = field(default=None, compare=False)
 
     @property
     def regime(self) -> model.Regime:
@@ -345,16 +345,28 @@ def _start_mesh(density, x_domain, width):
     """Nodes 0 = x_0 < ... < x_n = x_domain, one per unit of the integral
     of the node density: the inverse of its cumulative integral. The
     integral is taken by the trapezoid rule on an auxiliary grid of 1000
-    points from each end, graded geometrically from spacing `width` up, so
-    it resolves layers as thin as `width` at either end."""
-    s = width * np.expm1(np.linspace(0.0, math.log1p(x_domain / width),
-                                     1000, endpoint=False))
-    aux = np.union1d(s, x_domain - s)
+    points on each half of the interval, graded geometrically from spacing
+    `width` at the end, so it resolves layers as thin as `width` at either
+    end."""
+    s = width * np.expm1(np.linspace(0.0, math.log1p(0.5 * x_domain / width),
+                                     1000))
+    aux = np.concatenate((s, x_domain - s[-2::-1]))
     rho = density(aux)
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1])
                                            * np.diff(aux))))
     n = min(BVP_MAX_NODES, math.ceil(cum[-1]) + 1)
     return np.interp(np.linspace(0.0, cum[-1], n), cum, aux)
+
+
+def _solve_small(M, rhs):
+    """M^-1 rhs for a 1x1 or 2x2 matrix M, by Cramer's rule. The first
+    LAPACK solve in a process pages in about 1 MB of library code (peak
+    RSS), which a system of two unknowns does not need."""
+    if len(M) == 1:
+        return rhs / M[0, 0]
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    return np.array([M[1, 1] * rhs[0] - M[0, 1] * rhs[1],
+                     M[0, 0] * rhs[1] - M[1, 0] * rhs[0]]) / det
 
 
 def _collocate(spec, x_domain, regime, eig):
@@ -396,9 +408,9 @@ def _collocate(spec, x_domain, regime, eig):
     the boundary rows as bc_jac.
 
     Returns a quintic spline through the collocation nodes, which keeps the
-    second derivatives that steady_residual's stencils see continuous, the
-    interval length L, the start mesh size, and solve_bvp's node count and
-    passes.
+    derivatives that steady_residual's stencils see smooth, the interval
+    length L, and the collocation's SolveStats fields: the start mesh size
+    and solve_bvp's node count and passes.
     """
     params = _rhs_params(spec)
     d = spec.u_minus - spec.far.u_plus
@@ -424,6 +436,17 @@ def _collocate(spec, x_domain, regime, eig):
         curve = a * np.array([0.0, 1.0, J[1, 1] / J[1, 0]])
         kept = lams.real < ZERO_TOLERANCE
         rhs = d - delta ** 2 * (lead @ curve)
+        unstable = lams[lams.real > ZERO_TOLERANCE][0]
+        end_weight = (sigma_profile(a, delta, x_domain) ** 2
+                      * np.linalg.norm(curve) * abs(unstable) ** 5)
+
+        def sonic_fifth(x):
+            return (120.0 * a ** 5 * sigma_profile(a, delta, x) ** 6
+                    + end_weight * np.exp(unstable.real * (x - x_domain)))
+
+        def guess(x):
+            sig = sigma_profile(a, delta, x)
+            return np.vstack((-sig, a * sig * sig, -sig))
     else:
         slow = np.max(lams[stable].real)
         if x_domain is None:
@@ -431,48 +454,36 @@ def _collocate(spec, x_domain, regime, eig):
             x_domain = math.log(delta / (TAIL_FLOOR * scale)) / abs(slow)
         kept = stable
         rhs = np.full(len(lead), d)
-    amps = np.linalg.solve(lead @ eig.vectors[:, kept], rhs)
+
+        def sonic_fifth(x):
+            return 0.0
+
+        def guess(x):
+            return d * np.exp(slow * x) * np.array([[1.0], [slow], [1.0]])
+    amps = _solve_small(lead @ eig.vectors[:, kept], rhs)
     weights = np.abs(amps[stable[kept]]) * np.abs(lams[stable]) ** 5
     rates = lams[stable].real
 
-    def modes(x):
-        return weights @ np.exp(np.outer(rates, x))
-
-    if regime.is_sonic:
-        unstable = lams[lams.real > ZERO_TOLERANCE][0]
-        end_weight = (sigma_profile(a, delta, x_domain) ** 2
-                      * np.linalg.norm(curve) * abs(unstable) ** 5)
-
-        def density(x):
-            sig = sigma_profile(a, delta, x)
-            fifth = (modes(x) + 120.0 * a ** 5 * sig ** 6
-                     + end_weight * np.exp(unstable.real * (x - x_domain)))
-            return (fifth / BVP_TOL) ** 0.25 + MESH_FLOOR / x_domain
-    else:
-        def density(x):
-            return (modes(x) / BVP_TOL) ** 0.25 + MESH_FLOOR / x_domain
+    def density(x):
+        fifth = weights @ np.exp(np.outer(rates, x)) + sonic_fifth(x)
+        return (fifth / BVP_TOL) ** 0.25 + MESH_FLOOR / x_domain
     x_nodes = _start_mesh(density, x_domain, 1.0 / np.max(np.abs(lams)))
-
-    if regime.is_sonic:
-        sig = sigma_profile(a, delta, x_nodes)
-        guess = np.vstack((-sig, a * sig * sig, -sig))
-    else:
-        guess = d * np.exp(slow * x_nodes) * np.array([[1.0], [slow], [1.0]])
 
     # the boundary rows are linear, so their Jacobians are constant
     bc_a = np.vstack((lead, np.zeros((len(ells), 3))))
     bc_b = np.vstack((np.zeros((len(lead), 3)), ells))
     sol = solve_bvp(lambda x, y: _rhs_vectorized(params, y),
                     lambda ya, yb: np.concatenate((lead @ ya - d, ells @ yb)),
-                    x_nodes, guess,
+                    x_nodes, guess(x_nodes),
                     fun_jac=lambda x, y: _rhs_jacobian(params, y),
                     bc_jac=lambda ya, yb: (bc_a, bc_b),
                     tol=BVP_TOL, max_nodes=BVP_MAX_NODES)
     if not sol.success:
         raise ShootingError(f"collocation failed: {sol.message}",
                             residual=float(np.max(sol.rms_residuals)))
-    return (make_interp_spline(sol.x, sol.y, k=5, axis=1), x_domain,
-            len(x_nodes), len(sol.x), sol.niter)
+    counts = {"start_nodes": len(x_nodes), "nodes": len(sol.x),
+              "passes": sol.niter}
+    return make_interp_spline(sol.x, sol.y, k=5, axis=1), x_domain, counts
 
 
 def solve_steady(spec: model.ModelSpec,
@@ -511,8 +522,7 @@ def solve_steady(spec: model.ModelSpec,
 
     regime = model.classify_regime(spec)
     eig = eigensystem(farfield_jacobian(spec))
-    spline, x_domain, start_nodes, nodes, passes = _collocate(
-        spec, opts.x_domain, regime, eig)
+    spline, x_domain, counts = _collocate(spec, opts.x_domain, regime, eig)
 
     def sample(n):
         x = np.linspace(0.0, x_domain, n)
@@ -551,8 +561,8 @@ def solve_steady(spec: model.ModelSpec,
         profile = sample(n)
         res = steady_residual(spec, profile)
     return replace(profile, stats=SolveStats(
-        start_nodes=start_nodes, nodes=nodes, passes=passes, points=n,
-        residual=res, seconds=time.perf_counter() - started))
+        **counts, points=n, residual=res,
+        seconds=time.perf_counter() - started))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 import twophase as tp
 from twophase.steady import (_projection_rows, _rhs_jacobian, _rhs_params,
-                             _rhs_vectorized, matrix_invariants)
+                             _rhs_vectorized, _solve_small, matrix_invariants)
 from helpers import random_spec, rng_for
 
 UNIT = tp.FluidConstants(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0)
@@ -242,3 +242,15 @@ def test_sigma_profile_rejects_bad_inputs():
         tp.sigma_profile(0.0, 0.1, 1.0)
     with pytest.raises(tp.DomainError):
         tp.sigma_profile(1.0, -0.1, 1.0)
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_solve_small_matches_lapack(size):
+    # the start mesh's amplitude solve: complex, one or two unknowns
+    rng = rng_for("solve-small", size)
+    for _ in range(20):
+        M = (rng.normal(size=(size, size))
+             + 1j * rng.normal(size=(size, size)))
+        rhs = rng.normal(size=size)
+        np.testing.assert_allclose(_solve_small(M, rhs),
+                                   np.linalg.solve(M, rhs), rtol=1e-10)

@@ -1,7 +1,9 @@
 """End-to-end steady construction: collocation, decay fits, CSV."""
 
 import dataclasses
+import importlib.util
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -106,7 +108,7 @@ def assert_criterion_03_checks(spec, prof, seconds):
 @pytest.mark.parametrize("mach", [1.001, 1.01, 1.1, 1.2])
 def test_near_sonic_supersonic_solves(mach):
     # the near-sonic supersonic band; at Mach 1.001 and delta 0.05 the
-    # output grid refines to ~33k points
+    # output grid refines to ~16k points
     for delta in (0.005, 0.05):
         spec = unit_spec(-mach, -mach - delta)
         t0 = time.perf_counter()
@@ -127,7 +129,7 @@ def test_residual_above_bound_at_node_cap_raises(monkeypatch):
 
 def test_stiff_layer_refines_output_grid():
     # a fast stable rate of -29 at mu = 0.21: on the default 2048 points the
-    # stencil truncation error alone is ~5e-4, so the grid must grow
+    # stencil truncation error alone is ~2e-6, so the grid must grow
     fluids = tp.FluidConstants(A1=0.6138539680279791, A2=0.491004154086113,
                                gamma=1.5907902382314205,
                                alpha=1.7562191896140575,
@@ -141,6 +143,23 @@ def test_stiff_layer_refines_output_grid():
     seconds = time.perf_counter() - t0
     assert prof.regime.is_supersonic
     assert len(prof.x) > 2048
+    assert_criterion_03_checks(spec, prof, seconds)
+
+
+def test_steady_failures_spec_612_solves():
+    # index 612 of the tools/steady_failures.py draw: a fast stable mode
+    # near -63 at mu = 0.55 and u_plus = -16.4, where a second difference
+    # of u_t in the audit had a rounding floor at the residual bound
+    path = Path(__file__).resolve().parents[1] / "tools" / "steady_failures.py"
+    module_spec = importlib.util.spec_from_file_location("steady_failures",
+                                                         path)
+    tool = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(tool)
+    regime, spec = tool.specs()[612]
+    t0 = time.perf_counter()
+    prof = tp.solve_steady(spec)
+    seconds = time.perf_counter() - t0
+    assert regime == "supersonic" and prof.regime.is_supersonic
     assert_criterion_03_checks(spec, prof, seconds)
 
 
