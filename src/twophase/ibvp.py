@@ -634,8 +634,8 @@ def save_state_csv(state: EvolutionState, grid: Grid1D, path,
     needed to resume (time, boundary velocities, right ghost)."""
     cols = np.column_stack((grid.centers, state.rho, state.u, state.n,
                             state.v))
-    with open(path, "w") as fh:
-        fh.write(STATE_HEADER + "\n")
+    with open(path, "wb") as fh:
+        fh.write(STATE_HEADER.encode() + b"\n")
         write_csv_rows(fh, cols)
     meta = {
         "t": state.t,

@@ -1,9 +1,12 @@
 """Shared builders for randomized specs across the test suite."""
 
 import dataclasses
+import math
+import struct
 import zlib
 
 import numpy as np
+import orjson
 
 import twophase as tp
 
@@ -65,8 +68,38 @@ def flat_profile(spec, x_max=50.0, points=501):
 
 
 def per_value_csv(header, rows):
-    """CSV text written one "%.17g" value at a time: the reference the
-    row-template writers must reproduce byte for byte."""
+    """CSV text written one value at a time, each as orjson spells a lone
+    float and a non-finite one as repr does (nan, inf, -inf): the reference
+    the whole-array writers must reproduce byte for byte."""
+    def spell(v):
+        v = float(v)
+        return orjson.dumps(v).decode() if math.isfinite(v) else repr(v)
+
     lines = [header]
-    lines.extend(",".join("%.17g" % float(v) for v in row) for row in rows)
+    lines.extend(",".join(spell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def significant_digits(text):
+    """How many significant digits a decimal spelling carries."""
+    mantissa = text.lstrip("+-").lower().split("e")[0].replace(".", "")
+    return len(mantissa.strip("0"))
+
+
+def assert_shortest_round_trip(text, rows):
+    """Without orjson: every field of the CSV body reads back to its
+    value's bits, with as many significant digits as repr(value), the
+    shortest spelling that round-trips."""
+    lines = text.splitlines()[1:]
+    rows = [[float(v) for v in row] for row in rows]
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        fields = line.split(",")
+        assert len(fields) == len(row)
+        for field, v in zip(fields, row):
+            back = float(field)
+            if math.isnan(v):
+                assert field == "nan"
+                continue
+            assert struct.pack("<d", back) == struct.pack("<d", v), field
+            assert significant_digits(field) == significant_digits(repr(v))

@@ -381,9 +381,10 @@ def _raising_body(err):
 
 
 # each documented exit code with its cause; {tmp}, {bad_series},
-# {bad_tag_series}, {snapshot} (64 cells on [0, 10]) and {nan_snapshot}
-# (the same with u = nan in data row 6) stand for paths made in the test,
-# and every fragment must appear on stderr
+# {bad_tag_series}, {ragged_series}, {snapshot} (64 cells on [0, 10]),
+# {nan_snapshot} (the same with u = nan in data row 6) and
+# {ragged_snapshot} (the same with data row 6 one value short) stand for
+# paths made in the test, and every fragment must appear on stderr
 @pytest.mark.parametrize("command, extra, raised, code, fragments", [
     ("steady", ("spec.bogus = 1",), None, 2,
      ("unknown key", "'spec.bogus'")),
@@ -404,6 +405,8 @@ def _raising_body(err):
      ("{bad_series}", "'oops'")),
     ("decay-fit", ("diagnostics.series_path = {bad_tag_series}",), None, 3,
      ("{bad_tag_series}", "'bogus'")),
+    ("decay-fit", ("diagnostics.series_path = {ragged_series}",), None, 3,
+     ("{ragged_series}", "number of columns changed from 5 to 4 at row 2")),
     ("decay-fit", ("diagnostics.series_path = {tmp}/absent.csv",), None, 5,
      ("{tmp}/absent.csv",)),
     ("evolve", (), tp.VacuumError(2, 41, 3.5), 4,
@@ -431,31 +434,40 @@ def _raising_body(err):
                 "evolve.pert_shape = from_file",
                 "evolve.pert_path = {nan_snapshot}"), None, 3,
      ("{nan_snapshot}", "non-finite u value nan in data row 6")),
+    ("evolve", ("grid.length = 10", "grid.cells = 64",
+                "evolve.pert_shape = from_file",
+                "evolve.pert_path = {ragged_snapshot}"), None, 3,
+     ("{ragged_snapshot}", "number of columns changed from 5 to 4 at row 6")),
 ], ids=["bad_key", "pressure_overflow", "pressure_underflow",
         "pressure_sum_overflow", "eigenvector_residual", "malformed_series",
-        "bad_weight_tag",
+        "bad_weight_tag", "ragged_series",
         "missing_series", "vacuum", "blow_up", "internal",
         "grid_beyond_profile", "snapshot_grid_mismatch", "t_end_inf",
         "pert_amplitude_nan", "pert_amplitude_inf", "pert_center_inf",
-        "pert_width_inf", "snapshot_nan"])
+        "pert_width_inf", "snapshot_nan", "ragged_snapshot"])
 def test_exit_codes_name_the_cause(tmp_path, capsys, monkeypatch, command,
                                    extra, raised, code, fragments):
     bad_series = tmp_path / "series.csv"
     bad_series.write_text("t,l2,h1,linf,drag_l2\n0,1,1,1,oops\n")
     bad_tag_series = tmp_path / "tagged.csv"
     bad_tag_series.write_text("t,l2,h1,linf,drag_l2,w_bogus\n0,1,1,1,1,1\n")
+    ragged_series = tmp_path / "ragged.csv"
+    ragged_series.write_text("t,l2,h1,linf,drag_l2\n0,1,1,1,1\n1,1,1,1\n")
     snapshot = tmp_path / "snap64.csv"
     write_snapshot(snapshot, 10.0, 64)
+    lines = snapshot.read_text().splitlines(keepends=True)
     nan_snapshot = tmp_path / "snapnan.csv"
-    write_snapshot(nan_snapshot, 10.0, 64)
-    lines = nan_snapshot.read_text().splitlines(keepends=True)
     cells = lines[6].split(",")
-    cells[2] = "nan"
-    lines[6] = ",".join(cells)
-    nan_snapshot.write_text("".join(lines))
+    nan_snapshot.write_text("".join(
+        lines[:6] + [",".join(cells[:2] + ["nan"] + cells[3:])] + lines[7:]))
+    ragged_snapshot = tmp_path / "snapragged.csv"
+    ragged_snapshot.write_text("".join(
+        lines[:6] + [",".join(cells[:4]) + "\n"] + lines[7:]))
     paths = {"tmp": str(tmp_path), "bad_series": str(bad_series),
-             "bad_tag_series": str(bad_tag_series), "snapshot": str(snapshot),
-             "nan_snapshot": str(nan_snapshot)}
+             "bad_tag_series": str(bad_tag_series),
+             "ragged_series": str(ragged_series), "snapshot": str(snapshot),
+             "nan_snapshot": str(nan_snapshot),
+             "ragged_snapshot": str(ragged_snapshot)}
     if raised is not None:
         monkeypatch.setitem(cli._RUNNERS, command, _raising_body(raised))
     path = write_config(tmp_path, *(line.format(**paths) for line in extra))

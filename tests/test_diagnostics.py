@@ -11,7 +11,8 @@ from scipy.integrate import quad
 import twophase as tp
 from twophase.diagnostics import _phi_closed_form
 
-from helpers import flat_profile, per_value_csv, rng_for
+from helpers import (assert_shortest_round_trip, flat_profile, per_value_csv,
+                     rng_for)
 
 UNIT = tp.FluidConstants(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0)
 
@@ -417,8 +418,9 @@ def test_norm_series_csv_rows_match_per_value_format(tmp_path):
     tp.save_norm_series_csv(tp.NormSeries(records=tuple(records)), path)
     rows = [[r.t, r.l2, r.h1, r.linf, r.drag_l2]
             + [r.weighted[tag] for tag in tags] for r in records]
-    assert path.read_text() == per_value_csv(
-        "t,l2,h1,linf,drag_l2,w_alg1,w_exp0.5", rows)
+    text = path.read_text()
+    assert text == per_value_csv("t,l2,h1,linf,drag_l2,w_alg1,w_exp0.5", rows)
+    assert_shortest_round_trip(text, rows)
 
 
 def test_norm_series_csv_rejects_mixed_tags(tmp_path):

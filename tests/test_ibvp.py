@@ -12,7 +12,8 @@ from twophase.ibvp import (_block, _faces, _forward_euler, _ghost_cells,
                            _ghosted, _implicit_momenta, _pad, _rates,
                            _viscosity_drag)
 
-from helpers import flat_profile, per_value_csv, rng_for
+from helpers import (assert_shortest_round_trip, flat_profile, per_value_csv,
+                     rng_for)
 
 UNIT = tp.FluidConstants(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0)
 # non-isothermal: the only fluid whose steps run the pressure powers
@@ -779,8 +780,10 @@ def test_state_snapshot_rows_match_per_value_format(tmp_path):
         amplitude=1e-3, center=5.0, width=1.0, components=("rho", "u")))
     path = tmp_path / "snap.csv"
     tp.save_state_csv(state, grid, path)
-    rows = zip(grid.centers, state.rho, state.u, state.n, state.v)
-    assert path.read_text() == per_value_csv("x,rho,u,n,v", rows)
+    rows = list(zip(grid.centers, state.rho, state.u, state.n, state.v))
+    text = path.read_text()
+    assert text == per_value_csv("x,rho,u,n,v", rows)
+    assert_shortest_round_trip(text, rows)
 
 
 def test_state_snapshot_header_guard(tmp_path):

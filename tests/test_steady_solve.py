@@ -1,8 +1,11 @@
 """End-to-end steady construction: collocation, decay fits, CSV."""
 
 import dataclasses
+import decimal
 import importlib.util
+import math
 import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -12,8 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import twophase as tp
 from twophase.steady import (PROFILE_HEADER, load_profile_csv,
-                             save_profile_csv)
-from helpers import per_value_csv, random_spec, rng_for
+                             read_csv_columns, save_profile_csv)
+from helpers import (assert_shortest_round_trip, flat_profile, per_value_csv,
+                     random_spec, rng_for)
 
 UNIT = tp.FluidConstants(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0)
 
@@ -396,9 +400,182 @@ def test_profile_csv_rows_match_per_value_format(tmp_path,
     _, prof = supersonic_case
     path = tmp_path / "profile.csv"
     save_profile_csv(prof, path)
-    rows = zip(prof.x, prof.rho_t, prof.u_t, prof.n_t, prof.v_t, prof.ux_t,
-               prof.vx_t)
-    assert path.read_text() == per_value_csv(PROFILE_HEADER, rows)
+    rows = list(zip(prof.x, prof.rho_t, prof.u_t, prof.n_t, prof.v_t,
+                    prof.ux_t, prof.vx_t))
+    text = path.read_text()
+    assert text == per_value_csv(PROFILE_HEADER, rows)
+    assert_shortest_round_trip(text, rows)
+
+
+# the edges of binary64 and the values whose spelling changed from %.17g
+SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+           1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e-05,
+           0.1, -2.05, 2.2250738585072014e-308)
+
+
+def _special_column(n, shift):
+    return np.roll(np.resize(np.array(SPECIAL), n), shift)
+
+
+def _special_profile():
+    prof = flat_profile(unit_spec(-2.0, -2.0), points=40)
+    return dataclasses.replace(prof, **{
+        name: _special_column(40, i) for i, name in enumerate(
+            ("rho_t", "u_t", "n_t", "v_t", "ux_t", "vx_t"))})
+
+
+def _special_state(grid):
+    ones = np.ones(grid.cells)
+    return tp.EvolutionState(
+        t=0.0, rho=ones, n=ones, mom1=_special_column(grid.cells, 0),
+        mom2=_special_column(grid.cells, 5), u_bc=-2.0, v_bc=-2.0,
+        right_ghost=(1.0, -2.0, 1.0, -2.0))
+
+
+def _special_series():
+    tag = tp.AlgebraicNu(1.0)
+    return tp.NormSeries(records=tuple(
+        tp.NormRecord(t=float(k), l2=SPECIAL[k],
+                      l2_components=(), h1=SPECIAL[k - 1],
+                      linf=SPECIAL[k - 2], drag_l2=SPECIAL[k - 3],
+                      weighted={tag: SPECIAL[k - 4]})
+        for k in range(len(SPECIAL))))
+
+
+@pytest.mark.parametrize("writer", ["profile", "state", "norm_series"])
+def test_csv_writers_spell_every_edge_value(tmp_path, writer):
+    # NaN, +-inf, +-0.0, the smallest subnormal and the largest double go
+    # through each writer: bytes as the per-value reference spells them,
+    # shortest round-trip digits, and the same bits read back
+    path = tmp_path / "edges.csv"
+    if writer == "profile":
+        prof = _special_profile()
+        save_profile_csv(prof, path)
+        header = PROFILE_HEADER
+        table = np.column_stack([prof.x, prof.rho_t, prof.u_t, prof.n_t,
+                                 prof.v_t, prof.ux_t, prof.vx_t])
+    elif writer == "state":
+        grid = tp.make_grid(10.0, 30)
+        state = _special_state(grid)
+        tp.save_state_csv(state, grid, path)
+        header = "x,rho,u,n,v"
+        table = np.column_stack([grid.centers, state.rho, state.u, state.n,
+                                 state.v])
+    else:
+        series = _special_series()
+        tp.save_norm_series_csv(series, path)
+        header = "t,l2,h1,linf,drag_l2,w_alg1"
+        table = np.array([[r.t, r.l2, r.h1, r.linf, r.drag_l2,
+                           *r.weighted.values()] for r in series.records])
+    assert not np.isfinite(table).all()
+    text = path.read_text()
+    assert text == per_value_csv(header, table)
+    assert_shortest_round_trip(text, table)
+    cols = read_csv_columns(path, writer, header.__eq__)
+    back = np.column_stack(list(cols.values()))
+    assert np.array_equal(np.isnan(back), np.isnan(table))
+    finite = ~np.isnan(table)
+    assert (back[finite].view(np.uint64)
+            == table[finite].view(np.uint64)).all()
+
+
+def test_header_only_csv_loads_as_empty_columns(tmp_path):
+    # save_norm_series_csv writes just the header for an empty series;
+    # it loads back as zero-length columns, without numpy's no-data warning
+    path = tmp_path / "empty.csv"
+    tp.save_norm_series_csv(tp.NormSeries(records=()), path)
+    assert path.read_text() == "t,l2,h1,linf,drag_l2\n"
+    profile = tmp_path / "profile.csv"
+    profile.write_text(PROFILE_HEADER + "\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cols = tp.load_norm_series_csv(path)
+        prof_cols = load_profile_csv(profile)
+    assert list(cols) == "t,l2,h1,linf,drag_l2".split(",")
+    assert all(col.shape == (0,) for col in cols.values())
+    assert list(prof_cols) == PROFILE_HEADER.split(",")
+    assert all(col.shape == (0,) for col in prof_cols.values())
+
+
+def _midpoint(v):
+    """The exact decimal halfway between v and the next double up: a
+    correctly rounded reader must round it to the even neighbour."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200
+        return str((decimal.Decimal(v)
+                    + decimal.Decimal(math.nextafter(v, math.inf))) / 2)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_number = st.one_of(
+    _finite.map(repr), _finite.map("%.17g".__mod__),
+    _finite.map("%.3e".__mod__), st.integers(-10**30, 10**30).map(str),
+    _finite.filter(lambda v: abs(v) < 1.7e308).map(_midpoint))
+_token = st.one_of(_number, st.sampled_from([
+    "-0", "-0.0", "0", "nan", "inf", "-inf", "+1", ".5", "1.", "01", "-0e0",
+    "1e-0", "1e400", "1e-400", "1e309", "-1e-400", "1E+5", "", "oops"]))
+_separator = st.sampled_from([",", ", ", " ,", ",\t"])
+_newline = st.sampled_from(["\n", "\r\n", "\n\n", " \n"])
+
+
+@st.composite
+def _csv_body(draw):
+    width = draw(st.integers(1, 4))
+    # plain bodies mostly take the fast path, mixed ones mostly fall back
+    tokens = draw(st.sampled_from([_number, _token]))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        ragged = draw(st.integers(0, 9)) == 0
+        count = draw(st.integers(1, 5)) if ragged else width
+        row = draw(st.lists(tokens, min_size=count, max_size=count))
+        lines.append(draw(_separator).join(row) + draw(_newline))
+    return width, "".join(lines)
+
+
+def _loadtxt_columns(path, width):
+    """read_csv_columns as numpy.loadtxt alone reads the body."""
+    with open(path) as fh:
+        fh.readline()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as err:
+            raise tp.DomainError(f"{path}: {err}") from None
+    if data.size and data.shape[1] != width:
+        raise tp.DomainError(f"{path}: rows hold {data.shape[1]} values, "
+                             f"the header names {width}")
+    return data.reshape(-1, width)
+
+
+def _outcome(read):
+    try:
+        return read(), None
+    except tp.DomainError as err:
+        return None, str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_body())
+@example((1, "-0\n"))
+@example((2, "1e309,-0\r\n2,3\n"))
+@example((1, _midpoint(5e-324) + "\n"))
+@example((1, "1\n \n"))
+@example((2, " \n\t\n"))
+def test_csv_reader_matches_loadtxt(tmp_path_factory, case):
+    # the orjson fast path returns loadtxt's bits or falls back to it,
+    # so every body reads as loadtxt reads it, errors included
+    width, body = case
+    path = tmp_path_factory.getbasetemp() / "reader_body.csv"
+    header = ",".join(f"c{i}" for i in range(width))
+    path.write_bytes((header + "\n" + body).encode())
+    want, want_err = _outcome(lambda: _loadtxt_columns(path, width))
+    got, got_err = _outcome(lambda: np.column_stack(list(
+        read_csv_columns(path, "test", header.__eq__).values())))
+    assert got_err == want_err
+    if want is not None:
+        assert got.shape == want.shape
+        assert (got.view(np.uint64) == want.view(np.uint64)).all()
 
 
 def test_csv_header_guard(tmp_path):
