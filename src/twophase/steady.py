@@ -43,7 +43,6 @@ from dataclasses import dataclass, field, replace
 from itertools import chain
 
 import numpy as np
-import orjson
 import scipy.linalg
 from scipy.integrate import solve_bvp
 from scipy.interpolate import make_interp_spline
@@ -707,6 +706,10 @@ def write_csv_rows(fh, cols):
     "inf" and "-inf", which numpy.loadtxt reads back. One orjson call
     formats the whole array; the profile, state and norm-series writers
     all use it."""
+    # imported here: it loads json, uuid and zoneinfo, 0.4 MB that a
+    # process doing no CSV I/O does not need
+    import orjson
+
     cols = np.ascontiguousarray(cols, dtype=np.float64)
     if not cols.size:
         return
@@ -734,6 +737,8 @@ def _parse_numbers(body):
     """The body as a 2-D float64 array if orjson reads it as one, else
     None. Only plain decimals get here; a bare -0 does not, and neither
     does any byte that is not part of a number, a comma or whitespace."""
+    import orjson
+
     raw = body.encode()
     if raw.translate(None, _NUMBER_BYTES) or _BARE_MINUS_ZERO.search(raw):
         return None
