@@ -461,9 +461,7 @@ def save_norm_series_csv(series: NormSeries, path):
     cols = np.array([(r.t, r.l2, r.h1, r.linf, r.drag_l2,
                       *(r.weighted[tag] for tag in tags))
                      for r in series.records], dtype=float)
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        write_csv_rows(fh, cols.reshape(-1, 5 + len(tags)))
+    write_csv_rows(path, header, cols.reshape(-1, 5 + len(tags)))
 
 
 def load_norm_series_csv(path):

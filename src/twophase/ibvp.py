@@ -634,9 +634,7 @@ def save_state_csv(state: EvolutionState, grid: Grid1D, path,
     needed to resume (time, boundary velocities, right ghost)."""
     cols = np.column_stack((grid.centers, state.rho, state.u, state.n,
                             state.v))
-    with open(path, "wb") as fh:
-        fh.write(STATE_HEADER.encode() + b"\n")
-        write_csv_rows(fh, cols)
+    write_csv_rows(path, STATE_HEADER, cols)
     meta = {
         "t": state.t,
         "spec_hash": spec_hash,

@@ -697,34 +697,36 @@ def fit_spatial_decay(profile: SteadyProfile, quantity: str, law: str,
 PROFILE_HEADER = "x,rho_t,u_t,n_t,v_t,ux_t,vx_t"
 
 
-def write_csv_rows(fh, cols):
-    """Write the rows of a 2-D float array to the binary file fh as CSV
-    lines of shortest round-trip decimals: each value is the fewest
-    significant digits that read back to its bits, as orjson (Ryu; Adams,
-    PLDI 2018) spells a float64, so 0.1 is "0.1", 1e-05 is "0.00001" and
-    an integral value keeps its ".0". NaN, inf and -inf are written "nan",
-    "inf" and "-inf", which numpy.loadtxt reads back. One orjson call
-    formats the whole array; the profile, state and norm-series writers
-    all use it."""
+def write_csv_rows(path, header, cols):
+    """Write a CSV file: the header line, then the rows of the 2-D float
+    array cols as lines of shortest round-trip decimals. Each value is
+    the fewest significant digits that read back to its bits, as orjson
+    (Ryu; Adams, PLDI 2018) spells a float64, so 0.1 is "0.1", 1e-05 is
+    "0.00001" and an integral value keeps its ".0". NaN, inf and -inf are
+    written "nan", "inf" and "-inf", which numpy.loadtxt reads back. One
+    orjson call formats the whole array; the profile, state and
+    norm-series writers all use it."""
     # imported here: it loads json, uuid and zoneinfo, 0.4 MB that a
     # process doing no CSV I/O does not need
     import orjson
 
     cols = np.ascontiguousarray(cols, dtype=np.float64)
-    if not cols.size:
-        return
-    text = orjson.dumps(cols, option=orjson.OPT_SERIALIZE_NUMPY)
-    text = text[2:-2].replace(b"],[", b"\n")
-    values = cols.ravel()
-    bad = np.flatnonzero(~np.isfinite(values))
-    if len(bad):
-        # orjson writes each non-finite value as null, in row-major order
-        spelled = [b"nan" if math.isnan(v) else b"inf" if v > 0 else b"-inf"
-                   for v in values[bad].tolist()]
-        text = b"".join(chain.from_iterable(
-            zip(text.split(b"null"), spelled + [b""])))
-    fh.write(text)
-    fh.write(b"\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        if not cols.size:
+            return
+        text = orjson.dumps(cols, option=orjson.OPT_SERIALIZE_NUMPY)
+        text = text[2:-2].replace(b"],[", b"\n")
+        values = cols.ravel()
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            # orjson writes each non-finite value as null, in row-major order
+            spelled = [b"nan" if math.isnan(v) else b"inf" if v > 0
+                       else b"-inf" for v in values[bad].tolist()]
+            text = b"".join(chain.from_iterable(
+                zip(text.split(b"null"), spelled + [b""])))
+        fh.write(text)
+        fh.write(b"\n")
 
 
 # the bytes a body of plain decimal numbers, commas and whitespace holds
@@ -783,9 +785,7 @@ def save_profile_csv(profile: SteadyProfile, path):
     cols = np.column_stack([profile.x, profile.rho_t, profile.u_t,
                             profile.n_t, profile.v_t, profile.ux_t,
                             profile.vx_t])
-    with open(path, "wb") as fh:
-        fh.write(PROFILE_HEADER.encode() + b"\n")
-        write_csv_rows(fh, cols)
+    write_csv_rows(path, PROFILE_HEADER, cols)
 
 
 def load_profile_csv(path):
