@@ -1,4 +1,5 @@
-"""Shared builders for randomized specs across the test suite."""
+"""Shared builders for randomized specs and CSV references for the test
+suite."""
 
 import dataclasses
 import math

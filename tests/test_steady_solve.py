@@ -407,7 +407,7 @@ def test_profile_csv_rows_match_per_value_format(tmp_path,
     assert_shortest_round_trip(text, rows)
 
 
-# the edges of binary64 and the values whose spelling changed from %.17g
+# the edges of binary64, and values whose shortest spelling is not %.17g's
 SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
            1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e-05,
            0.1, -2.05, 2.2250738585072014e-308)
