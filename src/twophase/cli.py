@@ -140,7 +140,6 @@ _SCHEMA = {
     "sweep.parameter": _Key("str", ""),
     "sweep.values": _Key("list", ()),
     "sweep.subcommand": _Key("str", "steady", _choice(*_RUN_SUBCOMMANDS)),
-    "seed": _Key("int", 0),
 }
 
 
@@ -348,7 +347,6 @@ class RunRecord:
     ended: str
     status: str          # completed, aborted, truncated
     reason: str
-    seed: int
     files: tuple
 
     def as_dict(self):
@@ -468,7 +466,6 @@ def _decay_fit_body(config, out_dir, workers):
         weighted = {tag: float(cols[name][i]) for name, tag in tag_cols}
         records.append(NormRecord(t=float(cols["t"][i]),
                                   l2=float(cols["l2"][i]),
-                                  l2_components=(),
                                   h1=float(cols["h1"][i]),
                                   linf=float(cols["linf"][i]),
                                   drag_l2=float(cols["drag_l2"][i]),
@@ -617,7 +614,6 @@ def run_subcommand(name, config, out_dir, workers=1) -> RunRecord:
         return RunRecord(config_hash=config.hash, version=_VERSION,
                          subcommand=name, started=started, ended=_utc_now(),
                          status=status, reason=reason,
-                         seed=config.values["seed"],
                          files=tuple(files) + tuple(extra))
 
     record_path = os.path.join(out_dir, f"{prefix}_run.json")

@@ -94,15 +94,11 @@ class PerturbationField:
 
 @dataclass(frozen=True)
 class NormRecord:
-    """Norm snapshot at one instant.
-
-    l2_components holds the per-component L2 norms in field order; weighted
-    maps each requested weight tag to its norm value.
-    """
+    """Norm snapshot at one instant; weighted maps each requested weight
+    tag to its norm value."""
 
     t: float
     l2: float
-    l2_components: tuple
     h1: float
     linf: float
     drag_l2: float
@@ -122,6 +118,16 @@ class NormSeries:
         return np.array([r.t for r in self.records])
 
 
+def _check_covers(profile: SteadyProfile, grid):
+    """DomainError unless the grid lies inside the profile's domain, up to
+    a relative 1e-12 that absorbs the rounding of a length computed from
+    the profile's own end; past the end the profile is held constant."""
+    if grid.length > profile.x[-1] * (1.0 + 1e-12):
+        raise DomainError(
+            f"grid length {grid.length:.6g} exceeds the profile domain "
+            f"{profile.x[-1]:.6g}")
+
+
 def _profile_at_centers(state, profile: SteadyProfile, grid):
     """rho~, u~, n~ and v~ linearly interpolated to the cell centers, the
     four columns a perturbation needs, after checking that the state fits
@@ -129,8 +135,7 @@ def _profile_at_centers(state, profile: SteadyProfile, grid):
     if len(state.rho) != grid.cells:
         raise DomainError(
             f"state has {len(state.rho)} cells, grid {grid.cells}")
-    if grid.length > profile.x[-1]:
-        raise DomainError("grid extends past the steady profile domain")
+    _check_covers(profile, grid)
     return profile.interp(grid.centers)
 
 
@@ -220,8 +225,6 @@ def norms(field: PerturbationField, grid, weights=(), sigma_params=None,
     dx = grid.dx
     x = grid.centers
     sq = sum(c * c for c in comps)
-    l2_components = tuple(math.sqrt(dx * float(np.sum(c * c)))
-                          for c in comps)
     l2 = math.sqrt(dx * float(np.sum(sq)))
     dsq = sum(((c[1:] - c[:-1]) / dx) ** 2 for c in comps)
     h1 = math.sqrt(l2 * l2 + dx * float(np.sum(dsq)))
@@ -229,8 +232,8 @@ def norms(field: PerturbationField, grid, weights=(), sigma_params=None,
     drag = field.psi_bar - field.psi
     drag_l2 = math.sqrt(dx * float(np.sum(drag * drag)))
     weighted = {w: _weighted_l2(w, sq * dx, x, sigma_params) for w in weights}
-    return NormRecord(t=t, l2=l2, l2_components=l2_components, h1=h1,
-                      linf=linf, drag_l2=drag_l2, weighted=weighted)
+    return NormRecord(t=t, l2=l2, h1=h1, linf=linf, drag_l2=drag_l2,
+                      weighted=weighted)
 
 
 # ---------------------------------------------------------------------------

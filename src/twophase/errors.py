@@ -20,12 +20,10 @@ class ConfigError(ValueError):
 class SingularityError(RuntimeError):
     """A steady trajectory drove a phase velocity through zero."""
 
-    def __init__(self, phase, x=None):
+    def __init__(self, phase):
         self.phase = phase
-        self.x = x
-        where = "" if x is None else f" near x={x:.6g}"
-        super().__init__(f"phase-{phase} velocity crossed zero{where}; "
-                         "densities are no longer recoverable from the mass flux")
+        super().__init__(f"phase-{phase} velocity crossed zero; densities "
+                         "are no longer recoverable from the mass flux")
 
 
 class ShootingError(RuntimeError):
@@ -45,17 +43,12 @@ class ShootingError(RuntimeError):
 class VacuumError(RuntimeError):
     """A density fell below the positivity floor."""
 
-    def __init__(self, phase, cell=None, t=None):
+    def __init__(self, phase, cell, t):
         self.phase = phase
         self.cell = cell
         self.t = t
-        loc = []
-        if cell is not None:
-            loc.append(f"cell {cell}")
-        if t is not None:
-            loc.append(f"t={t:.6g}")
-        where = " at " + ", ".join(loc) if loc else ""
-        super().__init__(f"phase-{phase} density below floor{where}")
+        super().__init__(f"phase-{phase} density below floor at cell {cell}, "
+                         f"t={t:.6g}")
 
 
 class BlowUpError(RuntimeError):
@@ -63,10 +56,9 @@ class BlowUpError(RuntimeError):
     matrix is not positive definite (which only non-finite data or a
     non-positive ghost density can cause)."""
 
-    def __init__(self, t=None, what="non-finite state detected"):
+    def __init__(self, t, what="non-finite state detected"):
         self.t = t
-        where = "" if t is None else f" at t={t:.6g}"
-        super().__init__(f"{what}{where}")
+        super().__init__(f"{what} at t={t:.6g}")
 
 
 class NumericsError(RuntimeError):

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import LinAlgError, solveh_banded
 
-from .diagnostics import NormSeries
+from .diagnostics import NormSeries, _check_covers
 from .errors import BlowUpError, DomainError, VacuumError
 from .steady import SteadyProfile, read_csv_columns, write_csv_rows
 
@@ -48,7 +48,7 @@ FROM_FILE = "from_file"
 _SHAPES = (GAUSSIAN, COMPACT_BUMP, FROM_FILE)
 _COMPONENTS = ("rho", "u", "n", "v")
 
-STATE_HEADER = "x,rho,u,n,v"
+STATE_HEADER = "x,rho,n,mom1,mom2"
 
 
 @dataclass(frozen=True)
@@ -165,29 +165,25 @@ class EvolutionState:
 def initialize(profile: SteadyProfile, grid: Grid1D,
                pert: PerturbationSpec) -> EvolutionState:
     """Steady profile interpolated to the cell centers plus a perturbation,
-    or a snapshot read back, as the state of its densities and momenta."""
-    if grid.length > profile.x[-1] * (1.0 + 1e-12):
-        raise DomainError(
-            f"grid length {grid.length:.6g} exceeds the profile domain "
-            f"{profile.x[-1]:.6g}")
-    right_ghost = tuple(float(g) for g in
-                        profile.interp(grid.length + 0.5 * grid.dx))
-    u_bc, v_bc = float(profile.u_t[0]), float(profile.v_t[0])
+    or a snapshot read back, as the state of its densities and momenta.
+    The boundary data always come from the profile: the outflow velocities
+    u_t[0] and v_t[0], and the right ghost one half-cell past the grid.
+    A snapshot gives the time and the four conserved columns bit for bit,
+    so a run resumed under its own profile continues the run exactly."""
+    _check_covers(profile, grid)
     if pert.shape == FROM_FILE:
         x, cols, meta = load_state_csv(pert.path)
         if not np.array_equal(x, grid.centers):
             raise DomainError(
                 f"{pert.path}: the snapshot's {x.size} cell centers differ "
                 f"from the grid's {grid.cells}")
-        rho0, u0, n0, v0 = cols["rho"], cols["u"], cols["n"], cols["v"]
+        rho0, n0, mom1, mom2 = cols.values()
         t0 = meta.get("t", 0.0)
-        u_bc = meta.get("u_bc", u_bc)
-        v_bc = meta.get("v_bc", v_bc)
-        right_ghost = meta.get("right_ghost", right_ghost)
     else:
         vals = perturbation_values(pert, grid.centers)
         rho0, u0, n0, v0 = (col + vals[c] for c, col in
                             zip(_COMPONENTS, profile.interp(grid.centers)))
+        mom1, mom2 = rho0 * u0, n0 * v0
         t0 = 0.0
     for phase, dens in ((1, rho0), (2, n0)):
         low = np.nonzero(dens <= DENSITY_FLOOR)[0]
@@ -195,9 +191,11 @@ def initialize(profile: SteadyProfile, grid: Grid1D,
             raise DomainError(
                 f"initial phase-{phase} density at or below the floor "
                 f"at cell {int(low[0])}; perturbation rejected")
-    return EvolutionState(t=t0, rho=rho0, n=n0, mom1=rho0 * u0,
-                          mom2=n0 * v0, u_bc=u_bc, v_bc=v_bc,
-                          right_ghost=right_ghost)
+    right_ghost = tuple(float(g) for g in
+                        profile.interp(grid.length + 0.5 * grid.dx))
+    return EvolutionState(t=t0, rho=rho0, n=n0, mom1=mom1, mom2=mom2,
+                          u_bc=float(profile.u_t[0]),
+                          v_bc=float(profile.v_t[0]), right_ghost=right_ghost)
 
 
 def _sound_speed(coef, expo, dens):
@@ -630,46 +628,27 @@ def _meta_path(path):
 
 def save_state_csv(state: EvolutionState, grid: Grid1D, path,
                    spec_hash: str = None):
-    """Write the primitive fields plus a JSON sidecar with the metadata
-    needed to resume (time, boundary velocities, right ghost)."""
-    cols = np.column_stack((grid.centers, state.rho, state.u, state.n,
-                            state.v))
+    """Write the state as it is held: the cell centers and the conserved
+    columns rho, n, mom1 and mom2, which read back to the same bits, plus
+    a JSON sidecar with the time t and spec_hash. The boundary data are
+    the profile's, so `initialize` takes them from the profile it resumes
+    under."""
+    cols = np.column_stack((grid.centers, state.rho, state.n, state.mom1,
+                            state.mom2))
     write_csv_rows(path, STATE_HEADER, cols)
-    meta = {
-        "t": state.t,
-        "spec_hash": spec_hash,
-        "length": grid.length,
-        "cells": grid.cells,
-        "u_bc": state.u_bc,
-        "v_bc": state.v_bc,
-        "right_ghost": list(state.right_ghost),
-    }
     with open(_meta_path(path), "w") as fh:
-        json.dump(meta, fh, indent=2)
+        json.dump({"t": state.t, "spec_hash": spec_hash}, fh, indent=2)
         fh.write("\n")
 
 
-def _finite_numbers(value, count, name):
-    """value as a float (count 1) or a tuple of count floats, if it is
-    that many finite JSON numbers; else DomainError naming it."""
-    items = value if count > 1 and isinstance(value, list) else [value]
-    try:
-        nums = tuple(float(v) for v in items if type(v) in (int, float))
-    except OverflowError:
-        nums = ()
-    if not (len(items) == len(nums) == count
-            and all(map(math.isfinite, nums))):
-        want = "a finite number" if count == 1 else f"{count} finite numbers"
-        raise DomainError(f"{name} must be {want}, got {value!r}")
-    return nums[0] if count == 1 else nums
-
-
 def load_state_csv(path):
-    """Read a snapshot back: coordinates, primitive columns, metadata dict.
-    Every value must be finite; else DomainError naming the file, the
-    column and the first row that holds one. The sidecar's resume fields,
-    where present, come back checked: t, u_bc and v_bc as finite floats,
-    right_ghost as a tuple of four."""
+    """Read a snapshot back: the cell centers, the conserved columns rho,
+    n, mom1 and mom2 by name, and the sidecar's dict. Every value must be
+    finite; else DomainError naming the file, the column and the first row
+    that holds one. A header other than STATE_HEADER, which an older
+    snapshot of velocities has, raises DomainError naming the file. The
+    sidecar must be a JSON object; its t, where present, comes back as a
+    finite float, and no other key is read."""
     cols = read_csv_columns(path, "snapshot", STATE_HEADER.__eq__)
     names = list(cols)
     table = np.column_stack([cols[name] for name in names])
@@ -688,9 +667,13 @@ def load_state_csv(path):
                 raise DomainError(f"{meta_path}: {err}") from None
         if not isinstance(meta, dict):
             raise DomainError(f"{meta_path}: expected a JSON object")
-        for key, count in (("t", 1), ("u_bc", 1), ("v_bc", 1),
-                           ("right_ghost", 4)):
-            if key in meta:
-                meta[key] = _finite_numbers(meta[key], count,
-                                            f"{meta_path}: {key}")
+        if "t" in meta:
+            t = meta["t"]
+            try:
+                meta["t"] = float(t) if type(t) in (int, float) else math.nan
+            except OverflowError:
+                meta["t"] = math.nan
+            if not math.isfinite(meta["t"]):
+                raise DomainError(
+                    f"{meta_path}: t must be a finite number, got {t!r}")
     return cols.pop("x"), cols, meta

@@ -649,7 +649,7 @@ def _log_linear_fit(abscissa, values):
 
 
 def fit_spatial_decay(profile: SteadyProfile, quantity: str, law: str,
-                      window: tuple, sigma_params=None) -> SpatialDecayFit:
+                      window: tuple) -> SpatialDecayFit:
     """Least-squares decay fit of |q(x) - q_inf| on a window.
 
     Exponential law regresses log|q - q_inf| on x (rate_or_slope is the decay
@@ -657,7 +657,8 @@ def fit_spatial_decay(profile: SteadyProfile, quantity: str, law: str,
     (rate_or_slope is the power, about -1 for the leading sonic deviation).
     quantity "ux_over_sigma2" divides u~_x by the closed-form sigma^2, whose
     algebraic fit has slope about 0 and prefactor about the curvature
-    constant; it needs sigma_params = (a, sigma0).
+    constant, with sigma's a and sigma0 the spec's curvature constant and
+    delta.
     """
     if quantity not in _FARFIELD_LIMITS:
         raise DomainError(f"unknown quantity {quantity!r}")
@@ -665,10 +666,9 @@ def fit_spatial_decay(profile: SteadyProfile, quantity: str, law: str,
         raise DomainError(f"unknown law {law!r}")
     x = profile.x
     if quantity == "ux_over_sigma2":
-        if sigma_params is None:
-            raise DomainError("quantity ux_over_sigma2 requires sigma_params")
-        a, sigma0 = sigma_params
-        q = profile.ux_t / sigma_profile(a, sigma0, x) ** 2
+        sigma = sigma_profile(model.derived_constants(profile.spec).a,
+                              profile.spec.delta, x)
+        q = profile.ux_t / sigma ** 2
     else:
         q = getattr(profile, _QUANTITY_COLUMNS[quantity])
     x_lo, x_hi = window

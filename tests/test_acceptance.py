@@ -247,7 +247,7 @@ def test_criterion_05_sonic_algebraic_tail(sonic_case):
     assert slope.rate_or_slope == pytest.approx(-1.0, abs=0.1)
     assert slope.r_squared >= 0.99
     curvature = tp.fit_spatial_decay(prof, "ux_over_sigma2", "algebraic",
-                                     (X / 2, X), sigma_params=(a, prof.sigma0))
+                                     (X / 2, X))
     assert curvature.prefactor == pytest.approx(a, rel=0.10)
     assert abs(curvature.rate_or_slope) <= 0.05
     assert seconds < 30.0
@@ -345,7 +345,6 @@ def test_criterion_09_matrix_suite():
 
 def synthetic_series(t, values):
     records = tuple(NormRecord(t=float(tt), l2=float(v),
-                               l2_components=(float(v), 0.0, 0.0, 0.0),
                                h1=float(v), linf=float(v), drag_l2=float(v),
                                weighted={})
                     for tt, v in zip(t, values))

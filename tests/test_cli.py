@@ -46,7 +46,6 @@ def test_minimal_config_fills_every_default(tmp_path):
     assert config.values["evolve.cfl"] == 0.4
     assert config.values["steady.x_domain"] is None
     assert config.values["output.prefix"] == "run"
-    assert config.values["seed"] == 0
     spec = config.model_spec()
     assert spec.delta == pytest.approx(0.05)
 
@@ -64,7 +63,7 @@ def test_hash_ignores_ordering_comments_and_spacing(tmp_path):
 
 def test_hash_changes_with_any_value(tmp_path):
     base = cli.parse_config(write_config(tmp_path))
-    bumped = cli.parse_config(write_config(tmp_path), ("seed=1",))
+    bumped = cli.parse_config(write_config(tmp_path), ("evolve.cfl=0.3",))
     assert bumped.hash != base.hash
 
 
@@ -284,7 +283,7 @@ def test_decay_fit_subcommand(tmp_path):
     t = np.arange(30.0)
     records = tuple(
         tp.NormRecord(t=float(tk), l2=5.0 * math.exp(-1.5 * tk),
-                      l2_components=(), h1=3.0 * math.exp(-0.5 * tk),
+                      h1=3.0 * math.exp(-0.5 * tk),
                       linf=1.0, drag_l2=0.0, weighted={})
         for tk in t)
     series_path = tmp_path / "series.csv"
@@ -307,8 +306,7 @@ def test_decay_fit_nan_in_window_exits_3(tmp_path, capsys):
     records = tuple(
         tp.NormRecord(t=float(tk),
                       l2=math.nan if tk == 20 else math.exp(-tk / 2),
-                      l2_components=(), h1=1.0, linf=1.0, drag_l2=1.0,
-                      weighted={})
+                      h1=1.0, linf=1.0, drag_l2=1.0, weighted={})
         for tk in range(30))
     series_path = tmp_path / "series.csv"
     tp.save_norm_series_csv(tp.NormSeries(records), series_path)
@@ -340,8 +338,8 @@ def test_decay_fit_missing_series_file_exits_5(tmp_path):
 def test_decay_fit_unknown_norm_exits_3(tmp_path):
     t = np.arange(10.0)
     records = tuple(
-        tp.NormRecord(t=float(tk), l2=math.exp(-tk), l2_components=(),
-                      h1=1.0, linf=1.0, drag_l2=1.0, weighted={})
+        tp.NormRecord(t=float(tk), l2=math.exp(-tk), h1=1.0, linf=1.0,
+                      drag_l2=1.0, weighted={})
         for tk in t)
     series_path = tmp_path / "series.csv"
     tp.save_norm_series_csv(tp.NormSeries(records), series_path)
@@ -382,9 +380,11 @@ def _raising_body(err):
 
 # each documented exit code with its cause; {tmp}, {bad_series},
 # {bad_tag_series}, {ragged_series}, {snapshot} (64 cells on [0, 10]),
-# {nan_snapshot} (the same with u = nan in data row 6) and
-# {ragged_snapshot} (the same with data row 6 one value short) stand for
-# paths made in the test, and every fragment must appear on stderr
+# {nan_snapshot} (the same with n = nan in data row 6),
+# {ragged_snapshot} (the same with data row 6 one value short) and
+# {old_snapshot} (the same under the older velocity header x,rho,u,n,v)
+# stand for paths made in the test, and every fragment must appear on
+# stderr
 @pytest.mark.parametrize("command, extra, raised, code, fragments", [
     ("steady", ("spec.bogus = 1",), None, 2,
      ("unknown key", "'spec.bogus'")),
@@ -433,18 +433,23 @@ def _raising_body(err):
     ("evolve", ("grid.length = 10", "grid.cells = 64",
                 "evolve.pert_shape = from_file",
                 "evolve.pert_path = {nan_snapshot}"), None, 3,
-     ("{nan_snapshot}", "non-finite u value nan in data row 6")),
+     ("{nan_snapshot}", "non-finite n value nan in data row 6")),
     ("evolve", ("grid.length = 10", "grid.cells = 64",
                 "evolve.pert_shape = from_file",
                 "evolve.pert_path = {ragged_snapshot}"), None, 3,
      ("{ragged_snapshot}", "number of columns changed from 5 to 4 at row 6")),
+    ("evolve", ("grid.length = 10", "grid.cells = 64",
+                "evolve.pert_shape = from_file",
+                "evolve.pert_path = {old_snapshot}"), None, 3,
+     ("{old_snapshot}", "unexpected snapshot header 'x,rho,u,n,v'")),
 ], ids=["bad_key", "pressure_overflow", "pressure_underflow",
         "pressure_sum_overflow", "eigenvector_residual", "malformed_series",
         "bad_weight_tag", "ragged_series",
         "missing_series", "vacuum", "blow_up", "internal",
         "grid_beyond_profile", "snapshot_grid_mismatch", "t_end_inf",
         "pert_amplitude_nan", "pert_amplitude_inf", "pert_center_inf",
-        "pert_width_inf", "snapshot_nan", "ragged_snapshot"])
+        "pert_width_inf", "snapshot_nan", "ragged_snapshot",
+        "old_snapshot"])
 def test_exit_codes_name_the_cause(tmp_path, capsys, monkeypatch, command,
                                    extra, raised, code, fragments):
     bad_series = tmp_path / "series.csv"
@@ -463,11 +468,14 @@ def test_exit_codes_name_the_cause(tmp_path, capsys, monkeypatch, command,
     ragged_snapshot = tmp_path / "snapragged.csv"
     ragged_snapshot.write_text("".join(
         lines[:6] + [",".join(cells[:4]) + "\n"] + lines[7:]))
+    old_snapshot = tmp_path / "snapold.csv"
+    old_snapshot.write_text("".join(["x,rho,u,n,v\n"] + lines[1:]))
     paths = {"tmp": str(tmp_path), "bad_series": str(bad_series),
              "bad_tag_series": str(bad_tag_series),
              "ragged_series": str(ragged_series), "snapshot": str(snapshot),
              "nan_snapshot": str(nan_snapshot),
-             "ragged_snapshot": str(ragged_snapshot)}
+             "ragged_snapshot": str(ragged_snapshot),
+             "old_snapshot": str(old_snapshot)}
     if raised is not None:
         monkeypatch.setitem(cli._RUNNERS, command, _raising_body(raised))
     path = write_config(tmp_path, *(line.format(**paths) for line in extra))
@@ -479,16 +487,10 @@ def test_exit_codes_name_the_cause(tmp_path, capsys, monkeypatch, command,
 
 
 @pytest.mark.parametrize("sidecar, fragment", [
-    ('{"right_ghost": [1.0, -2.0, 1.0]}', "right_ghost must be 4 finite"),
-    ('{"right_ghost": [1.0, -2.0, 1.0, Infinity]}',
-     "right_ghost must be 4 finite"),
     ('{"t": "soon"}', "t must be a finite number"),
     ('{"t": true}', "t must be a finite number"),
-    ('{"u_bc": null}', "u_bc must be a finite number"),
-    ('{"v_bc": NaN}', "v_bc must be a finite number"),
     ('[0.0]', "expected a JSON object"),
-], ids=["ghost_short", "ghost_inf", "t_text", "t_bool", "u_bc_null",
-        "v_bc_nan", "not_an_object"])
+], ids=["t_text", "t_bool", "not_an_object"])
 def test_malformed_snapshot_sidecar_exits_3(tmp_path, capsys, sidecar,
                                             fragment):
     snapshot = tmp_path / "snap.csv"

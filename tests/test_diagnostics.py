@@ -204,7 +204,6 @@ def test_norms_exponential_profile_oracle():
     grid = make_grid(20.0, 2000)
     rec = tp.norms(exp_field(grid), grid)
     # each component integrates to 1/2; truncation at x = 20 is invisible
-    assert rec.l2_components[0] == pytest.approx(1 / math.sqrt(2), rel=1e-4)
     assert rec.l2 == pytest.approx(math.sqrt(2), rel=1e-4)
     assert rec.h1 == pytest.approx(2.0, rel=1e-2)
     assert rec.linf == pytest.approx(math.exp(-grid.dx / 2), rel=1e-15)
@@ -224,8 +223,6 @@ def test_norms_consistency_identities():
     assert rec.h1 ** 2 == pytest.approx(rec.l2 ** 2 + grid.dx * diff_sq,
                                         rel=1e-12)
     assert rec.linf <= rec.l2 / math.sqrt(grid.dx) + 1e-12
-    assert rec.l2 == pytest.approx(
-        math.sqrt(sum(v ** 2 for v in rec.l2_components)), rel=1e-12)
 
 
 def test_norms_algebraic_weight_monotbackstop():
@@ -302,7 +299,6 @@ def series_from(times, values, tag=None):
     for t, v in zip(times, values):
         weighted = {} if tag is None else {tag: 2.0 * v}
         records.append(tp.NormRecord(t=float(t), l2=float(v),
-                                     l2_components=(float(v), 0.0, 0.0, 0.0),
                                      h1=1.5 * float(v), linf=float(v),
                                      drag_l2=0.5 * float(v),
                                      weighted=weighted))

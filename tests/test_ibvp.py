@@ -1,6 +1,7 @@
 """Grid, initialization, time stepping, and evolution bookkeeping."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -109,6 +110,26 @@ def test_initialize_zero_perturbation_matches_profile():
     # conserved arrays consistent with primitives
     np.testing.assert_allclose(state.mom1, state.rho * state.u, rtol=1e-12)
     np.testing.assert_allclose(state.mom2, state.n * state.v, rtol=1e-12)
+
+
+def test_grid_inside_profile_is_one_check():
+    # a length computed from the profile's end may round one ulp past it;
+    # initialize and both observers accept it alike, and refuse alike a
+    # grid that reaches past the profile
+    profile = flat_profile(SUP, x_max=30.0)
+    grid = tp.make_grid(30.000000000000004, 512)
+    assert grid.length > profile.x[-1]
+    state = tp.initialize(profile, grid, tp.PerturbationSpec(amplitude=1e-3))
+    assert tp.perturbation(state, profile, grid).psi.size == 512
+    assert tp.energy_total(state, profile, grid, UNIT) > 0.0
+    past = tp.make_grid(30.001, 512)
+    for call in (lambda: tp.initialize(profile, past, tp.PerturbationSpec()),
+                 lambda: tp.perturbation(state, profile, past),
+                 lambda: tp.energy_total(state, profile, past, UNIT)):
+        with pytest.raises(tp.DomainError,
+                           match="grid length 30.001 exceeds the profile "
+                                 "domain 30"):
+            call()
 
 
 def test_initialize_rejections():
@@ -752,12 +773,10 @@ def test_state_snapshot_roundtrip(tmp_path):
     x, cols, meta = tp.load_state_csv(path)
     np.testing.assert_array_equal(x, grid.centers)
     np.testing.assert_array_equal(cols["rho"], state.rho)
-    np.testing.assert_array_equal(cols["u"], state.u)
     np.testing.assert_array_equal(cols["n"], state.n)
-    np.testing.assert_array_equal(cols["v"], state.v)
-    assert meta["t"] == state.t
-    assert meta["spec_hash"] == "abc123def456"
-    assert meta["cells"] == 100
+    np.testing.assert_array_equal(cols["mom1"], state.mom1)
+    np.testing.assert_array_equal(cols["mom2"], state.mom2)
+    assert meta == {"t": state.t, "spec_hash": "abc123def456"}
 
     resume = tp.PerturbationSpec(shape="from_file", path=str(path))
     restored = tp.initialize(profile, grid, resume)
@@ -773,16 +792,79 @@ def test_state_snapshot_roundtrip(tmp_path):
         tp.step(state, grid, SUP, 0.002).rho)
 
 
+def _state_digest(state):
+    h = hashlib.sha256(np.float64(state.t).tobytes())
+    for name in ("rho", "n", "mom1", "mom2"):
+        h.update(np.ascontiguousarray(getattr(state, name)).tobytes())
+    return h.hexdigest()
+
+
+def test_snapshot_resume_is_exact(tmp_path):
+    # a non-isothermal run, where a snapshot of velocities came back
+    # rounded in some cells and the resumed run drifted off the straight one
+    spec = tp.ModelSpec(fluids=HOT,
+                        far=tp.FarFieldState(rho_plus=1.2, n_plus=0.8,
+                                             u_plus=-2.0),
+                        u_minus=-2.05)
+    profile = tp.solve_steady(spec, tp.SteadySolveOptions(x_domain=101.0))
+    grid = tp.make_grid(100.0, 1024)
+    state = tp.initialize(profile, grid, tp.PerturbationSpec(
+        shape="compact_bump", amplitude=1e-3, center=50.0, width=10.0))
+    dt = tp.stable_dt(state, grid, spec)
+    for _ in range(20):
+        state = tp.step(state, grid, spec, dt)
+    path = tmp_path / "snap.csv"
+    tp.save_state_csv(state, grid, path)
+    resumed = tp.initialize(profile, grid, tp.PerturbationSpec(
+        shape="from_file", path=str(path)))
+    assert resumed.t == state.t
+    for name in ("rho", "n", "mom1", "mom2"):
+        np.testing.assert_array_equal(getattr(resumed, name),
+                                      getattr(state, name))
+
+    def march(s, steps, imex):
+        for _ in range(steps):
+            h = tp.stable_dt(s, grid, spec, imex=True) if imex else dt
+            s = tp.step(s, grid, spec, h, imex=imex)
+        return _state_digest(s)
+
+    # Heun at the fixed dt, as criterion 08 marches; IMEX at its own
+    # stable step, as evolve marches
+    for steps, imex in ((200, False), (50, True)):
+        assert march(resumed, steps, imex) == march(state, steps, imex)
+
+
+def test_snapshot_resume_takes_boundary_data_from_profile(tmp_path):
+    def profile_for(u_minus):
+        spec = tp.ModelSpec(fluids=UNIT, far=SUP.far, u_minus=u_minus)
+        return tp.solve_steady(spec, tp.SteadySolveOptions(x_domain=101.0))
+
+    # short enough that the two profiles differ at the right ghost
+    grid = tp.make_grid(10.0, 256)
+    old, new = profile_for(-2.05), profile_for(-2.04)
+    path = tmp_path / "snap.csv"
+    tp.save_state_csv(tp.initialize(old, grid, tp.PerturbationSpec()), grid,
+                      path)
+    resumed = tp.initialize(new, grid, tp.PerturbationSpec(
+        shape="from_file", path=str(path)))
+    assert resumed.u_bc == -2.04
+    assert resumed.v_bc == new.v_t[0]
+    ghost = tuple(float(g) for g in new.interp(grid.length + 0.5 * grid.dx))
+    assert resumed.right_ghost == ghost
+    assert ghost != tuple(float(g) for g in
+                          old.interp(grid.length + 0.5 * grid.dx))
+
+
 def test_state_snapshot_rows_match_per_value_format(tmp_path):
-    # more cells than one conversion chunk of the writer
     grid = tp.make_grid(10.0, 2500)
     state = tp.initialize(flat_profile(SUP), grid, tp.PerturbationSpec(
         amplitude=1e-3, center=5.0, width=1.0, components=("rho", "u")))
     path = tmp_path / "snap.csv"
     tp.save_state_csv(state, grid, path)
-    rows = list(zip(grid.centers, state.rho, state.u, state.n, state.v))
+    rows = list(zip(grid.centers, state.rho, state.n, state.mom1,
+                    state.mom2))
     text = path.read_text()
-    assert text == per_value_csv("x,rho,u,n,v", rows)
+    assert text == per_value_csv("x,rho,n,mom1,mom2", rows)
     assert_shortest_round_trip(text, rows)
 
 
@@ -795,7 +877,7 @@ def test_state_snapshot_header_guard(tmp_path):
 
 def test_state_snapshot_sidecar_guard(tmp_path):
     path = tmp_path / "snap.csv"
-    path.write_text("x,rho,u,n,v\n0.05,1,-2,1,-2\n")
+    path.write_text("x,rho,n,mom1,mom2\n0.05,1,1,-2,-2\n")
     (tmp_path / "snap.csv.meta.json").write_text('{"t": 1.0,')
     with pytest.raises(tp.DomainError, match="snap.csv.meta.json"):
         tp.load_state_csv(path)

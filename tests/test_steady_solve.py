@@ -275,8 +275,7 @@ def test_sonic_curvature_prefactor(sonic_case):
     spec, prof = sonic_case
     a = tp.derived_constants(spec).a
     X = prof.x[-1]
-    fit = tp.fit_spatial_decay(prof, "ux_over_sigma2", "algebraic", (X / 2, X),
-                               sigma_params=(a, prof.sigma0))
+    fit = tp.fit_spatial_decay(prof, "ux_over_sigma2", "algebraic", (X / 2, X))
     assert abs(fit.rate_or_slope) <= 0.05
     assert fit.prefactor == pytest.approx(a, rel=0.1)
 
@@ -435,8 +434,7 @@ def _special_state(grid):
 def _special_series():
     tag = tp.AlgebraicNu(1.0)
     return tp.NormSeries(records=tuple(
-        tp.NormRecord(t=float(k), l2=SPECIAL[k],
-                      l2_components=(), h1=SPECIAL[k - 1],
+        tp.NormRecord(t=float(k), l2=SPECIAL[k], h1=SPECIAL[k - 1],
                       linf=SPECIAL[k - 2], drag_l2=SPECIAL[k - 3],
                       weighted={tag: SPECIAL[k - 4]})
         for k in range(len(SPECIAL))))
@@ -458,9 +456,9 @@ def test_csv_writers_spell_every_edge_value(tmp_path, writer):
         grid = tp.make_grid(10.0, 30)
         state = _special_state(grid)
         tp.save_state_csv(state, grid, path)
-        header = "x,rho,u,n,v"
-        table = np.column_stack([grid.centers, state.rho, state.u, state.n,
-                                 state.v])
+        header = "x,rho,n,mom1,mom2"
+        table = np.column_stack([grid.centers, state.rho, state.n,
+                                 state.mom1, state.mom2])
     else:
         series = _special_series()
         tp.save_norm_series_csv(series, path)
@@ -648,8 +646,6 @@ def test_fit_rejections(supersonic_case):
         tp.fit_spatial_decay(prof, "entropy", "exponential", (0.0, X))
     with pytest.raises(tp.DomainError):
         tp.fit_spatial_decay(prof, "u", "logarithmic", (0.0, X))
-    with pytest.raises(tp.DomainError):
-        tp.fit_spatial_decay(prof, "ux_over_sigma2", "algebraic", (0.0, X))
     with pytest.raises(tp.InsufficientDataError):
         tp.fit_spatial_decay(prof, "u", "exponential", (0.0, prof.x[3]))
 
