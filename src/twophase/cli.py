@@ -176,6 +176,8 @@ def _weight_tag(label):
         if label.startswith(prefix):
             try:
                 return cls(float(label[len(prefix):]))
+            except DomainError as err:
+                raise ConfigError(f"weight tag {label!r}: {err}") from None
             except ValueError:
                 break
     raise ConfigError(

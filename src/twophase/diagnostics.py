@@ -29,6 +29,19 @@ _MAX_LOG = math.log(sys.float_info.max)
 # weight tags
 # ---------------------------------------------------------------------------
 
+def _check_param(weight, name, value):
+    if not (math.isfinite(value) and value >= 0):
+        raise DomainError(
+            f"{weight} weight needs a finite {name} >= 0, got {value}")
+
+
+def _label(prefix, value):
+    """prefix plus the value in `g` format where that reads back to it,
+    else its repr: every label parses back to its own weight."""
+    text = f"{value:g}"
+    return prefix + (text if float(text) == value else repr(value))
+
+
 @dataclass(frozen=True)
 class AlgebraicNu:
     """Weight (1+x)^nu on the squared integrand."""
@@ -36,12 +49,11 @@ class AlgebraicNu:
     nu: float
 
     def __post_init__(self):
-        if self.nu < 0:
-            raise DomainError("algebraic weight needs nu >= 0")
+        _check_param("algebraic", "nu", self.nu)
 
     @property
     def label(self):
-        return f"alg{self.nu:g}"
+        return _label("alg", self.nu)
 
 
 @dataclass(frozen=True)
@@ -51,12 +63,11 @@ class SigmaNu:
     nu: float
 
     def __post_init__(self):
-        if self.nu < 0:
-            raise DomainError("sigma weight needs nu >= 0")
+        _check_param("sigma", "nu", self.nu)
 
     @property
     def label(self):
-        return f"sig{self.nu:g}"
+        return _label("sig", self.nu)
 
 
 @dataclass(frozen=True)
@@ -66,12 +77,11 @@ class ExponentialLambda:
     lam: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise DomainError("exponential weight needs lam >= 0")
+        _check_param("exponential", "lam", self.lam)
 
     @property
     def label(self):
-        return f"exp{self.lam:g}"
+        return _label("exp", self.lam)
 
 
 # ---------------------------------------------------------------------------

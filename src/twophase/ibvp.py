@@ -4,11 +4,11 @@ half-line.
 The semi-discrete scheme is first order and deliberately plain: Rusanov
 fluxes, pointwise drag, and for both viscous terms one face-flux form
 D(kappa D w), kappa = mu or the face density of phase 2. One kernel
-evaluates it for both steppers on a stacked block: the conserved variables,
-all that an `EvolutionState` stores (its velocities are derived from them),
-form one (2, 2, N) array ((rho, n), (m1, m2)), padded into a (2, 2(N+2))
-array whose rows hold phase 1's padded cells followed by phase 2's, so
-each pad, flux and difference runs once over both phases.
+evaluates it for both steppers on the block an `EvolutionState` is, its
+conserved variables as one (2, 2, N) array U = ((rho, n), (m1, m2)) (its
+velocities are derived from them), padded into a (2, 2(N+2)) array whose
+rows hold phase 1's padded cells followed by phase 2's, so each pad, flux
+and difference runs once over both phases. Each step returns a new block.
 An isothermal phase (exponent 1) takes p = A rho and c = sqrt(A gamma)
 with no power, the same bits as the power.
 
@@ -30,7 +30,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, solveh_banded
@@ -131,27 +131,46 @@ def perturbation_values(pert: PerturbationSpec, x) -> dict:
 
 
 @dataclass(frozen=True)
-class EvolutionState:
-    """Cell-averaged densities and momenta; u and v are derived from them.
+class _StateFields:
+    """The fields of `EvolutionState`, whose __init__ also takes rows by
+    keyword before it hands these on."""
+
+    t: float
+    U: np.ndarray
+    u_bc: float
+    v_bc: float
+    right_ghost: tuple
+
+
+class EvolutionState(_StateFields):
+    """The cell-averaged conserved variables as one (2, 2, N) block
+    U = ((rho, n), (mom1, mom2)) at time t, plus the boundary data. rho, n,
+    mom1 and mom2 are views of U's rows; u and v are derived from them.
 
     u_bc and v_bc are the outflow velocities the left ghost enforces;
     right_ghost holds (rho, u, n, v) of the steady profile continued one
     half-cell past x = length.
+
+    A row given by keyword, as `dataclasses.replace(state, rho=rho)` gives
+    it, replaces that row in a copy of U; the block passed in is left as
+    it is.
     """
 
-    t: float
-    rho: np.ndarray
-    n: np.ndarray
-    mom1: np.ndarray
-    mom2: np.ndarray
-    u_bc: float
-    v_bc: float
-    right_ghost: tuple
-    # the (2, 2, N) block that `step` returned rho, n, mom1 and mom2 as rows
-    # of; not an init argument, so a state built or replaced by a caller
-    # carries none
-    _stack: np.ndarray = field(default=None, init=False, repr=False,
-                               compare=False)
+    def __init__(self, t, U, u_bc, v_bc, right_ghost, *, rho=None, n=None,
+                 mom1=None, mom2=None):
+        rows = (rho, n, mom1, mom2)
+        if any(row is not None for row in rows):
+            U = np.array(U, dtype=float)
+            for dst, row in zip(U.reshape(4, -1), rows):
+                if row is not None:
+                    dst[...] = row
+        super().__init__(t, U, u_bc, v_bc, right_ghost)
+
+    # the rows of U, as views
+    rho = property(lambda self: self.U[0, 0])
+    n = property(lambda self: self.U[0, 1])
+    mom1 = property(lambda self: self.U[1, 0])
+    mom2 = property(lambda self: self.U[1, 1])
 
     @property
     def u(self):
@@ -165,11 +184,12 @@ class EvolutionState:
 def initialize(profile: SteadyProfile, grid: Grid1D,
                pert: PerturbationSpec) -> EvolutionState:
     """Steady profile interpolated to the cell centers plus a perturbation,
-    or a snapshot read back, as the state of its densities and momenta.
+    or a snapshot read back, as the block of its densities and momenta.
     The boundary data always come from the profile: the outflow velocities
     u_t[0] and v_t[0], and the right ghost one half-cell past the grid.
     A snapshot gives the time and the four conserved columns bit for bit,
-    so a run resumed under its own profile continues the run exactly."""
+    in the row order of U.reshape(4, N), so a run resumed under its own
+    profile continues the run exactly."""
     _check_covers(profile, grid)
     if pert.shape == FROM_FILE:
         x, cols, meta = load_state_csv(pert.path)
@@ -177,15 +197,15 @@ def initialize(profile: SteadyProfile, grid: Grid1D,
             raise DomainError(
                 f"{pert.path}: the snapshot's {x.size} cell centers differ "
                 f"from the grid's {grid.cells}")
-        rho0, n0, mom1, mom2 = cols.values()
+        U = np.array(tuple(cols.values())).reshape(2, 2, -1)
         t0 = meta.get("t", 0.0)
     else:
         vals = perturbation_values(pert, grid.centers)
         rho0, u0, n0, v0 = (col + vals[c] for c, col in
                             zip(_COMPONENTS, profile.interp(grid.centers)))
-        mom1, mom2 = rho0 * u0, n0 * v0
+        U = np.array(((rho0, n0), (rho0 * u0, n0 * v0)))
         t0 = 0.0
-    for phase, dens in ((1, rho0), (2, n0)):
+    for phase, dens in enumerate(U[0], start=1):
         low = np.nonzero(dens <= DENSITY_FLOOR)[0]
         if low.size:
             raise DomainError(
@@ -193,8 +213,7 @@ def initialize(profile: SteadyProfile, grid: Grid1D,
                 f"at cell {int(low[0])}; perturbation rejected")
     right_ghost = tuple(float(g) for g in
                         profile.interp(grid.length + 0.5 * grid.dx))
-    return EvolutionState(t=t0, rho=rho0, n=n0, mom1=mom1, mom2=mom2,
-                          u_bc=float(profile.u_t[0]),
+    return EvolutionState(t=t0, U=U, u_bc=float(profile.u_t[0]),
                           v_bc=float(profile.v_t[0]), right_ghost=right_ghost)
 
 
@@ -246,18 +265,6 @@ def stable_dt(state: EvolutionState, grid: Grid1D, spec, cfl: float = 0.4,
 # ---------------------------------------------------------------------------
 # the stacked-phase kernel
 # ---------------------------------------------------------------------------
-
-def _block(state):
-    """The conserved variables as one (2, 2, N) block ((rho, n), (m1, m2)):
-    the block that `step` returned them as rows of while they still are its
-    rows, else a copy. Neither stepper writes into the block it starts
-    from."""
-    U = state._stack
-    if (U is not None and state.rho.base is U and state.n.base is U
-            and state.mom1.base is U and state.mom2.base is U):
-        return U
-    return np.array(((state.rho, state.n), (state.mom1, state.mom2)))
-
 
 def _ghost_cells(dens, u_bc, v_bc, right_ghost):
     """The ghost cells of a block with densities dens, as a (2, 2, 2) array
@@ -368,15 +375,6 @@ def _check(U, t):
             raise VacuumError(phase + 1, int(low[0]), t)
 
 
-def _with_block(state, t, U):
-    """The state at time t whose conserved arrays are the rows of U."""
-    new = EvolutionState(t=t, rho=U[0, 0], n=U[0, 1], mom1=U[1, 0],
-                         mom2=U[1, 1], u_bc=state.u_bc, v_bc=state.v_bc,
-                         right_ghost=state.right_ghost)
-    object.__setattr__(new, "_stack", U)
-    return new
-
-
 def _forward_euler(U, state, grid, spec, dt):
     """U + dt R(U) with the state's boundary data, checked at t + dt."""
     bc = (state.u_bc, state.v_bc, state.right_ghost)
@@ -391,18 +389,19 @@ def step(state: EvolutionState, grid: Grid1D, spec, dt: float,
     vacuum. By default this is the explicit SSP-RK2 (Heun) reference scheme,
     stable up to `stable_dt`. imex=True takes one ARS(2,2,2) step instead,
     stable up to `stable_dt(..., imex=True)`; `evolve` marches with it.
-    The returned state's four arrays are the rows of one (2, 2, N) block."""
+    Neither stepper writes into the block of the state it starts from."""
     if dt <= 0.0:
         raise DomainError("step needs dt > 0")
     if imex:
         return _imex_step(state, grid, spec, dt)
     t = state.t + dt
     bc = (state.u_bc, state.v_bc, state.right_ghost)
-    U0 = _block(state)
+    U0 = state.U
     U1 = _forward_euler(U0, state, grid, spec, dt)
     U = 0.5 * (U0 + U1 + dt * _rates(U1, spec, grid.dx, *bc))
     _check(U, t)
-    return _with_block(state, t, U)
+    return EvolutionState(t=t, U=U, u_bc=state.u_bc, v_bc=state.v_bc,
+                          right_ghost=state.right_ghost)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +515,7 @@ def _imex_step(state: EvolutionState, grid: Grid1D, spec, dt: float
     h = IMEX_GAMMA * dt
     f, dx = spec.fluids, grid.dx
     bc = (state.u_bc, state.v_bc, state.right_ghost)
-    U0 = _block(state)
+    U0 = state.U
     Fa = _convection(*_ghosted(U0, *bc), f, dx)
     # densities of the middle stage, then its momenta's right-hand sides
     U = U0 + h * Fa
@@ -539,7 +538,8 @@ def _imex_step(state: EvolutionState, grid: Grid1D, spec, dt: float
     U[1] = _implicit_momenta(_pad(U[0], ghosts[0]), ghosts[1] / ghosts[0],
                              U[1], h, f.mu, dx, t)
     _check(U, t)
-    return _with_block(state, t, U)
+    return EvolutionState(t=t, U=U, u_bc=state.u_bc, v_bc=state.v_bc,
+                          right_ghost=state.right_ghost)
 
 
 @dataclass(frozen=True)
@@ -628,13 +628,12 @@ def _meta_path(path):
 
 def save_state_csv(state: EvolutionState, grid: Grid1D, path,
                    spec_hash: str = None):
-    """Write the state as it is held: the cell centers and the conserved
-    columns rho, n, mom1 and mom2, which read back to the same bits, plus
-    a JSON sidecar with the time t and spec_hash. The boundary data are
-    the profile's, so `initialize` takes them from the profile it resumes
-    under."""
-    cols = np.column_stack((grid.centers, state.rho, state.n, state.mom1,
-                            state.mom2))
+    """Write the state as it is held: the cell centers beside the rows of
+    U.reshape(4, N), the conserved columns rho, n, mom1 and mom2, which
+    read back to the same bits, plus a JSON sidecar with the time t and
+    spec_hash. The boundary data are the profile's, so `initialize` takes
+    them from the profile it resumes under."""
+    cols = np.column_stack((grid.centers, state.U.reshape(4, -1).T))
     write_csv_rows(path, STATE_HEADER, cols)
     with open(_meta_path(path), "w") as fh:
         json.dump({"t": state.t, "spec_hash": spec_hash}, fh, indent=2)

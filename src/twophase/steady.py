@@ -105,23 +105,6 @@ def farfield_jacobian(spec: model.ModelSpec) -> np.ndarray:
     ])
 
 
-def matrix_invariants(J):
-    """Trace, sum of principal 2x2 minors, determinant of a 3x3 matrix.
-
-    These are the elementary symmetric functions of the eigenvalues, the
-    Vieta-closure oracle that the tests check eigensystem's roots against.
-    """
-    J = np.asarray(J, dtype=float)
-    tr = J[0, 0] + J[1, 1] + J[2, 2]
-    inv2 = (J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-            + J[0, 0] * J[2, 2] - J[0, 2] * J[2, 0]
-            + J[1, 1] * J[2, 2] - J[1, 2] * J[2, 1])
-    det = (J[0, 0] * (J[1, 1] * J[2, 2] - J[1, 2] * J[2, 1])
-           - J[0, 1] * (J[1, 0] * J[2, 2] - J[1, 2] * J[2, 0])
-           + J[0, 2] * (J[1, 0] * J[2, 1] - J[1, 1] * J[2, 0]))
-    return tr, inv2, det
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Eigenvalues (sorted by real part), eigenvectors, and sign pattern."""

@@ -1,5 +1,5 @@
-"""Shared builders for randomized specs and CSV references for the test
-suite."""
+"""Shared builders for randomized specs, CSV references and the matrix
+invariant oracle of the test suite."""
 
 import dataclasses
 import math
@@ -104,3 +104,20 @@ def assert_shortest_round_trip(text, rows):
                 continue
             assert struct.pack("<d", back) == struct.pack("<d", v), field
             assert significant_digits(field) == significant_digits(repr(v))
+
+
+def matrix_invariants(J):
+    """Trace, sum of principal 2x2 minors, determinant of a 3x3 matrix.
+
+    These are the elementary symmetric functions of the eigenvalues, the
+    Vieta-closure oracle that eigensystem's roots are checked against.
+    """
+    J = np.asarray(J, dtype=float)
+    tr = J[0, 0] + J[1, 1] + J[2, 2]
+    inv2 = (J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+            + J[0, 0] * J[2, 2] - J[0, 2] * J[2, 0]
+            + J[1, 1] * J[2, 2] - J[1, 2] * J[2, 1])
+    det = (J[0, 0] * (J[1, 1] * J[2, 2] - J[1, 2] * J[2, 1])
+           - J[0, 1] * (J[1, 0] * J[2, 2] - J[1, 2] * J[2, 0])
+           + J[0, 2] * (J[1, 0] * J[2, 1] - J[1, 1] * J[2, 0]))
+    return tr, inv2, det

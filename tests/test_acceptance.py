@@ -19,9 +19,9 @@ import twophase as tp
 from twophase.diagnostics import (POSITIVE_DEFINITE, POSITIVE_SEMIDEFINITE,
                                   NormRecord, NormSeries, PerturbationField,
                                   SigmaNu)
-from twophase.steady import matrix_invariants
 
-from helpers import flat_profile, random_fluids, random_spec, rng_for
+from helpers import (flat_profile, matrix_invariants, random_fluids,
+                     random_spec, rng_for)
 
 UNIT = tp.FluidConstants(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0)
 

@@ -92,6 +92,8 @@ def test_override_round_trip(tmp_path):
     (("diagnostics.fit_window = 5:2",), "below"),
     (("steady.points = 0",), "at least 1"),
     (("evolve.pert_shape = from_file",), "path"),
+    (("diagnostics.weights = algnan",), "finite nu >= 0, got nan"),
+    (("diagnostics.weights = alg1,expinf",), "finite lam >= 0, got inf"),
 ])
 def test_config_rejections_name_the_problem(tmp_path, extra, fragment):
     with pytest.raises(tp.ConfigError) as err:
@@ -365,9 +367,8 @@ def test_invalid_override_exits_2(tmp_path):
 def write_snapshot(path, length, cells):
     """A flat unit-fluid state at Mach 2 on the given grid, with its
     sidecar, as `save_state_csv` writes it."""
-    full = np.full(cells, 1.0)
-    state = tp.EvolutionState(t=0.0, rho=full, n=full, mom1=-2.0 * full,
-                              mom2=-2.0 * full, u_bc=-2.0, v_bc=-2.0,
+    U = np.array(((1.0, 1.0), (-2.0, -2.0)))[:, :, None] * np.ones(cells)
+    state = tp.EvolutionState(t=0.0, U=U, u_bc=-2.0, v_bc=-2.0,
                               right_ghost=(1.0, -2.0, 1.0, -2.0))
     tp.save_state_csv(state, tp.make_grid(length, cells), path)
 

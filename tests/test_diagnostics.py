@@ -6,9 +6,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import twophase as tp
+from twophase import cli
 from twophase.diagnostics import _phi_closed_form
 
 from helpers import (assert_shortest_round_trip, flat_profile, per_value_csv,
@@ -278,8 +281,36 @@ def test_weight_tag_labels_and_validation():
     assert tp.SigmaNu(2.5).label == "sig2.5"
     assert tp.ExponentialLambda(0.5).label == "exp0.5"
     for cls in (tp.AlgebraicNu, tp.SigmaNu, tp.ExponentialLambda):
-        with pytest.raises(tp.DomainError):
-            cls(-0.1)
+        for bad in (-0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(tp.DomainError, match=f"finite .* {bad}"):
+                cls(bad)
+
+
+TAG_CLASSES = (tp.AlgebraicNu, tp.SigmaNu, tp.ExponentialLambda)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cls=st.sampled_from(TAG_CLASSES),
+       value=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+def test_weight_tag_label_parses_back_to_the_tag(cls, value):
+    tag = cls(value)
+    assert cli._weight_tag(tag.label) == tag
+
+
+def test_weight_labels_keep_the_digits_that_tell_weights_apart(tmp_path):
+    # with six significant digits both labels read alg1, and the CSV held
+    # one w_alg1 column with the second weight's values only
+    tags = (tp.AlgebraicNu(1.000001), tp.AlgebraicNu(1.000002))
+    assert [tag.label for tag in tags] == ["alg1.000001", "alg1.000002"]
+    grid = make_grid(10.0, 100)
+    records = [tp.norms(exp_field(grid), grid, weights=tags, t=t)
+               for t in (0.0, 1.0)]
+    path = tmp_path / "norms.csv"
+    tp.save_norm_series_csv(tp.NormSeries(records=tuple(records)), path)
+    cols = tp.load_norm_series_csv(path)
+    for tag in tags:
+        np.testing.assert_array_equal(cols[f"w_{tag.label}"],
+                                      [r.weighted[tag] for r in records])
 
 
 def test_norm_series_requires_increasing_times():

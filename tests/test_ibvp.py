@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 import twophase as tp
-from twophase.ibvp import (_block, _faces, _forward_euler, _ghost_cells,
-                           _ghosted, _implicit_momenta, _pad, _rates,
-                           _viscosity_drag)
+from twophase.ibvp import (_faces, _forward_euler, _ghost_cells, _ghosted,
+                           _implicit_momenta, _pad, _rates, _viscosity_drag)
 
 from helpers import (assert_shortest_round_trip, flat_profile, per_value_csv,
                      rng_for)
@@ -31,11 +30,14 @@ def sup_spec(fluids):
     return tp.ModelSpec(fluids=fluids, far=SUP.far, u_minus=SUP.u_minus)
 
 
+# where each conserved row lives in the block U = ((rho, n), (mom1, mom2))
+ROW = {"rho": (0, 0), "n": (0, 1), "mom1": (1, 0), "mom2": (1, 1)}
+
+
 def homogeneous_state(cells, rho, u, n, v, t=0.0):
-    full = np.full(cells, 1.0)
-    return tp.EvolutionState(t=t, rho=rho * full, n=n * full,
-                             mom1=rho * u * full, mom2=n * v * full, u_bc=u,
-                             v_bc=v, right_ghost=(rho, u, n, v))
+    U = np.array(((rho, n), (rho * u, n * v)))[:, :, None] * np.ones(cells)
+    return tp.EvolutionState(t=t, U=U, u_bc=u, v_bc=v,
+                             right_ghost=(rho, u, n, v))
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +178,9 @@ def test_stable_dt_cfl_validation():
 
 
 def with_momentum(state, name, cell, value):
-    mom = getattr(state, name).copy()
-    mom[cell] = value
-    return dataclasses.replace(state, **{name: mom})
+    U = state.U.copy()
+    U[ROW[name]][cell] = value
+    return dataclasses.replace(state, U=U)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
@@ -273,8 +275,7 @@ def test_drag_relaxation_matches_heun_closed_form():
     exact = gap0 * math.exp(-rate * dt)
     assert stepped.v[j] - stepped.u[j] == pytest.approx(exact, abs=1e-8)
     # a single Euler stage only gets the first-order term
-    (rho1, n1), (m1, m2) = _forward_euler(_block(state), state, grid, SUP,
-                                          dt)
+    (rho1, n1), (m1, m2) = _forward_euler(state.U, state, grid, SUP, dt)
     gap_euler = m2[j] / n1[j] - m1[j] / rho1[j]
     assert gap_euler == pytest.approx(gap0 * (1.0 - rate * dt), rel=1e-12)
     assert abs(gap_euler - exact) > abs(
@@ -302,7 +303,7 @@ def smooth_state(grid):
     u = -2.0 + 0.05 * np.cos(0.3 * x)
     n = 1.0 + 0.08 * np.cos(0.4 * x)
     v = -2.0 + 0.04 * np.sin(0.6 * x)
-    return tp.EvolutionState(t=0.0, rho=rho, n=n, mom1=rho * u, mom2=n * v,
+    return tp.EvolutionState(t=0.0, U=np.array(((rho, n), (rho * u, n * v))),
                              u_bc=-2.0, v_bc=-2.0,
                              right_ghost=(1.0, -2.0, 1.0, -2.0))
 
@@ -317,7 +318,7 @@ def test_euler_stage_mass_budget(fluids):
     state = smooth_state(grid)
     rho, u, n, v = state.rho, state.u, state.n, state.v
     dt = 1e-3
-    (rho1, n1), _ = _forward_euler(_block(state), state, grid, spec, dt)
+    (rho1, n1), _ = _forward_euler(state.U, state, grid, spec, dt)
 
     def rusanov_mass(rl, ul, cl, rr, ur, cr):
         a = max(abs(ul) + cl, abs(ur) + cr)
@@ -350,7 +351,7 @@ def test_euler_stage_momentum_budget(fluids):
     grid = tp.make_grid(12.8, 64)
     dx, dt = grid.dx, 1e-3
     state = smooth_state(grid)
-    _, (mom1, mom2) = _forward_euler(_block(state), state, grid, spec, dt)
+    _, (mom1, mom2) = _forward_euler(state.U, state, grid, spec, dt)
 
     def rusanov_momentum(left, right, phase):
         def parts(r, w):
@@ -382,8 +383,8 @@ def test_step_detects_vacuum():
     full = np.full(100, 1.0)
     rho = np.full(100, 1e-8)
     u = -5.0 + 0.4 * grid.centers
-    state = tp.EvolutionState(t=0.0, rho=rho, n=full, mom1=rho * u,
-                              mom2=-2.0 * full, u_bc=-5.0, v_bc=-2.0,
+    U = np.array(((rho, full), (rho * u, -2.0 * full)))
+    state = tp.EvolutionState(t=0.0, U=U, u_bc=-5.0, v_bc=-2.0,
                               right_ghost=(1e-8, -1.0, 1.0, -2.0))
     with pytest.raises(tp.VacuumError) as err:
         tp.step(state, grid, SUP, 1e-3)
@@ -395,10 +396,9 @@ def test_step_detects_vacuum():
 def test_step_detects_blowup():
     grid = tp.make_grid(10.0, 100)
     state = homogeneous_state(100, 1.0, -2.0, 1.0, -2.0, t=0.25)
-    mom1 = state.mom1.copy()
-    mom1[7] = 1e308
-    state = tp.EvolutionState(t=state.t, rho=state.rho, n=state.n,
-                              mom1=mom1, mom2=state.mom2, u_bc=state.u_bc,
+    U = state.U.copy()
+    U[1, 0, 7] = 1e308
+    state = tp.EvolutionState(t=state.t, U=U, u_bc=state.u_bc,
                               v_bc=state.v_bc, right_ghost=state.right_ghost)
     with pytest.raises(tp.BlowUpError) as err:
         tp.step(state, grid, SUP, 1e-3)
@@ -409,15 +409,13 @@ def patched_state(**patches):
     """Homogeneous 100-cell state with rho, n or mom2 overwritten on the
     given cell slices; the velocities stay -2 where a density is patched."""
     base = homogeneous_state(100, 1.0, -2.0, 1.0, -2.0, t=0.25)
-    rho, n, mom2 = base.rho.copy(), base.n.copy(), base.mom2.copy()
+    U = base.U.copy()
     for name, (cells, value) in patches.items():
-        {"rho": rho, "n": n, "mom2": mom2}[name][cells] = value
-    mom1 = -2.0 * rho
+        U[ROW[name]][cells] = value
+    U[1, 0] = -2.0 * U[0, 0]
     if "mom2" not in patches:
-        mom2 = -2.0 * n
-    return tp.EvolutionState(t=base.t, rho=rho, n=n, mom1=mom1, mom2=mom2,
-                             u_bc=base.u_bc, v_bc=base.v_bc,
-                             right_ghost=base.right_ghost)
+        U[1, 1] = -2.0 * U[0, 1]
+    return dataclasses.replace(base, U=U)
 
 
 # A patch at density 1e-12 spanning cells lo..hi-1: the Rusanov stencil
@@ -454,7 +452,9 @@ def test_replaced_arrays_move_the_velocities(name, factor):
     # moves the velocity read from it, and the step stable_dt takes
     grid = tp.make_grid(10.0, 100)
     base = homogeneous_state(100, 1.0, -2.0, 1.0, -2.0)
-    state = dataclasses.replace(base, **{name: factor * getattr(base, name)})
+    U = base.U.copy()
+    U[ROW[name]] *= factor
+    state = dataclasses.replace(base, U=U)
     np.testing.assert_array_equal(state.u, state.mom1 / state.rho)
     np.testing.assert_array_equal(state.v, state.mom2 / state.n)
     # the changed phase now moves at |velocity| 4; unit sound speeds add 1
@@ -472,39 +472,51 @@ def test_step_rejects_nonpositive_dt():
 
 
 @pytest.mark.parametrize("imex", [False, True], ids=["heun", "imex"])
-def test_step_reuses_its_own_block_only(imex):
+def test_stepped_rows_are_views_of_a_new_block(imex):
     spec = sup_spec(HOT)
     grid = tp.make_grid(10.0, 64)
     pert = tp.PerturbationSpec(shape="compact_bump", amplitude=1e-3,
                                center=5.0, width=2.0,
                                components=("rho", "u", "n", "v"))
     state = tp.initialize(flat_profile(spec), grid, pert)
+    U0 = state.U.copy()
     s1 = tp.step(state, grid, spec, 1e-3, imex=imex)
-    U = _block(s1)
-    assert U.shape == (2, 2, 64)
-    np.testing.assert_array_equal(
-        U, np.array(((s1.rho, s1.n), (s1.mom1, s1.mom2))))
-    # the block of a stepped state is the one its rows live in
-    assert _block(s1) is U and s1.rho.base is U
-    # a replaced or caller-built state gets a fresh block of equal bits
-    fields = {k: getattr(s1, k) for k in ("t", "rho", "n", "mom1", "mom2",
-                                          "u_bc", "v_bc", "right_ghost")}
-    for other in (dataclasses.replace(s1, t=0.5), tp.EvolutionState(**fields),
-                  dataclasses.replace(s1, rho=s1.n, n=s1.rho)):
-        fresh = _block(other)
-        assert fresh is not U
-        np.testing.assert_array_equal(
-            fresh, np.array(((other.rho, other.n),
-                             (other.mom1, other.mom2))))
-    # and stepping a replaced copy gives the same bits as stepping s1
+    U1 = s1.U.copy()
+    assert s1.U.shape == (2, 2, 64) and s1.U is not state.U
+    # a stepped state's four rows are views of its block
+    for name, cell in ROW.items():
+        assert getattr(s1, name).base is s1.U
+        np.testing.assert_array_equal(getattr(s1, name), s1.U[cell])
+    # stepping a replaced copy gives the same bits as stepping s1
     s2 = tp.step(s1, grid, spec, 1e-3, imex=imex)
-    s2_copy = tp.step(dataclasses.replace(s1), grid, spec, 1e-3, imex=imex)
+    s2_copy = tp.step(dataclasses.replace(s1, U=U1.copy()), grid, spec,
+                      1e-3, imex=imex)
     for name in ("rho", "u", "n", "v", "mom1", "mom2"):
         np.testing.assert_array_equal(getattr(s2, name),
                                       getattr(s2_copy, name))
-    # the step read its start block without writing into it
-    np.testing.assert_array_equal(
-        U, np.array(((s1.rho, s1.n), (s1.mom1, s1.mom2))))
+    # neither step wrote into the block it started from
+    np.testing.assert_array_equal(state.U, U0)
+    np.testing.assert_array_equal(s1.U, U1)
+
+
+def test_a_row_given_by_keyword_replaces_it_in_a_copy():
+    # dataclasses.replace(state, rho=...) passes the row by keyword: the
+    # new state holds a copy of the block with that row replaced, and the
+    # state it was replaced from keeps its block and bits
+    base = homogeneous_state(10, 1.0, -2.0, 1.0, -2.0)
+    U0 = base.U.copy()
+    rho = np.linspace(1.0, 2.0, 10)
+    state = dataclasses.replace(base, rho=rho, mom2=3.0)
+    assert dataclasses.fields(state) == dataclasses.fields(base)
+    assert len(dataclasses.fields(state)) == 5
+    assert state.U is not base.U and state.rho.base is state.U
+    np.testing.assert_array_equal(state.rho, rho)
+    np.testing.assert_array_equal(state.mom2, 3.0)
+    np.testing.assert_array_equal(state.n, base.n)
+    np.testing.assert_array_equal(state.mom1, base.mom1)
+    np.testing.assert_array_equal(base.U, U0)
+    # without a row the block is the one passed in
+    assert dataclasses.replace(base, t=1.0).U is base.U
 
 
 # ---------------------------------------------------------------------------
@@ -645,8 +657,8 @@ def test_imex_settles_on_the_semi_discrete_steady_state():
     start = tp.initialize(profile, grid, tp.PerturbationSpec())
     s = tp.evolve(start, grid, spec, t_end=40.0).state
     bc = (s.u_bc, s.v_bc, s.right_ghost)
-    rates = _rates(_block(s), spec, grid.dx, *bc)
-    (visc1, visc2), drag = _viscosity_drag(*_ghosted(_block(s), *bc),
+    rates = _rates(s.U, spec, grid.dx, *bc)
+    (visc1, visc2), drag = _viscosity_drag(*_ghosted(s.U, *bc),
                                            UNIT.mu, grid.dx)
     implicit = max(np.max(np.abs(visc1 + drag)), np.max(np.abs(visc2 - drag)))
     assert implicit > 0.01

@@ -5,8 +5,8 @@ import pytest
 
 import twophase as tp
 from twophase.steady import (_projection_rows, _rhs_jacobian, _rhs_params,
-                             _rhs_vectorized, _solve_small, matrix_invariants)
-from helpers import random_spec, rng_for
+                             _rhs_vectorized, _solve_small)
+from helpers import matrix_invariants, random_spec, rng_for
 
 UNIT = tp.FluidConstants(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0)
 

@@ -425,10 +425,10 @@ def _special_profile():
 
 def _special_state(grid):
     ones = np.ones(grid.cells)
-    return tp.EvolutionState(
-        t=0.0, rho=ones, n=ones, mom1=_special_column(grid.cells, 0),
-        mom2=_special_column(grid.cells, 5), u_bc=-2.0, v_bc=-2.0,
-        right_ghost=(1.0, -2.0, 1.0, -2.0))
+    U = np.array(((ones, ones), (_special_column(grid.cells, 0),
+                                 _special_column(grid.cells, 5))))
+    return tp.EvolutionState(t=0.0, U=U, u_bc=-2.0, v_bc=-2.0,
+                             right_ghost=(1.0, -2.0, 1.0, -2.0))
 
 
 def _special_series():
