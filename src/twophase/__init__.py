@@ -11,7 +11,7 @@ from .diagnostics import (AlgebraicNu, ExponentialLambda, NormRecord,
                           SigmaNu, TemporalDecayFit, assemble_quadratic_form,
                           energy_total, fit_temporal_decay, hat_transform,
                           load_norm_series_csv, norms, perturbation,
-                          phi_potential, save_norm_series_csv)
+                          phi_potential, save_norm_series_csv, weight_tag)
 from .errors import (BlowUpError, ConfigError, DomainError,
                      InsufficientDataError, NumericsError, ShootingError,
                      SingularityError, VacuumError, WeightOverflowError)

@@ -21,10 +21,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, model
-from .diagnostics import (AlgebraicNu, ExponentialLambda, NormRecord,
-                          NormSeries, SigmaNu, assemble_quadratic_form,
+from .diagnostics import (SigmaNu, assemble_quadratic_form,
                           fit_temporal_decay, load_norm_series_csv, norms,
-                          perturbation, save_norm_series_csv)
+                          perturbation, save_norm_series_csv, weight_tag)
 from .errors import (BlowUpError, ConfigError, DomainError,
                      InsufficientDataError, NumericsError, ShootingError,
                      SingularityError, VacuumError, WeightOverflowError)
@@ -170,20 +169,6 @@ def _format_value(value, kind):
     return str(value)
 
 
-def _weight_tag(label):
-    for prefix, cls in (("alg", AlgebraicNu), ("exp", ExponentialLambda),
-                        ("sig", SigmaNu)):
-        if label.startswith(prefix):
-            try:
-                return cls(float(label[len(prefix):]))
-            except DomainError as err:
-                raise ConfigError(f"weight tag {label!r}: {err}") from None
-            except ValueError:
-                break
-    raise ConfigError(
-        f"unknown weight tag {label!r} (expected e.g. alg1, exp0.5, sig2)")
-
-
 # ---------------------------------------------------------------------------
 # config object
 # ---------------------------------------------------------------------------
@@ -243,7 +228,7 @@ class ExperimentConfig:
                                 path=v["evolve.pert_path"])
 
     def weight_tags(self):
-        return tuple(_weight_tag(label)
+        return tuple(weight_tag(label)
                      for label in self.values["diagnostics.weights"])
 
     def fit_window(self):
@@ -453,32 +438,13 @@ def _decay_fit_body(config, out_dir, workers):
     if not path:
         raise ConfigError(
             "diagnostics.series_path is required for decay-fit")
-    cols = load_norm_series_csv(path)
-    count = len(cols["t"])
-    if count == 0:
-        raise InsufficientDataError(f"{path} holds no records")
-    try:
-        tag_cols = [(name, _weight_tag(name[2:]))
-                    for name in cols if name.startswith("w_")]
-    except ConfigError as err:
-        # a bad column header is a bad data file, not a bad config
-        raise DomainError(f"{path}: {err}") from None
-    records = []
-    for i in range(count):
-        weighted = {tag: float(cols[name][i]) for name, tag in tag_cols}
-        records.append(NormRecord(t=float(cols["t"][i]),
-                                  l2=float(cols["l2"][i]),
-                                  h1=float(cols["h1"][i]),
-                                  linf=float(cols["linf"][i]),
-                                  drag_l2=float(cols["drag_l2"][i]),
-                                  weighted=weighted))
-    series = NormSeries(tuple(records))
+    series = load_norm_series_csv(path)
     try:
         fit = fit_temporal_decay(series, v["diagnostics.fit_norm"],
                                  v["diagnostics.fit_law"],
                                  window=config.fit_window())
-    except DomainError as err:
-        raise DomainError(f"{path}: {err}") from None
+    except (DomainError, InsufficientDataError) as err:
+        raise type(err)(f"{path}: {err}") from None
     prefix = v["output.prefix"]
     fit_name = f"{prefix}_fit.json"
     _write_json(os.path.join(out_dir, fit_name),
@@ -487,7 +453,7 @@ def _decay_fit_body(config, out_dir, workers):
                  "prefactor": float(fit.prefactor),
                  "r_squared": float(fit.r_squared),
                  "window": [float(fit.window[0]), float(fit.window[1])],
-                 "records": count, "source": str(path)})
+                 "records": len(series.records), "source": str(path)})
     return ([fit_name], "completed", "")
 
 
@@ -536,10 +502,8 @@ def _regime_body(config, out_dir, workers):
 
 
 def _sweep_child(job):
-    name, text, child_dir = job
+    name, config, child_dir = job
     try:
-        config = ExperimentConfig(_build_values(
-            _values_from_lines(text.splitlines(), source="sweep child")))
         record = run_subcommand(name, config, child_dir)
         return (record.status, record.reason)
     except Exception as err:  # noqa: BLE001 - worker boundary
@@ -573,7 +537,7 @@ def _sweep_body(config, out_dir, workers):
         raise ConfigError(
             "sweep.values contains duplicates (identical configurations)")
 
-    jobs = [(name, child.canonical_text(), os.path.join(out_dir, child.hash))
+    jobs = [(name, child, os.path.join(out_dir, child.hash))
             for _, child in children]
     if workers <= 1:
         outcomes = [_sweep_child(job) for job in jobs]

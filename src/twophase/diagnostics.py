@@ -9,7 +9,7 @@ symmetric matrices whose definiteness drives the energy estimates.
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,59 +29,65 @@ _MAX_LOG = math.log(sys.float_info.max)
 # weight tags
 # ---------------------------------------------------------------------------
 
-def _check_param(weight, name, value):
-    if not (math.isfinite(value) and value >= 0):
-        raise DomainError(
-            f"{weight} weight needs a finite {name} >= 0, got {value}")
+class _Weight:
+    """A weight with one parameter, finite and >= 0. Each family declares
+    its label prefix and the word its messages use. The label is the prefix
+    plus the parameter in `g` format where that reads back to it, else its
+    repr, so weight_tag parses every label back to its weight."""
 
+    def __post_init__(self):
+        (field,) = fields(self)
+        value = getattr(self, field.name)
+        if not (math.isfinite(value) and value >= 0):
+            raise DomainError(f"{self.word} weight needs a finite "
+                              f"{field.name} >= 0, got {value}")
 
-def _label(prefix, value):
-    """prefix plus the value in `g` format where that reads back to it,
-    else its repr: every label parses back to its own weight."""
-    text = f"{value:g}"
-    return prefix + (text if float(text) == value else repr(value))
+    @property
+    def label(self):
+        value = getattr(self, fields(self)[0].name)
+        text = f"{value:g}"
+        return self.prefix + (text if float(text) == value else repr(value))
 
 
 @dataclass(frozen=True)
-class AlgebraicNu:
+class AlgebraicNu(_Weight):
     """Weight (1+x)^nu on the squared integrand."""
 
+    prefix, word = "alg", "algebraic"
     nu: float
-
-    def __post_init__(self):
-        _check_param("algebraic", "nu", self.nu)
-
-    @property
-    def label(self):
-        return _label("alg", self.nu)
 
 
 @dataclass(frozen=True)
-class SigmaNu:
+class SigmaNu(_Weight):
     """Weight sigma(x)^(-nu) tied to the slow decay scale of a sonic solve."""
 
+    prefix, word = "sig", "sigma"
     nu: float
-
-    def __post_init__(self):
-        _check_param("sigma", "nu", self.nu)
-
-    @property
-    def label(self):
-        return _label("sig", self.nu)
 
 
 @dataclass(frozen=True)
-class ExponentialLambda:
+class ExponentialLambda(_Weight):
     """Weight e^(lam x) on the squared integrand."""
 
+    prefix, word = "exp", "exponential"
     lam: float
 
-    def __post_init__(self):
-        _check_param("exponential", "lam", self.lam)
 
-    @property
-    def label(self):
-        return _label("exp", self.lam)
+def weight_tag(label):
+    """The weight whose label is label, as diagnostics.weights and the
+    w_<label> columns of a norm series spell it."""
+    for cls in (AlgebraicNu, ExponentialLambda, SigmaNu):
+        if label.startswith(cls.prefix):
+            try:
+                return cls(float(label[len(cls.prefix):]))
+            except DomainError as err:
+                raise DomainError(f"weight tag {label!r}: {err}") from None
+            except ValueError:
+                break
+    examples = ", ".join(tag.label for tag in (
+        AlgebraicNu(1.0), ExponentialLambda(0.5), SigmaNu(2.0)))
+    raise DomainError(
+        f"unknown weight tag {label!r} (expected e.g. {examples})")
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +463,7 @@ def fit_temporal_decay(series: NormSeries, which_norm, law: str,
 # norm series CSV
 # ---------------------------------------------------------------------------
 
-NORM_SERIES_BASE_HEADER = "t,l2,h1,linf,drag_l2"
+NORM_SERIES_BASE_COLUMNS = ("t", "l2", "h1", "linf", "drag_l2")
 
 
 def save_norm_series_csv(series: NormSeries, path):
@@ -468,17 +474,35 @@ def save_norm_series_csv(series: NormSeries, path):
         for r in series.records:
             if tuple(r.weighted) != tags:
                 raise DomainError("records carry inconsistent weight tags")
-    header = NORM_SERIES_BASE_HEADER
-    if tags:
-        header += "," + ",".join(f"w_{tag.label}" for tag in tags)
+    header = ",".join(NORM_SERIES_BASE_COLUMNS
+                      + tuple(f"w_{tag.label}" for tag in tags))
     cols = np.array([(r.t, r.l2, r.h1, r.linf, r.drag_l2,
                       *(r.weighted[tag] for tag in tags))
                      for r in series.records], dtype=float)
     write_csv_rows(path, header, cols.reshape(-1, 5 + len(tags)))
 
 
-def load_norm_series_csv(path):
-    """Read a norm series CSV back as a dict of named columns."""
-    return read_csv_columns(
+def load_norm_series_csv(path) -> NormSeries:
+    """Read back the NormSeries that save_norm_series_csv wrote. The header
+    must be t,l2,h1,linf,drag_l2 followed by w_<label> columns of distinct
+    weights; every error is a DomainError naming the file."""
+    cols = read_csv_columns(
         path, "norm series",
-        lambda header: header.startswith(NORM_SERIES_BASE_HEADER))
+        lambda head: tuple(head.split(",")[:5]) == NORM_SERIES_BASE_COLUMNS)
+    try:
+        names = {}
+        for name in list(cols)[5:]:
+            if not name.startswith("w_"):
+                raise DomainError(f"norm series column {name!r} is not "
+                                  "w_<label>")
+            tag = weight_tag(name[2:])
+            if tag in names:
+                raise DomainError(f"columns {names[tag]!r} and {name!r} "
+                                  "name one weight")
+            names[tag] = name
+        rows = np.column_stack(list(cols.values())).tolist()
+        return NormSeries(tuple(
+            NormRecord(*row[:5], weighted=dict(zip(names, row[5:])))
+            for row in rows))
+    except DomainError as err:
+        raise DomainError(f"{path}: {err}") from None

@@ -742,14 +742,19 @@ def read_csv_columns(path, kind, accepts):
     body of plain decimals (all that write_csv_rows writes, bar non-finite
     values) goes through orjson, about 2x faster, and anything else
     through loadtxt itself. A header alone gives zero-length columns. A
-    header that accepts(header) rejects, a value that does not parse or a
-    row of another width raises DomainError naming the file."""
+    header that names a column twice or that accepts(header) rejects, a
+    value that does not parse or a row of another width raises DomainError
+    naming the file."""
     with open(path) as fh:
         header = fh.readline().strip()
+        names = header.split(",")
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise DomainError(
+                    f"{path}: {kind} header names column {name!r} twice")
         if not accepts(header):
             raise DomainError(f"{path}: unexpected {kind} header {header!r}")
         body = fh.read()
-    names = header.split(",")
     data = (np.empty((0, len(names))) if not body.strip("\n")
             else _parse_numbers(body))
     if data is None:

@@ -257,11 +257,13 @@ def test_evolve_subcommand_and_determinism(tmp_path):
 
     record = json.loads((out1 / "run_run.json").read_text())
     assert record["status"] == "completed"
-    cols = tp.load_norm_series_csv(out1 / "run_norms.csv")
-    assert cols["t"][0] == 0.0
-    assert cols["t"][-1] == pytest.approx(0.5, abs=1e-9)
-    assert np.all(np.diff(cols["t"]) > 0)
-    assert "w_alg1" in cols
+    series = tp.load_norm_series_csv(out1 / "run_norms.csv")
+    times = series.times()
+    assert times[0] == 0.0
+    assert times[-1] == pytest.approx(0.5, abs=1e-9)
+    assert np.all(np.diff(times) > 0)
+    assert all(list(r.weighted) == [tp.AlgebraicNu(1.0)]
+               for r in series.records)
 
     _, _, meta = tp.load_state_csv(out1 / "run_final.csv")
     assert meta["t"] == pytest.approx(0.5, abs=1e-9)
@@ -373,6 +375,33 @@ def write_snapshot(path, length, cells):
     tp.save_state_csv(state, tp.make_grid(length, cells), path)
 
 
+def write_norm_series(path, header, times, rates):
+    """A norm series file whose plain norms decay at rate 0.5 and whose
+    weight columns decay at the given rates."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for t in times:
+            values = [t] + [math.exp(-0.5 * t)] * 4
+            values += [math.exp(-rate * t) for rate in rates]
+            fh.write(",".join(map(repr, values)) + "\n")
+
+
+# name -> (header, times, weight column rates); each would fit at rate
+# 0.5, or at 2.0 for alg1, if its fault were not refused
+NORM_SERIES_CASES = {
+    "twice_series": ("t,l2,h1,linf,drag_l2,w_alg1,w_alg1", range(10),
+                     (0.5, 2.0)),
+    "alias_series": ("t,l2,h1,linf,drag_l2,w_alg1,w_alg1.0", range(10),
+                     (0.5, 2.0)),
+    "base_typo_series": ("t,l2,h1,linf,drag_l2x", range(10), ()),
+    "extra_series": ("t,l2,h1,linf,drag_l2,oops", range(10), (0.5,)),
+    "unordered_series": ("t,l2,h1,linf,drag_l2",
+                         (0, 1, 2, 3, 5, 4, 6, 7, 8, 9), ()),
+    "short_series": ("t,l2,h1,linf,drag_l2", range(5), ()),
+    "empty_series": ("t,l2,h1,linf,drag_l2", (), ()),
+}
+
+
 def _raising_body(err):
     def body(config, out_dir, workers):
         raise err
@@ -382,10 +411,10 @@ def _raising_body(err):
 # each documented exit code with its cause; {tmp}, {bad_series},
 # {bad_tag_series}, {ragged_series}, {snapshot} (64 cells on [0, 10]),
 # {nan_snapshot} (the same with n = nan in data row 6),
-# {ragged_snapshot} (the same with data row 6 one value short) and
+# {ragged_snapshot} (the same with data row 6 one value short),
 # {old_snapshot} (the same under the older velocity header x,rho,u,n,v)
-# stand for paths made in the test, and every fragment must appear on
-# stderr
+# and the norm series named in NORM_SERIES_CASES stand for paths made in
+# the test, and every fragment must appear on stderr
 @pytest.mark.parametrize("command, extra, raised, code, fragments", [
     ("steady", ("spec.bogus = 1",), None, 2,
      ("unknown key", "'spec.bogus'")),
@@ -443,6 +472,26 @@ def _raising_body(err):
                 "evolve.pert_shape = from_file",
                 "evolve.pert_path = {old_snapshot}"), None, 3,
      ("{old_snapshot}", "unexpected snapshot header 'x,rho,u,n,v'")),
+    ("decay-fit", ("diagnostics.series_path = {twice_series}",
+                   "diagnostics.fit_norm = alg1"), None, 3,
+     ("{twice_series}: norm series header names column 'w_alg1' twice",)),
+    ("decay-fit", ("diagnostics.series_path = {alias_series}",
+                   "diagnostics.fit_norm = alg1"), None, 3,
+     ("{alias_series}: columns 'w_alg1' and 'w_alg1.0' name one weight",)),
+    ("decay-fit", ("diagnostics.series_path = {base_typo_series}",), None, 3,
+     ("{base_typo_series}: unexpected norm series header "
+      "'t,l2,h1,linf,drag_l2x'",)),
+    ("decay-fit", ("diagnostics.series_path = {extra_series}",), None, 3,
+     ("{extra_series}: norm series column 'oops' is not w_<label>",)),
+    ("decay-fit", ("diagnostics.series_path = {unordered_series}",), None, 3,
+     ("{unordered_series}: norm series times must be strictly increasing",)),
+    ("decay-fit", ("diagnostics.series_path = {short_series}",), None, 3,
+     ("{short_series}: norm series holds 5 records (need 8)",)),
+    ("decay-fit", ("diagnostics.series_path = {empty_series}",), None, 3,
+     ("{empty_series}: norm series holds 0 records (need 8)",)),
+    ("evolve", ("grid.length = 100", "grid.cells = 64", "evolve.t_end = 0.1",
+                "diagnostics.weights = exp10"), None, 3,
+     ("exponential weight rate 10 overflows", "7.15372")),
 ], ids=["bad_key", "pressure_overflow", "pressure_underflow",
         "pressure_sum_overflow", "eigenvector_residual", "malformed_series",
         "bad_weight_tag", "ragged_series",
@@ -450,7 +499,9 @@ def _raising_body(err):
         "grid_beyond_profile", "snapshot_grid_mismatch", "t_end_inf",
         "pert_amplitude_nan", "pert_amplitude_inf", "pert_center_inf",
         "pert_width_inf", "snapshot_nan", "ragged_snapshot",
-        "old_snapshot"])
+        "old_snapshot", "column_twice", "weight_twice", "base_header_typo",
+        "non_weight_column", "unordered_times", "five_records",
+        "no_records", "weight_overflow"])
 def test_exit_codes_name_the_cause(tmp_path, capsys, monkeypatch, command,
                                    extra, raised, code, fragments):
     bad_series = tmp_path / "series.csv"
@@ -477,6 +528,9 @@ def test_exit_codes_name_the_cause(tmp_path, capsys, monkeypatch, command,
              "nan_snapshot": str(nan_snapshot),
              "ragged_snapshot": str(ragged_snapshot),
              "old_snapshot": str(old_snapshot)}
+    for name, (header, times, rates) in NORM_SERIES_CASES.items():
+        paths[name] = str(tmp_path / f"{name}.csv")
+        write_norm_series(paths[name], header, times, rates)
     if raised is not None:
         monkeypatch.setitem(cli._RUNNERS, command, _raising_body(raised))
     path = write_config(tmp_path, *(line.format(**paths) for line in extra))

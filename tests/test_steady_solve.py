@@ -479,7 +479,8 @@ def test_csv_writers_spell_every_edge_value(tmp_path, writer):
 
 def test_header_only_csv_loads_as_empty_columns(tmp_path):
     # save_norm_series_csv writes just the header for an empty series;
-    # it loads back as zero-length columns, without numpy's no-data warning
+    # it loads back as the empty series and a header-only profile as
+    # zero-length columns, without numpy's no-data warning
     path = tmp_path / "empty.csv"
     tp.save_norm_series_csv(tp.NormSeries(records=()), path)
     assert path.read_text() == "t,l2,h1,linf,drag_l2\n"
@@ -487,10 +488,9 @@ def test_header_only_csv_loads_as_empty_columns(tmp_path):
     profile.write_text(PROFILE_HEADER + "\n\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cols = tp.load_norm_series_csv(path)
+        series = tp.load_norm_series_csv(path)
         prof_cols = load_profile_csv(profile)
-    assert list(cols) == "t,l2,h1,linf,drag_l2".split(",")
-    assert all(col.shape == (0,) for col in cols.values())
+    assert series == tp.NormSeries(records=())
     assert list(prof_cols) == PROFILE_HEADER.split(",")
     assert all(col.shape == (0,) for col in prof_cols.values())
 
@@ -581,6 +581,15 @@ def test_csv_header_guard(tmp_path):
     path.write_text("x,rho,u\n0,1,2\n")
     with pytest.raises(tp.DomainError):
         load_profile_csv(path)
+
+
+def test_csv_header_naming_a_column_twice_is_refused(tmp_path):
+    # a dict of columns would keep only the later one, without a word
+    path = tmp_path / "twice.csv"
+    path.write_text("a,b,a\n1,2,3\n")
+    with pytest.raises(tp.DomainError) as err:
+        read_csv_columns(path, "test", lambda header: True)
+    assert str(err.value) == f"{path}: test header names column 'a' twice"
 
 
 @pytest.mark.parametrize("load, header", [
