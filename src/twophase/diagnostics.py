@@ -78,8 +78,12 @@ def weight_tag(label):
     w_<label> columns of a norm series spell it."""
     for cls in (AlgebraicNu, ExponentialLambda, SigmaNu):
         if label.startswith(cls.prefix):
+            text = label[len(cls.prefix):]
+            # float also reads "1_0", " 1" and non-ASCII digits; no label does
+            if "_" in text or not text.isascii() or text.strip() != text:
+                break
             try:
-                return cls(float(label[len(cls.prefix):]))
+                return cls(float(text))
             except DomainError as err:
                 raise DomainError(f"weight tag {label!r}: {err}") from None
             except ValueError:
@@ -127,6 +131,8 @@ class NormSeries:
 
     def __post_init__(self):
         times = [r.t for r in self.records]
+        if not all(map(math.isfinite, times)):
+            raise DomainError("norm series times must be finite")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise DomainError("norm series times must be strictly increasing")
 

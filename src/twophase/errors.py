@@ -63,8 +63,7 @@ class BlowUpError(RuntimeError):
 
 class NumericsError(RuntimeError):
     """Floating-point machinery failed a self-check (a LAPACK eigenpair
-    whose residual |J r - lam r| is too large, boundary rows that do not
-    match the far-field spectrum)."""
+    whose residual |J r - lam r| is too large)."""
 
 
 class InsufficientDataError(ValueError):

@@ -15,13 +15,13 @@ meet the prescribed boundary velocity at x = 0.
 
 The linearization at the fixed point has one eigenvalue pattern per regime
 (two stable directions when supersonic, one when subsonic, and a genuine
-center direction at sonic); its eigenpairs, right and left, come from
-LAPACK through scipy.linalg.eig. Every regime is solved the same way: one
-collocation solve on a truncated interval [0, L] with the boundary velocities
-at x = 0 and, at x = L, projection conditions that kill each unstable
-far-field mode (Lentini & Keller, SIAM J. Numer. Anal. 1980; Beyn, IMA J.
-Numer. Anal. 1990). The regime sets only how many boundary velocities are
-imposed, the initial guess and the decay laws the start mesh is graded by.
+center direction at sonic); its eigenpairs, right and left, come from one
+LAPACK call. Every regime is solved the same way: one collocation solve on
+a truncated interval [0, L] with the boundary velocities at x = 0 and, at
+x = L, projection conditions that kill each unstable far-field mode (Lentini
+& Keller, SIAM J. Numer. Anal. 1980; Beyn, IMA J. Numer. Anal. 1990). The
+regime sets only how many boundary velocities are imposed (and so how many
+modes are kept), the initial guess and the decay laws of the start mesh.
 The solve gets the closed-form Jacobians of the system and of the linear
 boundary rows, so solve_bvp (Kierzenka & Shampine, ACM TOMS 2001)
 estimates neither by finite differences; the right-hand side and its
@@ -111,21 +111,22 @@ class EigenSystem:
 
     lambdas: tuple
     vectors: np.ndarray  # columns vectors[:, i] match lambdas[i]
+    left: np.ndarray  # columns left[:, i] match lambdas[i]
     sign_pattern: tuple
 
 
 def eigensystem(J) -> EigenSystem:
     """Eigen-decomposition of the far-field matrix by LAPACK (geev).
 
-    Eigenvalues are sorted by (real, imaginary) part and the eigenvectors
-    are unit-norm columns; a residual |J r - lam r| above 1e-8 (relative to
-    max(|J|, 1)) is treated as a numerical failure rather than silently
-    returned.
+    Eigenvalues are sorted by (real, imaginary) part and the right and left
+    eigenvectors are unit-norm columns in that order; a residual
+    |J r - lam r| above 1e-8 (relative to max(|J|, 1)) is treated as a
+    numerical failure rather than silently returned.
     """
     J = np.asarray(J, dtype=float)
-    w, vr = scipy.linalg.eig(J)
+    w, vl, vr = scipy.linalg.eig(J, left=True, right=True)
     order = np.lexsort((w.imag, w.real))
-    w, vectors = w[order], vr[:, order].astype(complex)
+    w, vectors, left = w[order], vr[:, order].astype(complex), vl[:, order]
     # the residual of J / scale, in which no product overflows
     scale = max(np.max(np.abs(J)), 1.0)
     scaled = J / scale
@@ -138,24 +139,20 @@ def eigensystem(J) -> EigenSystem:
     pattern = tuple(
         ZERO if abs(lam.real) < ZERO_TOLERANCE else (NEG if lam.real < 0 else POS)
         for lam in lambdas)
-    return EigenSystem(lambdas=lambdas, vectors=vectors, sign_pattern=pattern)
+    return EigenSystem(lambdas, vectors, left, pattern)
 
 
-def _projection_rows(J):
-    """Rows ell with ell @ y(L) = 0 that kill each unstable far-field mode.
+def _projection_rows(eig, k):
+    """Rows ell with ell @ y(L) = 0, one for each far-field mode past the
+    first k, that kill it.
 
-    ell is the left eigenvector of an eigenvalue with real part above
-    ZERO_TOLERANCE and is orthogonal to the eigenvectors of every other
-    eigenvalue, so the rows pin exactly the unstable components of y(L).
-    A complex pair contributes the real and imaginary parts of the left
-    eigenvector of one member.
+    ell is the mode's left eigenvector, orthogonal to the eigenvectors of
+    every other eigenvalue, so the rows pin exactly those components of
+    y(L). A complex pair (sorted negative imaginary part first) gives the
+    real and imaginary parts of the left eigenvector of one member.
     """
-    w, vl = scipy.linalg.eig(J, left=True, right=False)
-    rows = []
-    for lam, ell in zip(w, vl.T):
-        if lam.real <= ZERO_TOLERANCE or lam.imag < 0:
-            continue
-        rows.extend((ell.real, ell.imag) if lam.imag > 0 else (ell.real,))
+    rows = [ell.imag if lam.imag > 0 else ell.real
+            for lam, ell in zip(eig.lambdas[k:], eig.left.T[k:])]
     return np.array([r / np.linalg.norm(r) for r in rows]).reshape(-1, 3)
 
 
@@ -355,14 +352,16 @@ def _solve_small(M, rhs):
                      M[0, 0] * rhs[1] - M[1, 0] * rhs[0]]) / det
 
 
-def _collocate(spec, x_domain, regime, eig):
+def _collocate(spec, x_domain, regime):
     """Projection-boundary collocation, one construction for every regime.
 
     Boundary rows at x = 0 impose u_bar = d, and v_bar = d unless the far
     field is subsonic: there the single stable direction leaves the phase-2
-    boundary velocity to the trajectory. At x = L each unstable far-field
-    mode is killed by its left eigenvector, which leaves y(L) on the stable
-    (and, at sonic, center) subspace of the linearization.
+    boundary velocity to the trajectory. For k boundary velocities the
+    first k modes of the sorted spectrum are kept: the stable ones and, at
+    sonic, the center mode. At x = L each other mode is killed by its left
+    eigenvector, which leaves y(L) on the kept subspace. No eigenvalue is
+    thresholded, so the rows match the regime at the sonic band's edges too.
 
     Sonic: the guess is the center asymptotics u_bar = v_bar = -sigma,
     w_bar = a sigma^2 with the closed-form sigma. Otherwise: an interval
@@ -402,15 +401,12 @@ def _collocate(spec, x_domain, regime, eig):
     d = spec.u_minus - spec.far.u_plus
     delta = spec.delta
     lead = np.eye(3)[[0] if regime.is_subsonic else [0, 2]]
+    k = len(lead)
     J = farfield_jacobian(spec)
-    ells = _projection_rows(J)
-    if len(lead) + len(ells) != 3:
-        raise NumericsError(
-            f"{len(ells)} unstable far-field modes for {len(lead)} boundary "
-            "velocities; projection collocation needs 3 boundary rows")
-
+    eig = eigensystem(J)
+    ells = _projection_rows(eig, k)
     lams = np.array(eig.lambdas)
-    stable = lams.real < -ZERO_TOLERANCE
+    stable = slice(1 if regime.is_sonic else k)
     if regime.is_sonic:
         if d >= 0.0:
             raise DomainError("sonic profiles decay through u~ < u_plus; "
@@ -420,9 +416,8 @@ def _collocate(spec, x_domain, regime, eig):
             sigma_end = SIGMA_END if SIGMA_END < delta else 0.1 * delta
             x_domain = (1.0 / sigma_end - 1.0 / delta) / a
         curve = a * np.array([0.0, 1.0, J[1, 1] / J[1, 0]])
-        kept = lams.real < ZERO_TOLERANCE
         rhs = d - delta ** 2 * (lead @ curve)
-        unstable = lams[lams.real > ZERO_TOLERANCE][0]
+        unstable = lams[2]
         end_weight = (sigma_profile(a, delta, x_domain) ** 2
                       * np.linalg.norm(curve) * abs(unstable) ** 5)
 
@@ -434,20 +429,19 @@ def _collocate(spec, x_domain, regime, eig):
             sig = sigma_profile(a, delta, x)
             return np.vstack((-sig, a * sig * sig, -sig))
     else:
-        slow = np.max(lams[stable].real)
+        slow = lams[k - 1].real
         if x_domain is None:
             scale = max(1.0, abs(spec.far.u_plus))
             x_domain = math.log(delta / (TAIL_FLOOR * scale)) / abs(slow)
-        kept = stable
-        rhs = np.full(len(lead), d)
+        rhs = np.full(k, d)
 
         def sonic_fifth(x):
             return 0.0
 
         def guess(x):
             return d * np.exp(slow * x) * np.array([[1.0], [slow], [1.0]])
-    amps = _solve_small(lead @ eig.vectors[:, kept], rhs)
-    weights = np.abs(amps[stable[kept]]) * np.abs(lams[stable]) ** 5
+    amps = _solve_small(lead @ eig.vectors[:, :k], rhs)
+    weights = np.abs(amps[stable]) * np.abs(lams[stable]) ** 5
     rates = lams[stable].real
 
     def density(x):
@@ -477,8 +471,9 @@ def solve_steady(spec: model.ModelSpec,
     """Construct the steady profile meeting u(0) = v(0) = u_minus.
 
     Every regime is one projection-boundary collocation solve (see
-    _collocate), sampled on a uniform grid of `points` nodes.
-    Supersonic and sonic: both boundary velocities are imposed.
+    _collocate) in model.classify_regime's regime, sampled on a uniform grid
+    of `points` nodes. Supersonic and sonic: both boundary velocities are
+    imposed.
     Subsonic: only u(0) is; the phase-2 boundary velocity is then determined
     by the trajectory and reported as v_t[0] and boundary_compatible
     instead of being enforced.
@@ -490,7 +485,8 @@ def solve_steady(spec: model.ModelSpec,
     Every delta is accepted: the result is a profile that met these
     checks, or a SingularityError (a velocity reached zero), a
     ShootingError (no convergence, a far-field miss, or a residual still
-    above RESIDUAL_BOUND at BVP_MAX_NODES) or a DomainError.
+    above RESIDUAL_BOUND at BVP_MAX_NODES) or a DomainError (NumericsError
+    only for far-field pressure laws near the binary64 range).
     """
     started = time.perf_counter()
     opts = options or SteadySolveOptions()
@@ -507,8 +503,7 @@ def solve_steady(spec: model.ModelSpec,
             ux_t=zero, vx_t=zero.copy(), spec=spec)
 
     regime = model.classify_regime(spec)
-    eig = eigensystem(farfield_jacobian(spec))
-    spline, x_domain, counts = _collocate(spec, opts.x_domain, regime, eig)
+    spline, x_domain, counts = _collocate(spec, opts.x_domain, regime)
 
     def sample(n):
         x = np.linspace(0.0, x_domain, n)

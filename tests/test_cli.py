@@ -399,6 +399,10 @@ NORM_SERIES_CASES = {
                          (0, 1, 2, 3, 5, 4, 6, 7, 8, 9), ()),
     "short_series": ("t,l2,h1,linf,drag_l2", range(5), ()),
     "empty_series": ("t,l2,h1,linf,drag_l2", (), ()),
+    "nan_time_series": ("t,l2,h1,linf,drag_l2",
+                        (0, 1, 2, 3, 4, math.nan) + tuple(range(6, 18)), ()),
+    "underscore_tag_series": ("t,l2,h1,linf,drag_l2,w_alg1_0", range(10),
+                              (0.5,)),
 }
 
 
@@ -492,6 +496,19 @@ def _raising_body(err):
     ("evolve", ("grid.length = 100", "grid.cells = 64", "evolve.t_end = 0.1",
                 "diagnostics.weights = exp10"), None, 3,
      ("exponential weight rate 10 overflows", "7.15372")),
+    ("decay-fit", ("diagnostics.series_path = {nan_time_series}",
+                   "diagnostics.fit_window = 0:20"), None, 3,
+     ("{nan_time_series}: norm series times must be finite",)),
+    ("decay-fit", ("diagnostics.series_path = {underscore_tag_series}",),
+     None, 3, ("{underscore_tag_series}: unknown weight tag 'alg1_0'",)),
+    ("regime", ("diagnostics.weights = alg1_0",), None, 2,
+     ("unknown weight tag 'alg1_0'",)),
+    # just above the sonic band, where the slow stable eigenvalue is
+    # within 1e-8 of zero
+    ("steady", ("spec.u_plus = -1.0000000015", "spec.u_minus = -1.0100000015"),
+     None, 3, ("phase-2 velocity crossed zero",)),
+    ("steady", ("spec.u_plus = -1.0", "spec.u_minus = -0.95"), None, 3,
+     ("require u_minus < u_plus",)),
 ], ids=["bad_key", "pressure_overflow", "pressure_underflow",
         "pressure_sum_overflow", "eigenvector_residual", "malformed_series",
         "bad_weight_tag", "ragged_series",
@@ -501,7 +518,8 @@ def _raising_body(err):
         "pert_width_inf", "snapshot_nan", "ragged_snapshot",
         "old_snapshot", "column_twice", "weight_twice", "base_header_typo",
         "non_weight_column", "unordered_times", "five_records",
-        "no_records", "weight_overflow"])
+        "no_records", "weight_overflow", "nan_time", "underscore_tag_column",
+        "underscore_tag_config", "sonic_band_edge", "sonic_offset_sign"])
 def test_exit_codes_name_the_cause(tmp_path, capsys, monkeypatch, command,
                                    extra, raised, code, fragments):
     bad_series = tmp_path / "series.csv"

@@ -285,6 +285,24 @@ def test_weight_tag_labels_and_validation():
                 cls(bad)
 
 
+@pytest.mark.parametrize("label", [
+    "alg1_0", "alg 1", "alg1 ", "exp\t0.5", "sig2\n", "alg\u0661",
+    "exp\u00a00.5"])
+def test_weight_tag_refuses_text_that_no_label_spells(label):
+    # Python's float reads each of these
+    with pytest.raises(tp.DomainError, match="unknown weight tag"):
+        tp.weight_tag(label)
+
+
+def test_weight_tag_aliases_and_non_finite_parameters():
+    assert tp.weight_tag("alg1.0") == tp.AlgebraicNu(1.0)
+    assert tp.weight_tag("exp1e0") == tp.ExponentialLambda(1.0)
+    with pytest.raises(tp.DomainError, match="finite nu >= 0, got nan"):
+        tp.weight_tag("algnan")
+    with pytest.raises(tp.DomainError, match="finite lam >= 0, got inf"):
+        tp.weight_tag("expinf")
+
+
 TAG_CLASSES = (tp.AlgebraicNu, tp.SigmaNu, tp.ExponentialLambda)
 
 
@@ -315,9 +333,13 @@ def test_weight_labels_keep_the_digits_that_tell_weights_apart(tmp_path):
 def test_norm_series_requires_increasing_times():
     grid = make_grid(5.0, 50)
     recs = [tp.norms(exp_field(grid), grid, t=t) for t in (0.0, 1.0, 1.0)]
-    with pytest.raises(tp.DomainError):
+    with pytest.raises(tp.DomainError, match="strictly increasing"):
         tp.NormSeries(records=tuple(recs))
     tp.NormSeries(records=tuple(recs[:2]))
+    # NaN compares false, so the ordering check alone would pass it
+    for t in (math.nan, math.inf):
+        with pytest.raises(tp.DomainError, match="times must be finite"):
+            tp.NormSeries(records=(recs[0], dataclasses.replace(recs[1], t=t)))
 
 
 # ---------------------------------------------------------------------------

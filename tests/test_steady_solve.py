@@ -27,6 +27,13 @@ def unit_spec(u_plus, u_minus):
     return tp.ModelSpec(fluids=UNIT, far=far, u_minus=u_minus)
 
 
+def mach_spec(fluids, rho_plus, n_plus, mach, delta):
+    """The spec at the given far-field Mach number, u_minus = u_plus - delta."""
+    u_plus = mach * tp.sonic_velocity(fluids, rho_plus, n_plus)
+    far = tp.FarFieldState(rho_plus=rho_plus, n_plus=n_plus, u_plus=u_plus)
+    return tp.ModelSpec(fluids=fluids, far=far, u_minus=u_plus - delta)
+
+
 @pytest.fixture(scope="module")
 def supersonic_case():
     spec = unit_spec(-2.0, -2.05)
@@ -223,18 +230,58 @@ def test_start_mesh_spans_the_interval(seed, regime, delta):
 @example(A1=2.3823, A2=1.4612, gamma=2.35, alpha=2.6702, mu=1.6191,
          rho_plus=2.6615, n_plus=0.6374, mach=0.5925954914397469,
          delta=0.03998)
+# the edges of the sonic band, where the middle eigenvalue is within 1e-8
+# of zero (see test_sonic_band_edges_solve_or_raise_documented_errors)
+@example(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0, rho_plus=1.0,
+         n_plus=1.0, mach=1.0 + 1.5e-9, delta=0.01)
+@example(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0, rho_plus=1.0,
+         n_plus=1.0, mach=1.0 - 1.5e-9, delta=0.01)
+@example(A1=1.4, A2=2.4, gamma=2.6, alpha=2.5, mu=0.75, rho_plus=2.8,
+         n_plus=2.5, mach=1.0 - 9e-10, delta=0.02)
 def test_random_specs_solve_or_raise_documented_errors(
         A1, A2, gamma, alpha, mu, rho_plus, n_plus, mach, delta):
-    fluids = tp.FluidConstants(A1=A1, A2=A2, gamma=gamma, alpha=alpha, mu=mu)
-    u_plus = mach * tp.sonic_velocity(fluids, rho_plus, n_plus)
-    far = tp.FarFieldState(rho_plus=rho_plus, n_plus=n_plus, u_plus=u_plus)
-    spec = tp.ModelSpec(fluids=fluids, far=far, u_minus=u_plus - delta)
+    spec = mach_spec(tp.FluidConstants(A1=A1, A2=A2, gamma=gamma,
+                                       alpha=alpha, mu=mu),
+                     rho_plus, n_plus, mach, delta)
     try:
         prof = tp.solve_steady(spec)
-    except (tp.DomainError, tp.ShootingError, tp.SingularityError,
-            tp.NumericsError):
+    except (tp.DomainError, tp.ShootingError, tp.SingularityError):
         return
     assert abs(prof.u_t[0] - spec.u_minus) <= 1e-8
+
+
+# unit fluids and a hotter fluid at the edges of the sonic band |M - 1| <=
+# 1e-9, where the middle far-field eigenvalue is within 1e-8 of zero
+@pytest.mark.parametrize("fluids, rho_plus, n_plus, mach, delta", [
+    (UNIT, 1.0, 1.0, 1.0 + 1.5e-9, 0.01),
+    (UNIT, 1.0, 1.0, 1.0 - 1.5e-9, 0.01),
+    (tp.FluidConstants(A1=1.4, A2=2.4, gamma=2.6, alpha=2.5, mu=0.75),
+     2.8, 2.5, 1.0 - 9e-10, 0.02),
+    (UNIT, 1.0, 1.0, 1.0 + 3e-9, 0.01),
+    (UNIT, 1.0, 1.0, 1.0 - 3e-9, 0.01),
+    (UNIT, 1.0, 1.0, 1.0 + 5e-9, 0.01),
+    (UNIT, 1.0, 1.0, 1.0 - 5e-9, 0.01),
+], ids=["unit_above_1.5e-9", "unit_below_1.5e-9", "sonic_below_9e-10",
+        "unit_above_3e-9", "unit_below_3e-9", "unit_above_5e-9",
+        "unit_below_5e-9"])
+def test_sonic_band_edges_solve_or_raise_documented_errors(
+        fluids, rho_plus, n_plus, mach, delta):
+    spec = mach_spec(fluids, rho_plus, n_plus, mach, delta)
+    try:
+        prof = tp.solve_steady(spec)
+    except (tp.DomainError, tp.ShootingError, tp.SingularityError):
+        return
+    assert abs(prof.u_t[0] - spec.u_minus) <= 1e-8
+    if not prof.regime.is_subsonic:
+        assert abs(prof.v_t[0] - spec.u_minus) <= 1e-8
+    if not prof.regime.is_sonic:
+        assert tp.steady_residual(spec, prof) <= tp.steady.RESIDUAL_BOUND
+        return
+    # criterion 05's algebraic tail
+    X = prof.x[-1]
+    slope = tp.fit_spatial_decay(prof, "u", "algebraic", (X / 2, X))
+    assert slope.rate_or_slope == pytest.approx(-1.0, abs=0.1)
+    assert slope.r_squared >= 0.99
 
 
 def test_subsonic_reports_second_boundary_velocity():

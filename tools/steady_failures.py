@@ -7,9 +7,11 @@ ranges of the test suite's random_spec: A1, A2, rho_plus, n_plus in
 u_plus - u_minus in [0.005, 0.05]. Spec i falls in regime i mod 3, so each
 regime gets 500. Every spec is solved with the default options; a spec
 fails when solve_steady raises. It prints one JSON line: the failures by
-regime and error type, the failing indices, the wall time and, per regime,
-the median solve_bvp passes and collocation nodes of the specs that solved
-(from each profile's SolveStats).
+regime and error type, the undocumented ones by error type (any raise but
+the DomainError, ShootingError and SingularityError that solve_steady
+documents, so a broken contract shows on its own), the failing indices,
+the wall time and, per regime, the median solve_bvp passes and collocation
+nodes of the specs that solved (from each profile's SolveStats).
 
     PYTHONPATH=src python3 tools/steady_failures.py
 
@@ -36,6 +38,7 @@ FLUID_RANGES = (("A1", 0.3, 3.0), ("A2", 0.3, 3.0), ("gamma", 1.0, 3.0),
                 ("alpha", 1.0, 3.0), ("mu", 0.2, 5.0))
 FAR_RANGES = (("rho_plus", 0.3, 3.0), ("n_plus", 0.3, 3.0))
 DELTA_RANGE = (0.005, 0.05)
+DOCUMENTED = (tp.DomainError, tp.ShootingError, tp.SingularityError)
 
 
 def _scale(unit, lo, hi):
@@ -68,6 +71,7 @@ def specs():
 def main():
     draw = specs()
     failures = {regime: {} for regime in REGIMES}
+    undocumented = {}
     stats = {regime: [] for regime in REGIMES}
     indices = []
     started = time.perf_counter()
@@ -77,6 +81,8 @@ def main():
         except Exception as err:  # every raise counts, documented or not
             kind = type(err).__name__
             failures[regime][kind] = failures[regime].get(kind, 0) + 1
+            if not isinstance(err, DOCUMENTED):
+                undocumented[kind] = undocumented.get(kind, 0) + 1
             indices.append(i)
     wall = time.perf_counter() - started
     solve = {regime: {
@@ -85,8 +91,8 @@ def main():
         for regime, solved in stats.items() if solved}
     print(json.dumps({"specs": len(draw), "seed": SEED,
                       "failed": len(indices), "failures": failures,
-                      "indices": indices, "wall_s": round(wall, 2),
-                      "median_solve": solve}))
+                      "undocumented": undocumented, "indices": indices,
+                      "wall_s": round(wall, 2), "median_solve": solve}))
 
 
 if __name__ == "__main__":
