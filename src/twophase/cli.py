@@ -60,10 +60,6 @@ def _negative(v):
     return None if v < 0 else "must be negative (outflow)"
 
 
-def _nonnegative(v):
-    return None if v >= 0 else "must be nonnegative"
-
-
 def _finite_nonnegative(v):
     return None if 0 <= v < math.inf else "must be finite and nonnegative"
 
@@ -131,7 +127,7 @@ _SCHEMA = {
     "diagnostics.series_path": _Key("str", ""),
     "diagnostics.matrix_names": _Key("list", ("M1", "M2", "M3", "M4"),
                                      _matrix_list),
-    "diagnostics.matrix_nu": _Key("optfloat", None, _nonnegative),
+    "diagnostics.matrix_nu": _Key("optfloat", None, _finite_nonnegative),
     "diagnostics.matrix_sigma": _Key("optfloat", None, _positive),
     "diagnostics.matrix_k": _Key("optfloat", None, _unit_open),
     "output.directory": _Key("str", ""),
@@ -423,9 +419,10 @@ def _evolve_body(config, out_dir, workers):
     norms_name = f"{prefix}_norms.csv"
     save_norm_series_csv(result.series, os.path.join(out_dir, norms_name))
     final_name = f"{prefix}_final.csv"
-    save_state_csv(result.state, grid, os.path.join(out_dir, final_name),
-                   spec_hash=config.hash)
-    files = [norms_name, final_name, final_name + ".meta.json"]
+    meta_path = save_state_csv(result.state, grid,
+                               os.path.join(out_dir, final_name),
+                               spec_hash=config.hash)
+    files = [norms_name, final_name, os.path.basename(meta_path)]
     if result.truncated:
         return (files, "truncated",
                 f"wall clock budget exhausted at t={result.state.t:.6g}")

@@ -314,8 +314,13 @@ def assemble_quadratic_form(name: str, spec: model.ModelSpec, nu=None,
     coordinates; M3 (supersonic) and M4 (sonic) share the same entries in
     (phi, phi_bar, psi_bar) coordinates; M5/M6 are the sigma-scaled blocks of
     the weighted sonic estimate and need nu and sigma_value (M6 also needs
-    the free parameter k).
+    the free parameter k). A non-finite nu, sigma_value or k raises
+    DomainError naming it.
     """
+    for label, value in (("nu", nu), ("sigma_value", sigma_value), ("k", k)):
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{name} parameter {label} must be finite, "
+                              f"got {value}")
     f = spec.fluids
     far = spec.far
     rho, n, up = far.rho_plus, far.n_plus, far.u_plus
@@ -492,12 +497,12 @@ def load_norm_series_csv(path) -> NormSeries:
     """Read back the NormSeries that save_norm_series_csv wrote. The header
     must be t,l2,h1,linf,drag_l2 followed by w_<label> columns of distinct
     weights; every error is a DomainError naming the file."""
-    cols = read_csv_columns(
+    columns, table = read_csv_columns(
         path, "norm series",
         lambda head: tuple(head.split(",")[:5]) == NORM_SERIES_BASE_COLUMNS)
     try:
         names = {}
-        for name in list(cols)[5:]:
+        for name in columns[5:]:
             if not name.startswith("w_"):
                 raise DomainError(f"norm series column {name!r} is not "
                                   "w_<label>")
@@ -506,9 +511,8 @@ def load_norm_series_csv(path) -> NormSeries:
                 raise DomainError(f"columns {names[tag]!r} and {name!r} "
                                   "name one weight")
             names[tag] = name
-        rows = np.column_stack(list(cols.values())).tolist()
         return NormSeries(tuple(
             NormRecord(*row[:5], weighted=dict(zip(names, row[5:])))
-            for row in rows))
+            for row in table.tolist()))
     except DomainError as err:
         raise DomainError(f"{path}: {err}") from None

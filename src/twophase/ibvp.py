@@ -62,8 +62,9 @@ class Grid1D:
 
 
 def make_grid(length: float, cells: int) -> Grid1D:
-    if length <= 0.0:
-        raise DomainError("grid length must be positive")
+    if not 0.0 < length < math.inf:
+        raise DomainError(f"grid length must be finite and positive, got "
+                          f"{length}")
     if cells < 1:
         raise DomainError("grid needs at least one cell")
     dx = length / cells
@@ -187,18 +188,16 @@ def initialize(profile: SteadyProfile, grid: Grid1D,
     or a snapshot read back, as the block of its densities and momenta.
     The boundary data always come from the profile: the outflow velocities
     u_t[0] and v_t[0], and the right ghost one half-cell past the grid.
-    A snapshot gives the time and the four conserved columns bit for bit,
-    in the row order of U.reshape(4, N), so a run resumed under its own
-    profile continues the run exactly."""
+    A snapshot gives its block and time as `load_state_csv` reads them,
+    bit for bit, so a run resumed under its own profile continues the run
+    exactly."""
     _check_covers(profile, grid)
     if pert.shape == FROM_FILE:
-        x, cols, meta = load_state_csv(pert.path)
+        x, U, t0 = load_state_csv(pert.path)
         if not np.array_equal(x, grid.centers):
             raise DomainError(
                 f"{pert.path}: the snapshot's {x.size} cell centers differ "
                 f"from the grid's {grid.cells}")
-        U = np.array(tuple(cols.values())).reshape(2, 2, -1)
-        t0 = meta.get("t", 0.0)
     else:
         vals = perturbation_values(pert, grid.centers)
         rho0, u0, n0, v0 = (col + vals[c] for c, col in
@@ -631,33 +630,34 @@ def save_state_csv(state: EvolutionState, grid: Grid1D, path,
     """Write the state as it is held: the cell centers beside the rows of
     U.reshape(4, N), the conserved columns rho, n, mom1 and mom2, which
     read back to the same bits, plus a JSON sidecar with the time t and
-    spec_hash. The boundary data are the profile's, so `initialize` takes
-    them from the profile it resumes under."""
+    spec_hash. Returns the sidecar's path. The boundary data are the
+    profile's, so `initialize` takes them from the profile it resumes
+    under."""
     cols = np.column_stack((grid.centers, state.U.reshape(4, -1).T))
     write_csv_rows(path, STATE_HEADER, cols)
-    with open(_meta_path(path), "w") as fh:
+    meta_path = _meta_path(path)
+    with open(meta_path, "w") as fh:
         json.dump({"t": state.t, "spec_hash": spec_hash}, fh, indent=2)
         fh.write("\n")
+    return meta_path
 
 
 def load_state_csv(path):
-    """Read a snapshot back: the cell centers, the conserved columns rho,
-    n, mom1 and mom2 by name, and the sidecar's dict. Every value must be
-    finite; else DomainError naming the file, the column and the first row
-    that holds one. A header other than STATE_HEADER, which an older
-    snapshot of velocities has, raises DomainError naming the file. The
-    sidecar must be a JSON object; its t, where present, comes back as a
-    finite float, and no other key is read."""
-    cols = read_csv_columns(path, "snapshot", STATE_HEADER.__eq__)
-    names = list(cols)
-    table = np.column_stack([cols[name] for name in names])
+    """Read a snapshot back as (x, U, t): the cell centers, the (2, 2, N)
+    block of `EvolutionState.U` and the sidecar's time, 0.0 without a
+    sidecar. Every value must be finite; else DomainError naming the file,
+    the column and the first row that holds one. A header other than
+    STATE_HEADER, which an older snapshot of velocities has, raises
+    DomainError naming the file. The sidecar must be a JSON object whose
+    t, where present, is a finite number; no other key is read."""
+    names, table = read_csv_columns(path, "snapshot", STATE_HEADER.__eq__)
     bad = np.argwhere(~np.isfinite(table))
     if len(bad):
         row, col = bad[0]
         raise DomainError(f"{path}: non-finite {names[col]} value "
                           f"{table[row, col]} in data row {row + 1}")
     meta_path = _meta_path(path)
-    meta = {}
+    t = 0.0
     if os.path.exists(meta_path):
         with open(meta_path) as fh:
             try:
@@ -666,13 +666,13 @@ def load_state_csv(path):
                 raise DomainError(f"{meta_path}: {err}") from None
         if not isinstance(meta, dict):
             raise DomainError(f"{meta_path}: expected a JSON object")
-        if "t" in meta:
-            t = meta["t"]
-            try:
-                meta["t"] = float(t) if type(t) in (int, float) else math.nan
-            except OverflowError:
-                meta["t"] = math.nan
-            if not math.isfinite(meta["t"]):
-                raise DomainError(
-                    f"{meta_path}: t must be a finite number, got {t!r}")
-    return cols.pop("x"), cols, meta
+        raw = meta.get("t", t)
+        try:
+            t = float(raw) if type(raw) in (int, float) else math.nan
+        except OverflowError:
+            t = math.nan
+        if not math.isfinite(t):
+            raise DomainError(
+                f"{meta_path}: t must be a finite number, got {raw!r}")
+    U = np.ascontiguousarray(table.T[1:]).reshape(2, 2, -1)
+    return table[:, 0], U, t

@@ -11,7 +11,7 @@ function of the parameter set; no state, no arrays.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -22,6 +22,15 @@ SUBSONIC = "subsonic"
 
 #: half-width of the sonic band in Mach number
 SONIC_TOLERANCE = 1e-9
+
+
+def _require_finite(obj, names=None):
+    """DomainError naming the first of obj's fields `names` (default: all)
+    that is not a finite number."""
+    for name in names or [f.name for f in fields(obj)]:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -35,6 +44,7 @@ class FluidConstants:
     mu: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.A1 > 0 and self.A2 > 0 and self.mu > 0):
             raise DomainError("pressure coefficients and viscosity must be positive")
         if not (self.gamma >= 1 and self.alpha >= 1):
@@ -50,6 +60,7 @@ class FarFieldState:
     u_plus: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.rho_plus > 0 and self.n_plus > 0):
             raise DomainError("far-field densities must be positive")
         if not self.u_plus < 0:
@@ -69,14 +80,21 @@ class ModelSpec:
     u_minus: float
 
     def __post_init__(self):
+        _require_finite(self, ["u_minus"])
         if not self.u_minus < 0:
             raise DomainError("boundary velocity u_minus must be negative (outflow)")
         # every far-field quantity (sound speed, Jacobian, a) is built from
-        # A g density^g; binary64 must hold it as a positive finite number
+        # A g density^g and density u_plus^2; binary64 must hold each as a
+        # positive finite number
         f, far = self.fluids, self.far
         laws = []
         for name, A, g, density in (("rho_plus", f.A1, f.gamma, far.rho_plus),
                                     ("n_plus", f.A2, f.alpha, far.n_plus)):
+            flux = density * (far.u_plus * far.u_plus)
+            if flux == math.inf:
+                raise DomainError(
+                    f"u_plus={far.u_plus:.6g}: the far-field momentum flux "
+                    f"{name} u_plus^2 overflows binary64")
             try:
                 law = A * g * float(density) ** g
             except OverflowError:

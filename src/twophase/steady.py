@@ -250,26 +250,29 @@ class SteadyProfile:
     """Discrete steady profile of `spec` on a uniform half-line grid
     starting at 0.
 
-    rho_t, u_t, n_t, v_t are the profile values, ux_t and vx_t their first
-    derivatives. Everything else follows from these and the spec: delta
-    and the far field are the spec's, and the boundary velocities the
-    construction realized are u_t[0] and v_t[0]. v_t[0] can differ from
-    spec.u_minus in the subsonic regime, where the admissible boundary set
-    is one-dimensional; boundary_compatible says whether it meets it.
+    u_t, v_t are the velocity samples, ux_t and vx_t their first
+    derivatives. Everything else follows from these and the spec: the
+    densities rho_t and n_t are the mass fluxes over the velocities, so
+    they never go stale; delta and the far field are the spec's; the
+    boundary velocities the construction realized are u_t[0] and v_t[0].
+    v_t[0] can differ from spec.u_minus in the subsonic regime, where the
+    admissible boundary set is one-dimensional; boundary_compatible says
+    whether it meets it.
     stats records how solve_steady built the profile (None for profiles
     built otherwise, and for delta = 0, which needs no solve); it takes no
     part in comparisons.
     """
 
     x: np.ndarray
-    rho_t: np.ndarray
     u_t: np.ndarray
-    n_t: np.ndarray
     v_t: np.ndarray
     ux_t: np.ndarray
     vx_t: np.ndarray
     spec: model.ModelSpec
     stats: SolveStats | None = field(default=None, compare=False)
+
+    rho_t = property(lambda self: self.spec.mass_flux_1 / self.u_t)
+    n_t = property(lambda self: self.spec.mass_flux_2 / self.v_t)
 
     @property
     def regime(self) -> model.Regime:
@@ -309,6 +312,11 @@ class SteadySolveOptions:
     x_domain: float = None
     points: int = 2048
 
+    def __post_init__(self):
+        if self.x_domain is not None and not 0.0 < self.x_domain < math.inf:
+            raise DomainError("steady x_domain must be finite and positive, "
+                              f"got {self.x_domain}")
+
 
 def _build_profile(spec, x, states):
     u_bar, w_bar, v_bar = states
@@ -316,12 +324,9 @@ def _build_profile(spec, x, states):
     # with both mass fluxes negative the recovered densities are then
     # automatically positive
     rhs_values = _rhs_vectorized(_rhs_params(spec), states)
-    u_t = spec.far.u_plus + u_bar
-    v_t = spec.far.u_plus + v_bar
-    return SteadyProfile(
-        x=x, rho_t=spec.mass_flux_1 / u_t, u_t=u_t,
-        n_t=spec.mass_flux_2 / v_t, v_t=v_t, ux_t=w_bar,
-        vx_t=rhs_values[2], spec=spec)
+    return SteadyProfile(x=x, u_t=spec.far.u_plus + u_bar,
+                         v_t=spec.far.u_plus + v_bar, ux_t=w_bar,
+                         vx_t=rhs_values[2], spec=spec)
 
 
 def _start_mesh(density, x_domain, width):
@@ -337,6 +342,9 @@ def _start_mesh(density, x_domain, width):
     rho = density(aux)
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1])
                                            * np.diff(aux))))
+    if not math.isfinite(cum[-1]):
+        raise DomainError(f"the start mesh on [0, {x_domain:.6g}] would "
+                          f"need {cum[-1]} nodes, not a finite count")
     n = min(BVP_MAX_NODES, math.ceil(cum[-1]) + 1)
     return np.interp(np.linspace(0.0, cum[-1], n), cum, aux)
 
@@ -414,7 +422,7 @@ def _collocate(spec, x_domain, regime):
         a = model.derived_constants(spec).a
         if x_domain is None:
             sigma_end = SIGMA_END if SIGMA_END < delta else 0.1 * delta
-            x_domain = (1.0 / sigma_end - 1.0 / delta) / a
+            x_domain = (1.0 / sigma_end - 1.0 / delta) / a if a else math.inf
         curve = a * np.array([0.0, 1.0, J[1, 1] / J[1, 0]])
         rhs = d - delta ** 2 * (lead @ curve)
         unstable = lams[2]
@@ -432,7 +440,9 @@ def _collocate(spec, x_domain, regime):
         slow = lams[k - 1].real
         if x_domain is None:
             scale = max(1.0, abs(spec.far.u_plus))
-            x_domain = math.log(delta / (TAIL_FLOOR * scale)) / abs(slow)
+            # a float division overflows to inf; a zero rate has no interval
+            x_domain = (math.log(delta / (TAIL_FLOOR * scale))
+                        / abs(float(slow)) if slow else math.inf)
         rhs = np.full(k, d)
 
         def sonic_fifth(x):
@@ -440,6 +450,9 @@ def _collocate(spec, x_domain, regime):
 
         def guess(x):
             return d * np.exp(slow * x) * np.array([[1.0], [slow], [1.0]])
+    if not math.isfinite(x_domain):
+        raise DomainError(f"the profile interval length L = {x_domain} is "
+                          "not finite")
     amps = _solve_small(lead @ eig.vectors[:, :k], rhs)
     weights = np.abs(amps[stable]) * np.abs(lams[stable]) ** 5
     rates = lams[stable].real
@@ -485,8 +498,9 @@ def solve_steady(spec: model.ModelSpec,
     Every delta is accepted: the result is a profile that met these
     checks, or a SingularityError (a velocity reached zero), a
     ShootingError (no convergence, a far-field miss, or a residual still
-    above RESIDUAL_BOUND at BVP_MAX_NODES) or a DomainError (NumericsError
-    only for far-field pressure laws near the binary64 range).
+    above RESIDUAL_BOUND at BVP_MAX_NODES) or a DomainError (also when the
+    interval or the start mesh would not be finite; NumericsError only for
+    far-field pressure laws near the binary64 range).
     """
     started = time.perf_counter()
     opts = options or SteadySolveOptions()
@@ -495,12 +509,9 @@ def solve_steady(spec: model.ModelSpec,
         x_domain = opts.x_domain if opts.x_domain is not None else 20.0
         x = np.linspace(0.0, x_domain, opts.points)
         zero = np.zeros_like(x)
-        return SteadyProfile(
-            x=x, rho_t=np.full_like(x, far.rho_plus),
-            u_t=np.full_like(x, far.u_plus),
-            n_t=np.full_like(x, far.n_plus),
-            v_t=np.full_like(x, far.u_plus),
-            ux_t=zero, vx_t=zero.copy(), spec=spec)
+        return SteadyProfile(x=x, u_t=np.full_like(x, far.u_plus),
+                             v_t=np.full_like(x, far.u_plus), ux_t=zero,
+                             vx_t=zero.copy(), spec=spec)
 
     regime = model.classify_regime(spec)
     spline, x_domain, counts = _collocate(spec, opts.x_domain, regime)
@@ -519,11 +530,13 @@ def solve_steady(spec: model.ModelSpec,
         tol = max(1e-8 * max(1.0, abs(far.u_plus)), 100.0 * TAIL_FLOOR)
     # the gaps in velocity units: the mass fluxes give, to first order,
     # |rho~ - rho_plus| = (rho_plus / |u_plus|) |u~ - u_plus|, and the
-    # same for n~
+    # same for n~; the end densities are m / u_t[-1], without the columns
     speed = abs(far.u_plus)
-    end_gap = max(abs(profile.rho_t[-1] - far.rho_plus) * speed / far.rho_plus,
+    end_gap = max(abs(spec.mass_flux_1 / profile.u_t[-1] - far.rho_plus)
+                  * speed / far.rho_plus,
                   abs(profile.u_t[-1] - far.u_plus),
-                  abs(profile.n_t[-1] - far.n_plus) * speed / far.n_plus,
+                  abs(spec.mass_flux_2 / profile.v_t[-1] - far.n_plus)
+                  * speed / far.n_plus,
                   abs(profile.v_t[-1] - far.u_plus))
     if end_gap > tol:
         raise ShootingError(
@@ -588,13 +601,14 @@ def steady_residual(spec: model.ModelSpec, profile: SteadyProfile) -> float:
     f = spec.fluids
     dx = float(profile.x[1] - profile.x[0])
     m1, m2 = spec.mass_flux_1, spec.mass_flux_2
+    n_t = profile.n_t
     p1 = f.A1 * profile.rho_t ** f.gamma
-    p2 = f.A2 * profile.n_t ** f.alpha
-    drag = profile.n_t * (profile.v_t - profile.u_t)
+    p2 = f.A2 * n_t ** f.alpha
+    drag = n_t * (profile.v_t - profile.u_t)
     res1 = (_deriv1(m1 * profile.u_t + p1, dx)
             - f.mu * _deriv1(profile.ux_t, dx) - drag)
     res2 = (_deriv1(m2 * profile.v_t + p2, dx)
-            - _deriv1(profile.n_t * profile.vx_t, dx) + drag)
+            - _deriv1(n_t * profile.vx_t, dx) + drag)
     return float(max(np.max(np.abs(res1)), np.max(np.abs(res2))))
 
 
@@ -732,14 +746,14 @@ def _parse_numbers(body):
 
 
 def read_csv_columns(path, kind, accepts):
-    """A CSV file as a dict of named float columns, in header order. The
-    body reads as numpy.loadtxt(delimiter=",") reads it, bit for bit; a
-    body of plain decimals (all that write_csv_rows writes, bar non-finite
-    values) goes through orjson, about 2x faster, and anything else
-    through loadtxt itself. A header alone gives zero-length columns. A
-    header that names a column twice or that accepts(header) rejects, a
-    value that does not parse or a row of another width raises DomainError
-    naming the file."""
+    """A CSV file as its column names, in header order, and one (rows,
+    columns) float64 table. The body reads as numpy.loadtxt(delimiter=",")
+    reads it, bit for bit; a body of plain decimals (all that
+    write_csv_rows writes, bar non-finite values) goes through orjson,
+    about 2x faster, and anything else through loadtxt itself. A header
+    alone gives a table of no rows. A header that names a column twice or
+    that accepts(header) rejects, a value that does not parse or a row of
+    another width raises DomainError naming the file."""
     with open(path) as fh:
         header = fh.readline().strip()
         names = header.split(",")
@@ -760,8 +774,7 @@ def read_csv_columns(path, kind, accepts):
     if data.size and data.shape[1] != len(names):
         raise DomainError(f"{path}: rows hold {data.shape[1]} values, the "
                           f"header names {len(names)}")
-    data = data.reshape(-1, len(names))
-    return {name: data[:, i] for i, name in enumerate(names)}
+    return names, data.reshape(-1, len(names))
 
 
 def save_profile_csv(profile: SteadyProfile, path):
@@ -773,4 +786,5 @@ def save_profile_csv(profile: SteadyProfile, path):
 
 def load_profile_csv(path):
     """Read a profile CSV back as a dict of named columns."""
-    return read_csv_columns(path, "profile", PROFILE_HEADER.__eq__)
+    names, table = read_csv_columns(path, "profile", PROFILE_HEADER.__eq__)
+    return dict(zip(names, table.T))

@@ -60,9 +60,7 @@ def flat_profile(spec, x_max=50.0, points=501):
     zeros = np.zeros_like(x)
     return tp.SteadyProfile(
         x=x,
-        rho_t=np.full_like(x, far.rho_plus),
         u_t=np.full_like(x, far.u_plus),
-        n_t=np.full_like(x, far.n_plus),
         v_t=np.full_like(x, far.u_plus),
         ux_t=zeros, vx_t=zeros,
         spec=dataclasses.replace(spec, u_minus=far.u_plus))

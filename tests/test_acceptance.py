@@ -353,10 +353,9 @@ def synthetic_series(t, values):
 
 def synthetic_profile(x, u_dev, delta):
     spec = unit_spec(-2.0, -2.0 - delta)
-    ones = np.ones_like(x)
     return tp.SteadyProfile(
-        x=x, rho_t=ones, u_t=-2.0 + u_dev, n_t=ones.copy(),
-        v_t=np.full_like(x, -2.0), ux_t=np.zeros_like(x),
+        x=x, u_t=-2.0 + u_dev, v_t=np.full_like(x, -2.0),
+        ux_t=np.zeros_like(x),
         vx_t=np.zeros_like(x), spec=spec)
 
 

@@ -265,8 +265,12 @@ def test_evolve_subcommand_and_determinism(tmp_path):
     assert all(list(r.weighted) == [tp.AlgebraicNu(1.0)]
                for r in series.records)
 
-    _, _, meta = tp.load_state_csv(out1 / "run_final.csv")
-    assert meta["t"] == pytest.approx(0.5, abs=1e-9)
+    assert record["files"] == ["run_config.txt", "run_norms.csv",
+                               "run_final.csv", "run_final.csv.meta.json"]
+    _, _, t = tp.load_state_csv(out1 / "run_final.csv")
+    assert t == pytest.approx(0.5, abs=1e-9)
+    meta = json.loads((out1 / "run_final.csv.meta.json").read_text())
+    assert meta["t"] == t
     assert meta["spec_hash"] == record["config_hash"]
 
     for name in ("run_norms.csv", "run_final.csv"):
@@ -509,6 +513,38 @@ def _raising_body(err):
      None, 3, ("phase-2 velocity crossed zero",)),
     ("steady", ("spec.u_plus = -1.0", "spec.u_minus = -0.95"), None, 3,
      ("require u_minus < u_plus",)),
+    # non-finite or overflowing numbers are refused by name
+    ("regime", ("spec.mu = inf",), None, 2, ("mu must be finite, got inf",)),
+    ("steady", ("spec.mu = inf",), None, 2, ("mu must be finite, got inf",)),
+    ("regime", ("spec.u_plus = -inf",), None, 2,
+     ("u_plus must be finite, got -inf",)),
+    ("steady", ("spec.u_plus = -inf",), None, 2,
+     ("u_plus must be finite, got -inf",)),
+    ("regime", ("spec.u_plus = -1e300",), None, 2,
+     ("u_plus=-1e+300: the far-field momentum flux rho_plus u_plus^2 "
+      "overflows binary64",)),
+    ("steady", ("spec.u_minus = -inf",), None, 2,
+     ("u_minus must be finite, got -inf",)),
+    ("steady", ("spec.u_minus = -1e300",), None, 3,
+     ("the profile interval length L = inf is not finite",)),
+    ("steady", ("spec.mu = 1e300",), None, 3,
+     ("the profile interval length L = inf is not finite",)),
+    # sonic, where mu + n_plus overflows the denominator of a to zero
+    ("steady", ("spec.mu = 1e308", "spec.u_plus = -1.0",
+                "spec.u_minus = -1.05"), None, 3,
+     ("sigma_profile needs a > 0",)),
+    ("steady", ("steady.x_domain = inf",), None, 3,
+     ("steady x_domain must be finite and positive, got inf",)),
+    ("evolve", ("grid.length = inf",), None, 3,
+     ("grid length must be finite and positive, got inf",)),
+    ("matrix-check", ("diagnostics.matrix_names = M5",
+                      "diagnostics.matrix_nu = inf",
+                      "diagnostics.matrix_sigma = 1"), None, 2,
+     ("diagnostics.matrix_nu: must be finite and nonnegative (got inf)",)),
+    ("matrix-check", ("diagnostics.matrix_names = M5",
+                      "diagnostics.matrix_nu = 1",
+                      "diagnostics.matrix_sigma = inf"), None, 3,
+     ("M5 parameter sigma_value must be finite, got inf",)),
 ], ids=["bad_key", "pressure_overflow", "pressure_underflow",
         "pressure_sum_overflow", "eigenvector_residual", "malformed_series",
         "bad_weight_tag", "ragged_series",
@@ -519,7 +555,11 @@ def _raising_body(err):
         "old_snapshot", "column_twice", "weight_twice", "base_header_typo",
         "non_weight_column", "unordered_times", "five_records",
         "no_records", "weight_overflow", "nan_time", "underscore_tag_column",
-        "underscore_tag_config", "sonic_band_edge", "sonic_offset_sign"])
+        "underscore_tag_config", "sonic_band_edge", "sonic_offset_sign",
+        "regime_mu_inf", "steady_mu_inf", "regime_u_plus_inf",
+        "steady_u_plus_inf", "regime_u_plus_huge", "u_minus_inf",
+        "u_minus_huge", "mu_huge", "sonic_mu_huge", "x_domain_inf",
+        "grid_length_inf", "matrix_nu_inf", "matrix_sigma_inf"])
 def test_exit_codes_name_the_cause(tmp_path, capsys, monkeypatch, command,
                                    extra, raised, code, fragments):
     bad_series = tmp_path / "series.csv"
@@ -557,6 +597,11 @@ def test_exit_codes_name_the_cause(tmp_path, capsys, monkeypatch, command,
     err = capsys.readouterr().err
     for fragment in fragments:
         assert fragment.format(**paths) in err
+    # whatever JSON the run left is strict: no NaN or Infinity
+    out = tmp_path / "out"
+    for name in os.listdir(out) if out.exists() else ():
+        if name.endswith(".json"):
+            json.loads((out / name).read_text(), parse_constant=pytest.fail)
 
 
 @pytest.mark.parametrize("sidecar, fragment", [

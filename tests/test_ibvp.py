@@ -780,15 +780,20 @@ def test_state_snapshot_roundtrip(tmp_path):
     for _ in range(5):
         state = tp.step(state, grid, SUP, 0.002)
     path = tmp_path / "snap.csv"
-    tp.save_state_csv(state, grid, path, spec_hash="abc123def456")
+    meta_path = tp.save_state_csv(state, grid, path,
+                                  spec_hash="abc123def456")
 
-    x, cols, meta = tp.load_state_csv(path)
+    x, U, t = tp.load_state_csv(path)
     np.testing.assert_array_equal(x, grid.centers)
-    np.testing.assert_array_equal(cols["rho"], state.rho)
-    np.testing.assert_array_equal(cols["n"], state.n)
-    np.testing.assert_array_equal(cols["mom1"], state.mom1)
-    np.testing.assert_array_equal(cols["mom2"], state.mom2)
-    assert meta == {"t": state.t, "spec_hash": "abc123def456"}
+    assert U.shape == (2, 2, grid.cells)
+    np.testing.assert_array_equal(U[0, 0], state.rho)
+    np.testing.assert_array_equal(U[0, 1], state.n)
+    np.testing.assert_array_equal(U[1, 0], state.mom1)
+    np.testing.assert_array_equal(U[1, 1], state.mom2)
+    assert t == state.t
+    assert meta_path == str(path) + ".meta.json"
+    with open(meta_path) as fh:
+        assert json.load(fh) == {"t": state.t, "spec_hash": "abc123def456"}
 
     resume = tp.PerturbationSpec(shape="from_file", path=str(path))
     restored = tp.initialize(profile, grid, resume)

@@ -226,3 +226,30 @@ def test_spec_validation():
     far = tp.FarFieldState(rho_plus=1.0, n_plus=1.0, u_plus=-1.0)
     with pytest.raises(DomainError):
         tp.ModelSpec(fluids=UNIT, far=far, u_minus=0.5)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_parameters_are_refused_by_name(value):
+    fluids = dict(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0)
+    for name in fluids:
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            tp.FluidConstants(**dict(fluids, **{name: value}))
+    far = dict(rho_plus=1.0, n_plus=1.0, u_plus=-2.0)
+    for name in far:
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            tp.FarFieldState(**dict(far, **{name: value}))
+    with pytest.raises(DomainError, match="^u_minus must be finite"):
+        tp.ModelSpec(fluids=UNIT, far=tp.FarFieldState(**far), u_minus=value)
+
+
+def test_spec_refuses_an_overflowing_momentum_flux():
+    # u_plus^2 overflows binary64, which the far-field matrix and the
+    # center-manifold constants both square
+    far = tp.FarFieldState(rho_plus=1.0, n_plus=1.0, u_plus=-1e300)
+    with pytest.raises(DomainError, match="u_plus=-1e\\+300: the far-field "
+                       "momentum flux rho_plus u_plus\\^2 overflows"):
+        tp.ModelSpec(fluids=UNIT, far=far, u_minus=-1e300)
+    # density u_plus^2 overflows though u_plus^2 does not
+    far = tp.FarFieldState(rho_plus=1.0, n_plus=1e10, u_plus=-1e150)
+    with pytest.raises(DomainError, match="n_plus u_plus\\^2 overflows"):
+        tp.ModelSpec(fluids=UNIT, far=far, u_minus=-1e150)

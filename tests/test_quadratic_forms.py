@@ -176,6 +176,19 @@ def test_quadratic_form_context_validation():
         tp.assemble_quadratic_form("M7", UNIT_SONIC)
 
 
+@pytest.mark.parametrize("name", ["M1", "M5", "M6"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_quadratic_form_refuses_non_finite_parameters(name, value):
+    # an infinite nu or sigma_value would give M5 the eigenvalues
+    # [nan, inf] and the verdict "indefinite"
+    finite = dict(nu=1.0, sigma_value=0.1, k=0.5)
+    for param in finite:
+        with pytest.raises(tp.DomainError,
+                           match=f"^{name} parameter {param} must be finite"):
+            tp.assemble_quadratic_form(name, UNIT_SONIC,
+                                       **dict(finite, **{param: value}))
+
+
 def test_report_as_dict_is_json_ready():
     report = tp.assemble_quadratic_form("M4", UNIT_SONIC)
     blob = json.dumps(report.as_dict(), indent=2)

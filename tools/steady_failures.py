@@ -10,8 +10,12 @@ fails when solve_steady raises. It prints one JSON line: the failures by
 regime and error type, the undocumented ones by error type (any raise but
 the DomainError, ShootingError and SingularityError that solve_steady
 documents, so a broken contract shows on its own), the failing indices,
-the wall time and, per regime, the median solve_bvp passes and collocation
-nodes of the specs that solved (from each profile's SolveStats).
+the wall time, per regime, the median solve_bvp passes and collocation
+nodes of the specs that solved (from each profile's SolveStats), and
+profiles_sha256: the sha256 of the bytes of the seven profile columns
+(x, rho_t, u_t, n_t, v_t, ux_t, vx_t) of every spec that solved, in draw
+order, so two checkouts that print the same digest built the same
+profiles bit for bit.
 
     PYTHONPATH=src python3 tools/steady_failures.py
 
@@ -19,6 +23,7 @@ nodes of the specs that solved (from each profile's SolveStats).
 `solve_steady(specs()[i][1])`.
 """
 
+import hashlib
 import json
 import statistics
 import time
@@ -39,6 +44,7 @@ FLUID_RANGES = (("A1", 0.3, 3.0), ("A2", 0.3, 3.0), ("gamma", 1.0, 3.0),
 FAR_RANGES = (("rho_plus", 0.3, 3.0), ("n_plus", 0.3, 3.0))
 DELTA_RANGE = (0.005, 0.05)
 DOCUMENTED = (tp.DomainError, tp.ShootingError, tp.SingularityError)
+PROFILE_COLUMNS = ("x", "rho_t", "u_t", "n_t", "v_t", "ux_t", "vx_t")
 
 
 def _scale(unit, lo, hi):
@@ -74,16 +80,21 @@ def main():
     undocumented = {}
     stats = {regime: [] for regime in REGIMES}
     indices = []
+    digest = hashlib.sha256()
     started = time.perf_counter()
     for i, (regime, spec) in enumerate(draw):
         try:
-            stats[regime].append(tp.solve_steady(spec).stats)
+            profile = tp.solve_steady(spec)
         except Exception as err:  # every raise counts, documented or not
             kind = type(err).__name__
             failures[regime][kind] = failures[regime].get(kind, 0) + 1
             if not isinstance(err, DOCUMENTED):
                 undocumented[kind] = undocumented.get(kind, 0) + 1
             indices.append(i)
+            continue
+        stats[regime].append(profile.stats)
+        for name in PROFILE_COLUMNS:
+            digest.update(np.ascontiguousarray(getattr(profile, name)))
     wall = time.perf_counter() - started
     solve = {regime: {
         "passes": float(statistics.median(s.passes for s in solved)),
@@ -92,7 +103,8 @@ def main():
     print(json.dumps({"specs": len(draw), "seed": SEED,
                       "failed": len(indices), "failures": failures,
                       "undocumented": undocumented, "indices": indices,
-                      "wall_s": round(wall, 2), "median_solve": solve}))
+                      "wall_s": round(wall, 2), "median_solve": solve,
+                      "profiles_sha256": digest.hexdigest()}))
 
 
 if __name__ == "__main__":
