@@ -15,9 +15,10 @@ from .diagnostics import (AlgebraicNu, ExponentialLambda, NormRecord,
 from .errors import (BlowUpError, ConfigError, DomainError,
                      InsufficientDataError, NumericsError, ShootingError,
                      SingularityError, VacuumError, WeightOverflowError)
-from .ibvp import (EvolutionState, EvolveResult, Grid1D, PerturbationSpec,
-                   evolve, initialize, load_state_csv, make_grid,
-                   perturbation_values, save_state_csv, stable_dt, step)
+from .ibvp import (Boundary, EvolutionState, EvolveResult, Grid1D,
+                   PerturbationSpec, evolve, initialize, load_state_csv,
+                   make_grid, perturbation_values, save_state_csv, stable_dt,
+                   step)
 from .model import (DerivedConstants, FarFieldState, FluidConstants,
                     ModelSpec, Regime, classify_regime, derived_constants,
                     pressure, pressure_derivative, sonic_pressure_condition,

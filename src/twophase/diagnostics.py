@@ -315,12 +315,29 @@ def assemble_quadratic_form(name: str, spec: model.ModelSpec, nu=None,
     (phi, phi_bar, psi_bar) coordinates; M5/M6 are the sigma-scaled blocks of
     the weighted sonic estimate and need nu and sigma_value (M6 also needs
     the free parameter k). A non-finite nu, sigma_value or k raises
-    DomainError naming it.
+    DomainError naming it, and so does a matrix whose entries overflow (a
+    large finite nu or sigma_value), naming the form, nu and sigma_value.
     """
     for label, value in (("nu", nu), ("sigma_value", sigma_value), ("k", k)):
         if value is not None and not math.isfinite(value):
             raise DomainError(f"{name} parameter {label} must be finite, "
                               f"got {value}")
+    try:
+        M, context = _form_matrix(name, spec, nu, sigma_value, k)
+        finite = np.isfinite(M).all()
+    except OverflowError:  # a float power past the largest double
+        finite = False
+    if not finite:
+        raise DomainError(f"{name} matrix has a non-finite entry at "
+                          f"nu={nu}, sigma_value={sigma_value}")
+    eigenvalues = _symmetric_eigenvalues(M)
+    return QuadraticFormReport(name=name, matrix=M, eigenvalues=eigenvalues,
+                               verdict=_verdict(eigenvalues),
+                               context=context)
+
+
+def _form_matrix(name, spec, nu, sigma_value, k):
+    """The entries of form `name` and the parameters that set them."""
     f = spec.fluids
     far = spec.far
     rho, n, up = far.rho_plus, far.n_plus, far.u_plus
@@ -369,10 +386,7 @@ def assemble_quadratic_form(name: str, spec: model.ModelSpec, nu=None,
         context["sigma_value"] = sigma_value
     else:
         raise DomainError(f"unknown quadratic form {name!r}")
-    eigenvalues = _symmetric_eigenvalues(M)
-    return QuadraticFormReport(name=name, matrix=M, eigenvalues=eigenvalues,
-                               verdict=_verdict(eigenvalues),
-                               context=context)
+    return M, context
 
 
 def hat_transform(spec: model.ModelSpec, field_values):

@@ -20,10 +20,10 @@ Each implicit stage eliminates half of the 2N velocities exactly (one
 red-black reduction of the two velocity chains joined by the drag) and
 makes one banded Cholesky solve over the other N. `evolve` marches with
 the IMEX scheme.
-The left ghost cell prescribes the outflow velocities, the right ghost
-continues the steady profile past the truncation point so that a converged
-profile is (up to truncation error) a fixed point of the semi-discrete
-scheme and of both steppers.
+A state's `Boundary` sets the ghost cells: the left one prescribes the
+outflow velocities, the right one continues the steady profile past the
+truncation point so that a converged profile is (up to truncation error)
+a fixed point of the semi-discrete scheme and of both steppers.
 """
 
 import json
@@ -31,6 +31,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, solveh_banded
@@ -131,6 +132,16 @@ def perturbation_values(pert: PerturbationSpec, x) -> dict:
     return out
 
 
+class Boundary(NamedTuple):
+    """A profile's boundary data on a grid: u_bc and v_bc, the outflow
+    velocities the left ghost enforces, and right_ghost, (rho, u, n, v) of
+    the steady profile continued one half-cell past x = length."""
+
+    u_bc: float
+    v_bc: float
+    right_ghost: tuple
+
+
 @dataclass(frozen=True)
 class _StateFields:
     """The fields of `EvolutionState`, whose __init__ also takes rows by
@@ -138,34 +149,29 @@ class _StateFields:
 
     t: float
     U: np.ndarray
-    u_bc: float
-    v_bc: float
-    right_ghost: tuple
+    boundary: Boundary
 
 
 class EvolutionState(_StateFields):
     """The cell-averaged conserved variables as one (2, 2, N) block
-    U = ((rho, n), (mom1, mom2)) at time t, plus the boundary data. rho, n,
-    mom1 and mom2 are views of U's rows; u and v are derived from them.
-
-    u_bc and v_bc are the outflow velocities the left ghost enforces;
-    right_ghost holds (rho, u, n, v) of the steady profile continued one
-    half-cell past x = length.
+    U = ((rho, n), (mom1, mom2)) at time t, plus the `Boundary` they are
+    stepped with. rho, n, mom1 and mom2 are views of U's rows; u and v are
+    derived from them. Both steppers hand the record on as it is.
 
     A row given by keyword, as `dataclasses.replace(state, rho=rho)` gives
     it, replaces that row in a copy of U; the block passed in is left as
     it is.
     """
 
-    def __init__(self, t, U, u_bc, v_bc, right_ghost, *, rho=None, n=None,
-                 mom1=None, mom2=None):
+    def __init__(self, t, U, boundary, *, rho=None, n=None, mom1=None,
+                 mom2=None):
         rows = (rho, n, mom1, mom2)
         if any(row is not None for row in rows):
             U = np.array(U, dtype=float)
             for dst, row in zip(U.reshape(4, -1), rows):
                 if row is not None:
                     dst[...] = row
-        super().__init__(t, U, u_bc, v_bc, right_ghost)
+        super().__init__(t, U, boundary)
 
     # the rows of U, as views
     rho = property(lambda self: self.U[0, 0])
@@ -186,7 +192,7 @@ def initialize(profile: SteadyProfile, grid: Grid1D,
                pert: PerturbationSpec) -> EvolutionState:
     """Steady profile interpolated to the cell centers plus a perturbation,
     or a snapshot read back, as the block of its densities and momenta.
-    The boundary data always come from the profile: the outflow velocities
+    The `Boundary` always comes from the profile: the outflow velocities
     u_t[0] and v_t[0], and the right ghost one half-cell past the grid.
     A snapshot gives its block and time as `load_state_csv` reads them,
     bit for bit, so a run resumed under its own profile continues the run
@@ -212,8 +218,8 @@ def initialize(profile: SteadyProfile, grid: Grid1D,
                 f"at cell {int(low[0])}; perturbation rejected")
     right_ghost = tuple(float(g) for g in
                         profile.interp(grid.length + 0.5 * grid.dx))
-    return EvolutionState(t=t0, U=U, u_bc=float(profile.u_t[0]),
-                          v_bc=float(profile.v_t[0]), right_ghost=right_ghost)
+    return EvolutionState(t=t0, U=U, boundary=Boundary(
+        float(profile.u_t[0]), float(profile.v_t[0]), right_ghost))
 
 
 def _sound_speed(coef, expo, dens):
@@ -265,12 +271,12 @@ def stable_dt(state: EvolutionState, grid: Grid1D, spec, cfl: float = 0.4,
 # the stacked-phase kernel
 # ---------------------------------------------------------------------------
 
-def _ghost_cells(dens, u_bc, v_bc, right_ghost):
+def _ghost_cells(dens, boundary):
     """The ghost cells of a block with densities dens, as a (2, 2, 2) array
     ((densities, momenta), phase, (left, right)). The left ghost copies the
-    first cell's densities and carries the prescribed outflow velocities;
-    the right ghost is the frozen profile continuation."""
-    g_rho, g_u, g_n, g_v = right_ghost
+    first cell's densities and carries the boundary's outflow velocities;
+    the right ghost is its frozen profile continuation."""
+    u_bc, v_bc, (g_rho, g_u, g_n, g_v) = boundary
     rho_0, n_0 = dens[:, 0].tolist()
     return np.array((((rho_0, g_rho), (n_0, g_n)),
                      ((rho_0 * u_bc, g_rho * g_u), (n_0 * v_bc, g_n * g_v))))
@@ -285,12 +291,12 @@ def _pad(rows, ghosts):
     return P
 
 
-def _ghosted(U, u_bc, v_bc, right_ghost):
+def _ghosted(U, boundary):
     """The block with one ghost cell on each side of each phase, laid out
     as one (2, 2(N+2)) array: row 0 the densities, row 1 the momenta, each
     row phase 1's padded cells followed by phase 2's. Returns it with its
     velocities; the ghost cells are those of `_ghost_cells`."""
-    P = _pad(U, _ghost_cells(U[0], u_bc, v_bc, right_ghost)).reshape(2, -1)
+    P = _pad(U, _ghost_cells(U[0], boundary)).reshape(2, -1)
     return P, P[1] / P[0]
 
 
@@ -346,10 +352,10 @@ def _viscosity_drag(P, vel, mu, dx):
 
 # non-finite values propagate silently; the stage checks abort on them
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _rates(U, spec, dx, u_bc, v_bc, right_ghost):
-    """Semi-discrete right-hand side of the block: the convective part plus
-    the viscous and drag terms."""
-    P, vel = _ghosted(U, u_bc, v_bc, right_ghost)
+def _rates(U, spec, dx, boundary):
+    """Semi-discrete right-hand side of the block with the boundary's ghost
+    cells: the convective part plus the viscous and drag terms."""
+    P, vel = _ghosted(U, boundary)
     rates = _convection(P, vel, spec.fluids, dx)
     visc, drag = _viscosity_drag(P, vel, spec.fluids.mu, dx)
     # (convection + viscosity) + drag: the order of the sums fixes the bits
@@ -374,10 +380,9 @@ def _check(U, t):
             raise VacuumError(phase + 1, int(low[0]), t)
 
 
-def _forward_euler(U, state, grid, spec, dt):
-    """U + dt R(U) with the state's boundary data, checked at t + dt."""
-    bc = (state.u_bc, state.v_bc, state.right_ghost)
-    U1 = U + dt * _rates(U, spec, grid.dx, *bc)
+def _forward_euler(state, grid, spec, dt):
+    """U + dt R(U) of the state's block and boundary, checked at t + dt."""
+    U1 = state.U + dt * _rates(state.U, spec, grid.dx, state.boundary)
     _check(U1, state.t + dt)
     return U1
 
@@ -394,13 +399,10 @@ def step(state: EvolutionState, grid: Grid1D, spec, dt: float,
     if imex:
         return _imex_step(state, grid, spec, dt)
     t = state.t + dt
-    bc = (state.u_bc, state.v_bc, state.right_ghost)
-    U0 = state.U
-    U1 = _forward_euler(U0, state, grid, spec, dt)
-    U = 0.5 * (U0 + U1 + dt * _rates(U1, spec, grid.dx, *bc))
+    U1 = _forward_euler(state, grid, spec, dt)
+    U = 0.5 * (state.U + U1 + dt * _rates(U1, spec, grid.dx, state.boundary))
     _check(U, t)
-    return EvolutionState(t=t, U=U, u_bc=state.u_bc, v_bc=state.v_bc,
-                          right_ghost=state.right_ghost)
+    return EvolutionState(t, U, state.boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +515,12 @@ def _imex_step(state: EvolutionState, grid: Grid1D, spec, dt: float
     t = state.t + dt
     h = IMEX_GAMMA * dt
     f, dx = spec.fluids, grid.dx
-    bc = (state.u_bc, state.v_bc, state.right_ghost)
-    U0 = state.U
-    Fa = _convection(*_ghosted(U0, *bc), f, dx)
+    U0, boundary = state.U, state.boundary
+    Fa = _convection(*_ghosted(U0, boundary), f, dx)
     # densities of the middle stage, then its momenta's right-hand sides
     U = U0 + h * Fa
     _check(U, t)
-    ghosts = _ghost_cells(U[0], *bc)
+    ghosts = _ghost_cells(U[0], boundary)
     P = _pad(U, ghosts)
     M = _implicit_momenta(P[0], ghosts[1] / ghosts[0], U[1], h, f.mu, dx, t)
     P[1, :, 1:-1] = M
@@ -533,12 +534,11 @@ def _imex_step(state: EvolutionState, grid: Grid1D, spec, dt: float
     U += (1.0 - IMEX_DELTA) * dt * Fb
     U[1] += (dt - h) * M
     _check(U, t)
-    ghosts = _ghost_cells(U[0], *bc)
+    ghosts = _ghost_cells(U[0], boundary)
     U[1] = _implicit_momenta(_pad(U[0], ghosts[0]), ghosts[1] / ghosts[0],
                              U[1], h, f.mu, dx, t)
     _check(U, t)
-    return EvolutionState(t=t, U=U, u_bc=state.u_bc, v_bc=state.v_bc,
-                          right_ghost=state.right_ghost)
+    return EvolutionState(t, U, boundary)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,12 @@ import orjson
 import twophase as tp
 
 
+# the boundary of a flat unit-fluid flow at Mach 2: both outflow
+# velocities -2 and the right ghost (rho, u, n, v) = (1, -2, 1, -2)
+MACH2_UNIT_BOUNDARY = tp.Boundary(u_bc=-2.0, v_bc=-2.0,
+                                  right_ghost=(1.0, -2.0, 1.0, -2.0))
+
+
 def random_fluids(rng):
     return tp.FluidConstants(
         A1=float(rng.uniform(0.3, 3.0)),

@@ -10,6 +10,8 @@ import pytest
 import twophase as tp
 from twophase import cli
 
+from helpers import MACH2_UNIT_BOUNDARY
+
 BASE_LINES = (
     "spec.A1 = 1.0",
     "spec.A2 = 1.0",
@@ -374,8 +376,7 @@ def write_snapshot(path, length, cells):
     """A flat unit-fluid state at Mach 2 on the given grid, with its
     sidecar, as `save_state_csv` writes it."""
     U = np.array(((1.0, 1.0), (-2.0, -2.0)))[:, :, None] * np.ones(cells)
-    state = tp.EvolutionState(t=0.0, U=U, u_bc=-2.0, v_bc=-2.0,
-                              right_ghost=(1.0, -2.0, 1.0, -2.0))
+    state = tp.EvolutionState(t=0.0, U=U, boundary=MACH2_UNIT_BOUNDARY)
     tp.save_state_csv(state, tp.make_grid(length, cells), path)
 
 
@@ -545,6 +546,10 @@ def _raising_body(err):
                       "diagnostics.matrix_nu = 1",
                       "diagnostics.matrix_sigma = inf"), None, 3,
      ("M5 parameter sigma_value must be finite, got inf",)),
+    ("matrix-check", ("diagnostics.matrix_names = M5",
+                      "diagnostics.matrix_nu = 1",
+                      "diagnostics.matrix_sigma = 1e200"), None, 3,
+     ("M5 matrix has a non-finite entry at nu=1.0, sigma_value=1e+200",)),
 ], ids=["bad_key", "pressure_overflow", "pressure_underflow",
         "pressure_sum_overflow", "eigenvector_residual", "malformed_series",
         "bad_weight_tag", "ragged_series",
@@ -559,7 +564,8 @@ def _raising_body(err):
         "regime_mu_inf", "steady_mu_inf", "regime_u_plus_inf",
         "steady_u_plus_inf", "regime_u_plus_huge", "u_minus_inf",
         "u_minus_huge", "mu_huge", "sonic_mu_huge", "x_domain_inf",
-        "grid_length_inf", "matrix_nu_inf", "matrix_sigma_inf"])
+        "grid_length_inf", "matrix_nu_inf", "matrix_sigma_inf",
+        "matrix_sigma_huge"])
 def test_exit_codes_name_the_cause(tmp_path, capsys, monkeypatch, command,
                                    extra, raised, code, fragments):
     bad_series = tmp_path / "series.csv"

@@ -12,8 +12,8 @@ import twophase as tp
 from twophase.ibvp import (_faces, _forward_euler, _ghost_cells, _ghosted,
                            _implicit_momenta, _pad, _rates, _viscosity_drag)
 
-from helpers import (assert_shortest_round_trip, flat_profile, per_value_csv,
-                     rng_for)
+from helpers import (MACH2_UNIT_BOUNDARY, assert_shortest_round_trip,
+                     flat_profile, per_value_csv, rng_for)
 
 UNIT = tp.FluidConstants(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0)
 # non-isothermal: the only fluid whose steps run the pressure powers
@@ -36,8 +36,8 @@ ROW = {"rho": (0, 0), "n": (0, 1), "mom1": (1, 0), "mom2": (1, 1)}
 
 def homogeneous_state(cells, rho, u, n, v, t=0.0):
     U = np.array(((rho, n), (rho * u, n * v)))[:, :, None] * np.ones(cells)
-    return tp.EvolutionState(t=t, U=U, u_bc=u, v_bc=v,
-                             right_ghost=(rho, u, n, v))
+    return tp.EvolutionState(t=t, U=U,
+                             boundary=tp.Boundary(u, v, (rho, u, n, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +107,7 @@ def test_initialize_zero_perturbation_matches_profile():
     np.testing.assert_array_equal(state.n, 1.0)
     np.testing.assert_array_equal(state.v, -2.0)
     assert state.t == 0.0
-    assert state.u_bc == -2.0 and state.v_bc == -2.0
-    assert state.right_ghost == (1.0, -2.0, 1.0, -2.0)
+    assert state.boundary == MACH2_UNIT_BOUNDARY
     # conserved arrays consistent with primitives
     np.testing.assert_allclose(state.mom1, state.rho * state.u, rtol=1e-12)
     np.testing.assert_allclose(state.mom2, state.n * state.v, rtol=1e-12)
@@ -275,7 +274,7 @@ def test_drag_relaxation_matches_heun_closed_form():
     exact = gap0 * math.exp(-rate * dt)
     assert stepped.v[j] - stepped.u[j] == pytest.approx(exact, abs=1e-8)
     # a single Euler stage only gets the first-order term
-    (rho1, n1), (m1, m2) = _forward_euler(state.U, state, grid, SUP, dt)
+    (rho1, n1), (m1, m2) = _forward_euler(state, grid, SUP, dt)
     gap_euler = m2[j] / n1[j] - m1[j] / rho1[j]
     assert gap_euler == pytest.approx(gap0 * (1.0 - rate * dt), rel=1e-12)
     assert abs(gap_euler - exact) > abs(
@@ -304,8 +303,7 @@ def smooth_state(grid):
     n = 1.0 + 0.08 * np.cos(0.4 * x)
     v = -2.0 + 0.04 * np.sin(0.6 * x)
     return tp.EvolutionState(t=0.0, U=np.array(((rho, n), (rho * u, n * v))),
-                             u_bc=-2.0, v_bc=-2.0,
-                             right_ghost=(1.0, -2.0, 1.0, -2.0))
+                             boundary=MACH2_UNIT_BOUNDARY)
 
 
 @FLUIDS
@@ -318,7 +316,7 @@ def test_euler_stage_mass_budget(fluids):
     state = smooth_state(grid)
     rho, u, n, v = state.rho, state.u, state.n, state.v
     dt = 1e-3
-    (rho1, n1), _ = _forward_euler(state.U, state, grid, spec, dt)
+    (rho1, n1), _ = _forward_euler(state, grid, spec, dt)
 
     def rusanov_mass(rl, ul, cl, rr, ur, cr):
         a = max(abs(ul) + cl, abs(ur) + cr)
@@ -334,8 +332,9 @@ def test_euler_stage_mass_budget(fluids):
         return dmass + dt * (f_right - f_left)
 
     scale = grid.dx * rho.sum()
-    res1 = budget(rho, u, rho1, rho[0], state.u_bc, 1.0, -2.0, phase=1)
-    res2 = budget(n, v, n1, n[0], state.v_bc, 1.0, -2.0, phase=2)
+    u_bc, v_bc, _ = state.boundary
+    res1 = budget(rho, u, rho1, rho[0], u_bc, 1.0, -2.0, phase=1)
+    res2 = budget(n, v, n1, n[0], v_bc, 1.0, -2.0, phase=2)
     assert abs(res1) <= 1e-12 * scale
     assert abs(res2) <= 1e-12 * scale
 
@@ -351,7 +350,7 @@ def test_euler_stage_momentum_budget(fluids):
     grid = tp.make_grid(12.8, 64)
     dx, dt = grid.dx, 1e-3
     state = smooth_state(grid)
-    _, (mom1, mom2) = _forward_euler(state.U, state, grid, spec, dt)
+    _, (mom1, mom2) = _forward_euler(state, grid, spec, dt)
 
     def rusanov_momentum(left, right, phase):
         def parts(r, w):
@@ -361,11 +360,11 @@ def test_euler_stage_momentum_budget(fluids):
         (fl, sl, ml), (fr, sr, mr) = parts(*left), parts(*right)
         return 0.5 * (fl + fr) - 0.5 * max(sl, sr) * (mr - ml)
 
-    g_rho, g_u, g_n, g_v = state.right_ghost
+    u_bc, v_bc, (g_rho, g_u, g_n, g_v) = state.boundary
     boundary = 0.0
     for phase, r, w, w_bc, g_r, g_w in (
-            (1, state.rho, state.u, state.u_bc, g_rho, g_u),
-            (2, state.n, state.v, state.v_bc, g_n, g_v)):
+            (1, state.rho, state.u, u_bc, g_rho, g_u),
+            (2, state.n, state.v, v_bc, g_n, g_v)):
         boundary += (rusanov_momentum((r[-1], w[-1]), (g_r, g_w), phase)
                      - rusanov_momentum((r[0], w_bc), (r[0], w[0]), phase))
         # face coefficients of mu u_x and n v_x at the two ghost faces
@@ -384,8 +383,8 @@ def test_step_detects_vacuum():
     rho = np.full(100, 1e-8)
     u = -5.0 + 0.4 * grid.centers
     U = np.array(((rho, full), (rho * u, -2.0 * full)))
-    state = tp.EvolutionState(t=0.0, U=U, u_bc=-5.0, v_bc=-2.0,
-                              right_ghost=(1e-8, -1.0, 1.0, -2.0))
+    state = tp.EvolutionState(t=0.0, U=U, boundary=tp.Boundary(
+        u_bc=-5.0, v_bc=-2.0, right_ghost=(1e-8, -1.0, 1.0, -2.0)))
     with pytest.raises(tp.VacuumError) as err:
         tp.step(state, grid, SUP, 1e-3)
     assert err.value.phase == 1
@@ -398,8 +397,7 @@ def test_step_detects_blowup():
     state = homogeneous_state(100, 1.0, -2.0, 1.0, -2.0, t=0.25)
     U = state.U.copy()
     U[1, 0, 7] = 1e308
-    state = tp.EvolutionState(t=state.t, U=U, u_bc=state.u_bc,
-                              v_bc=state.v_bc, right_ghost=state.right_ghost)
+    state = tp.EvolutionState(t=state.t, U=U, boundary=state.boundary)
     with pytest.raises(tp.BlowUpError) as err:
         tp.step(state, grid, SUP, 1e-3)
     assert err.value.t == pytest.approx(0.251, rel=1e-12)
@@ -471,6 +469,25 @@ def test_step_rejects_nonpositive_dt():
         tp.step(state, grid, SUP, -1e-3)
 
 
+def test_the_boundary_record_is_carried_not_copied():
+    # a state is its time, its block and one Boundary, which every step of
+    # a run hands on as the same object
+    grid = tp.make_grid(10.0, 100)
+    start = tp.initialize(flat_profile(SUP), grid, tp.PerturbationSpec(
+        amplitude=1e-3, center=5.0, width=1.0))
+    assert [f.name for f in dataclasses.fields(start)] == ["t", "U",
+                                                           "boundary"]
+    assert type(start.boundary) is tp.Boundary
+    seen = []
+    run = tp.evolve(start, grid, SUP, t_end=0.05,
+                    observers=(lambda s: seen.append(s.boundary),))
+    assert run.steps > 1 and len(seen) == run.steps + 1
+    for state in (tp.step(start, grid, SUP, 1e-3),
+                  tp.step(start, grid, SUP, 1e-3, imex=True), run.state):
+        assert state.boundary is start.boundary
+    assert all(boundary is start.boundary for boundary in seen)
+
+
 @pytest.mark.parametrize("imex", [False, True], ids=["heun", "imex"])
 def test_stepped_rows_are_views_of_a_new_block(imex):
     spec = sup_spec(HOT)
@@ -508,7 +525,7 @@ def test_a_row_given_by_keyword_replaces_it_in_a_copy():
     rho = np.linspace(1.0, 2.0, 10)
     state = dataclasses.replace(base, rho=rho, mom2=3.0)
     assert dataclasses.fields(state) == dataclasses.fields(base)
-    assert len(dataclasses.fields(state)) == 5
+    assert len(dataclasses.fields(state)) == 3
     assert state.U is not base.U and state.rho.base is state.U
     np.testing.assert_array_equal(state.rho, rho)
     np.testing.assert_array_equal(state.mom2, 3.0)
@@ -523,9 +540,14 @@ def test_a_row_given_by_keyword_replaces_it_in_a_copy():
 # IMEX stepping: implicit solve, order, failure
 # ---------------------------------------------------------------------------
 
-def implicit_momenta(dens, R, bc, h, mu, dx):
+# outflow velocities and a right ghost that differ between the phases
+SKEWED_BOUNDARY = tp.Boundary(u_bc=-2.01, v_bc=-1.97,
+                              right_ghost=(1.02, -2.0, 0.99, -2.03))
+
+
+def implicit_momenta(dens, R, boundary, h, mu, dx):
     """`_implicit_momenta` at the densities and ghosts of a block."""
-    ghosts = _ghost_cells(dens, *bc)
+    ghosts = _ghost_cells(dens, boundary)
     return _implicit_momenta(_pad(dens, ghosts[0]), ghosts[1] / ghosts[0], R,
                              h, mu, dx, t=0.0)
 
@@ -541,12 +563,12 @@ def test_implicit_solve_matches_viscous_drag_terms():
     n = 1.0 + 0.08 * np.cos(0.4 * x)
     r1 = rho * (-2.0 + 0.05 * np.cos(0.3 * x))
     r2 = n * (-1.9 + 0.04 * np.sin(0.6 * x))
-    bc = (-2.01, -1.97, (1.02, -2.0, 0.99, -2.03))
     h = 0.05
-    m1, m2 = implicit_momenta(np.array((rho, n)), np.array((r1, r2)), bc, h,
-                              mu, grid.dx)
+    m1, m2 = implicit_momenta(np.array((rho, n)), np.array((r1, r2)),
+                              SKEWED_BOUNDARY, h, mu, grid.dx)
     (visc1, visc2), drag = _viscosity_drag(
-        *_ghosted(np.array(((rho, n), (m1, m2))), *bc), mu, grid.dx)
+        *_ghosted(np.array(((rho, n), (m1, m2))), SKEWED_BOUNDARY), mu,
+        grid.dx)
     res1 = m1 - h * (visc1 + drag) - r1
     res2 = m2 - h * (visc2 - drag) - r2
     assert np.max(np.abs(res1)) <= 1e-12 * np.max(np.abs(r1))
@@ -555,11 +577,11 @@ def test_implicit_solve_matches_viscous_drag_terms():
     assert np.max(np.abs(m1 - r1)) > 1e-3
 
 
-def dense_implicit_momenta(dens, R, bc, h, mu, dx):
+def dense_implicit_momenta(dens, R, boundary, h, mu, dx):
     """The implicit stage solved with the assembled 2N x 2N matrix over
     the interleaved velocities (u_0, v_0, u_1, v_1, ...)."""
     cells = dens.shape[1]
-    ghosts = _ghost_cells(dens, *bc)
+    ghosts = _ghost_cells(dens, boundary)
     wg = ghosts[1] / ghosts[0]
     kappa = _faces(_pad(dens, ghosts[0])[1], mu)
     k = h / dx ** 2
@@ -591,9 +613,9 @@ def test_reduced_implicit_solve_matches_dense_solve(fluids, cells):
     for h in (1e-4, 1e-2, 1.0, 100.0):
         dens = 1.0 + 0.3 * rng.random((2, cells))
         R = dens * (-2.0 + 0.1 * rng.standard_normal((2, cells)))
-        bc = (-2.01, -1.97, (1.02, -2.0, 0.99, -2.03))
-        got = implicit_momenta(dens, R, bc, h, fluids.mu, dx)
-        want = dense_implicit_momenta(dens, R, bc, h, fluids.mu, dx)
+        got = implicit_momenta(dens, R, SKEWED_BOUNDARY, h, fluids.mu, dx)
+        want = dense_implicit_momenta(dens, R, SKEWED_BOUNDARY, h, fluids.mu,
+                                      dx)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -656,9 +678,8 @@ def test_imex_settles_on_the_semi_discrete_steady_state():
     grid = tp.make_grid(12.8, 64)
     start = tp.initialize(profile, grid, tp.PerturbationSpec())
     s = tp.evolve(start, grid, spec, t_end=40.0).state
-    bc = (s.u_bc, s.v_bc, s.right_ghost)
-    rates = _rates(s.U, spec, grid.dx, *bc)
-    (visc1, visc2), drag = _viscosity_drag(*_ghosted(s.U, *bc),
+    rates = _rates(s.U, spec, grid.dx, s.boundary)
+    (visc1, visc2), drag = _viscosity_drag(*_ghosted(s.U, s.boundary),
                                            UNIT.mu, grid.dx)
     implicit = max(np.max(np.abs(visc1 + drag)), np.max(np.abs(visc2 - drag)))
     assert implicit > 0.01
@@ -676,9 +697,9 @@ def test_evolve_failed_implicit_solve_raises_blowup():
     # and red at 1000, where the factorization of the reduced system fails
     for cells in (999, 1000):
         grid = tp.make_grid(10.0, cells)
-        state = dataclasses.replace(
-            homogeneous_state(cells, 1.0, -2.0, 1.0, -2.0, t=0.5),
-            right_ghost=(1.0, -2.0, -5.0, -2.0))
+        state = homogeneous_state(cells, 1.0, -2.0, 1.0, -2.0, t=0.5)
+        state = dataclasses.replace(state, boundary=state.boundary._replace(
+            right_ghost=(1.0, -2.0, -5.0, -2.0)))
         with pytest.raises(tp.BlowUpError,
                            match="not positive definite") as err:
             tp.evolve(state, grid, SUP, t_end=1.0)
@@ -798,9 +819,7 @@ def test_state_snapshot_roundtrip(tmp_path):
     resume = tp.PerturbationSpec(shape="from_file", path=str(path))
     restored = tp.initialize(profile, grid, resume)
     assert restored.t == state.t
-    assert restored.u_bc == state.u_bc
-    assert restored.v_bc == state.v_bc
-    assert restored.right_ghost == state.right_ghost
+    assert restored.boundary == state.boundary
     np.testing.assert_array_equal(restored.rho, state.rho)
     np.testing.assert_array_equal(restored.mom1, state.mom1)
     # resuming then stepping agrees with stepping straight through
@@ -864,10 +883,8 @@ def test_snapshot_resume_takes_boundary_data_from_profile(tmp_path):
                       path)
     resumed = tp.initialize(new, grid, tp.PerturbationSpec(
         shape="from_file", path=str(path)))
-    assert resumed.u_bc == -2.04
-    assert resumed.v_bc == new.v_t[0]
     ghost = tuple(float(g) for g in new.interp(grid.length + 0.5 * grid.dx))
-    assert resumed.right_ghost == ghost
+    assert resumed.boundary == tp.Boundary(-2.04, new.v_t[0], ghost)
     assert ghost != tuple(float(g) for g in
                           old.interp(grid.length + 0.5 * grid.dx))
 

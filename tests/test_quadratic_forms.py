@@ -3,6 +3,7 @@ diagonalizing transform."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,25 @@ def test_quadratic_form_refuses_non_finite_parameters(name, value):
                            match=f"^{name} parameter {param} must be finite"):
             tp.assemble_quadratic_form(name, UNIT_SONIC,
                                        **dict(finite, **{param: value}))
+
+
+@pytest.mark.parametrize("name", ["M5", "M6"])
+@pytest.mark.parametrize("nu, sigma_value", [(1.0, 1e200), (1e300, 0.1)],
+                         ids=["sigma_huge", "nu_huge"])
+def test_quadratic_form_refuses_overflowing_entries(name, nu, sigma_value):
+    # finite parameters whose entries overflow: sigma_value ** 2 raised an
+    # internal OverflowError, and nu = 1e300 gave M5 an inf entry, the
+    # eigenvalues (-inf, nan) and the verdict "indefinite"
+    message = (f"{name} matrix has a non-finite entry at nu={nu}, "
+               f"sigma_value={sigma_value}")
+    with pytest.raises(tp.DomainError, match=f"^{re.escape(message)}$"):
+        tp.assemble_quadratic_form(name, UNIT_SONIC, nu=nu,
+                                   sigma_value=sigma_value, k=0.5)
+    # a large sigma_value whose entries stay finite is still classified
+    report = tp.assemble_quadratic_form(name, UNIT_SONIC, nu=1.0,
+                                        sigma_value=1e100, k=0.5)
+    assert np.isfinite(report.matrix).all()
+    assert report.context["sigma_value"] == 1e100
 
 
 def test_report_as_dict_is_json_ready():

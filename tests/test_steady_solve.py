@@ -16,8 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 import twophase as tp
 from twophase.steady import (PROFILE_HEADER, _start_mesh, load_profile_csv,
                              read_csv_columns, save_profile_csv)
-from helpers import (assert_shortest_round_trip, flat_profile, per_value_csv,
-                     random_spec, rng_for)
+from helpers import (MACH2_UNIT_BOUNDARY, assert_shortest_round_trip,
+                     flat_profile, per_value_csv, random_spec, rng_for)
 
 UNIT = tp.FluidConstants(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0)
 
@@ -387,10 +387,13 @@ def test_replaced_columns_carry_no_stale_boundary_data(supersonic_case):
     spec, prof = supersonic_case
     shifted = dataclasses.replace(prof, u_t=prof.u_t + 1e-3,
                                   v_t=prof.v_t + 1e-3)
-    state = tp.initialize(shifted, tp.make_grid(10.0, 64),
-                          tp.PerturbationSpec())
-    assert state.u_bc == shifted.u_t[0] != prof.u_t[0]
-    assert state.v_bc == shifted.v_t[0] != prof.v_t[0]
+    grid = tp.make_grid(10.0, 64)
+    state = tp.initialize(shifted, grid, tp.PerturbationSpec())
+    ghost = shifted.interp(grid.length + 0.5 * grid.dx)
+    assert state.boundary == tp.Boundary(
+        shifted.u_t[0], shifted.v_t[0], tuple(float(g) for g in ghost))
+    assert state.boundary.u_bc != prof.u_t[0]
+    assert state.boundary.v_bc != prof.v_t[0]
     assert prof.boundary_compatible and not shifted.boundary_compatible
     for p in (prof, shifted):
         assert np.max(np.abs(p.rho_t * p.u_t - spec.mass_flux_1)) <= 1e-12
@@ -498,8 +501,7 @@ def _special_state(grid):
     ones = np.ones(grid.cells)
     U = np.array(((ones, ones), (_special_column(grid.cells, 0),
                                  _special_column(grid.cells, 5))))
-    return tp.EvolutionState(t=0.0, U=U, u_bc=-2.0, v_bc=-2.0,
-                             right_ghost=(1.0, -2.0, 1.0, -2.0))
+    return tp.EvolutionState(t=0.0, U=U, boundary=MACH2_UNIT_BOUNDARY)
 
 
 def _special_series():
