@@ -21,9 +21,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, model
-from .diagnostics import (SigmaNu, assemble_quadratic_form,
-                          fit_temporal_decay, load_norm_series_csv, norms,
-                          perturbation, save_norm_series_csv, weight_tag)
+from .diagnostics import (assemble_quadratic_form, fit_temporal_decay,
+                          load_norm_series_csv, norms, perturbation,
+                          save_norm_series_csv, weight_tag)
 from .errors import (BlowUpError, ConfigError, DomainError,
                      InsufficientDataError, NumericsError, ShootingError,
                      SingularityError, VacuumError, WeightOverflowError)
@@ -402,9 +402,7 @@ def _evolve_body(config, out_dir, workers):
     profile = solve_steady(spec, config.steady_options(x_domain=x_domain))
     state = initialize(profile, grid, config.perturbation_spec())
     weights = config.weight_tags()
-    sigma_params = None
-    if any(isinstance(tag, SigmaNu) for tag in weights):
-        sigma_params = (model.derived_constants(spec).a, profile.sigma0)
+    sigma_params = (model.derived_constants(spec).a, profile.sigma0)
 
     def observe(snapshot):
         field = perturbation(snapshot, profile, grid)

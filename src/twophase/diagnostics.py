@@ -184,13 +184,7 @@ def phi_potential(fluids: model.FluidConstants, density: float,
     """
     if density <= 0.0 or ref_density <= 0.0:
         raise DomainError("phi_potential needs positive densities")
-    if phase == 1:
-        A, g = fluids.A1, fluids.gamma
-    elif phase == 2:
-        A, g = fluids.A2, fluids.alpha
-    else:
-        raise DomainError(f"phase must be 1 or 2, got {phase!r}")
-    return float(_phi_closed_form(A, g, density, ref_density))
+    return float(_phi_closed_form(*fluids.law(phase), density, ref_density))
 
 
 def energy_total(state, profile: SteadyProfile, grid,
@@ -198,11 +192,9 @@ def energy_total(state, profile: SteadyProfile, grid,
     """Midpoint quadrature of the relative energy of both phases."""
     rho_t, u_t, n_t, v_t = _profile_at_centers(state, profile, grid)
     e1 = state.rho * (0.5 * (state.u - u_t) ** 2
-                      + _phi_closed_form(fluids.A1, fluids.gamma,
-                                         state.rho, rho_t))
+                      + _phi_closed_form(*fluids.law(1), state.rho, rho_t))
     e2 = state.n * (0.5 * (state.v - v_t) ** 2
-                    + _phi_closed_form(fluids.A2, fluids.alpha,
-                                       state.n, n_t))
+                    + _phi_closed_form(*fluids.law(2), state.n, n_t))
     return float(grid.dx * np.sum(e1 + e2))
 
 
@@ -282,11 +274,15 @@ class QuadraticFormReport:
 
 def _symmetric_eigenvalues(M):
     # the closed form keeps an exact zero of a semidefinite 2x2 form exact,
-    # where eigvalsh can return a tiny negative
+    # where eigvalsh can return a tiny negative; with mid > 0 the small
+    # eigenvalue is det / (mid + rad), since mid - rad cancels
     if M.shape == (2, 2):
-        p, q, r = M[0, 0], M[0, 1], M[1, 1]
+        (p, q), (_, r) = M.tolist()
         mid = 0.5 * (p + r)
         rad = math.hypot(0.5 * (p - r), q)
+        det = p * r - q * q
+        if mid > 0.0 and math.isfinite(det):
+            return (det / (mid + rad), mid + rad)
         return (mid - rad, mid + rad)
     return tuple(np.linalg.eigvalsh(M).tolist())
 
@@ -344,16 +340,12 @@ def _form_matrix(name, spec, nu, sigma_value, k):
     dp1 = model.pressure_derivative(f, rho, 1)
     dp2 = model.pressure_derivative(f, n, 2)
     context = {}
-    if name == "M1":
-        off = (up * up - dp1) / (2.0 * up)
-        M = np.array([[rho, off],
-                      [off, 0.5 * f.A1 * f.gamma * (f.gamma - 1.0)
-                       * rho ** (f.gamma - 2.0)]])
-    elif name == "M2":
-        off = (up * up - dp2) / (2.0 * up)
-        M = np.array([[n, off],
-                      [off, 0.5 * f.A2 * f.alpha * (f.alpha - 1.0)
-                       * n ** (f.alpha - 2.0)]])
+    if name in ("M1", "M2"):
+        density, dp = (rho, dp1) if name == "M1" else (n, dp2)
+        A, g = f.law(int(name[1]))
+        off = (up * up - dp) / (2.0 * up)
+        M = np.array([[density, off],
+                      [off, 0.5 * A * g * (g - 1.0) * density ** (g - 2.0)]])
     elif name in ("M3", "M4"):
         M = np.array([
             [-dp1 * up / rho, 0.0, -dp1],
@@ -365,23 +357,19 @@ def _form_matrix(name, spec, nu, sigma_value, k):
             raise DomainError(f"{name} needs nu and sigma_value")
         consts = model.derived_constants(spec)
         a, b = consts.a, consts.b
-        gfac = (f.A1 * f.gamma * (f.gamma + 1.0) * rho ** f.gamma
-                + f.A2 * f.alpha * (f.alpha + 1.0) * n ** f.alpha) / (2.0 * up * up)
+        gfac = model.curvature_numerator(spec) / (2.0 * up * up)
         off = 0.5 * math.sqrt((f.mu + n) * n) * a * b * nu * sigma_value
-        if name == "M5":
-            bracket = (1.0 + nu) - nu * (nu - 1.0) / (2.0 * (1.0 + b * b))
-            M = np.array([[0.75 * n, off],
-                          [off, 0.75 * a * gfac * bracket * sigma_value ** 2]])
-        else:
+        bracket = (1.0 + nu) - nu * (nu - 1.0) / (2.0 * (1.0 + b * b))
+        weight = 0.75
+        if name == "M6":
             if k is None:
                 raise DomainError("M6 needs the free parameter k")
             if not 0.0 < k < 1.0:
                 raise DomainError(f"M6 parameter k must lie in (0, 1), got {k}")
-            bracket = (1.0 + nu - nu * (nu - 1.0) / (2.0 * (1.0 + b * b))
-                       + (nu - 1.0) ** 2 / (4.0 * (1.0 + b * b)))
-            M = np.array([[k * n, off],
-                          [off, k * a * gfac * bracket * sigma_value ** 2]])
-            context["k"] = k
+            bracket += (nu - 1.0) ** 2 / (4.0 * (1.0 + b * b))
+            weight = context["k"] = k
+        M = np.array([[weight * n, off],
+                      [off, weight * a * gfac * bracket * sigma_value ** 2]])
         context["nu"] = nu
         context["sigma_value"] = sigma_value
     else:

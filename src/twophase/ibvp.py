@@ -142,17 +142,8 @@ class Boundary(NamedTuple):
     right_ghost: tuple
 
 
-@dataclass(frozen=True)
-class _StateFields:
-    """The fields of `EvolutionState`, whose __init__ also takes rows by
-    keyword before it hands these on."""
-
-    t: float
-    U: np.ndarray
-    boundary: Boundary
-
-
-class EvolutionState(_StateFields):
+@dataclass(frozen=True, init=False)
+class EvolutionState:
     """The cell-averaged conserved variables as one (2, 2, N) block
     U = ((rho, n), (mom1, mom2)) at time t, plus the `Boundary` they are
     stepped with. rho, n, mom1 and mom2 are views of U's rows; u and v are
@@ -163,6 +154,10 @@ class EvolutionState(_StateFields):
     it is.
     """
 
+    t: float
+    U: np.ndarray
+    boundary: Boundary
+
     def __init__(self, t, U, boundary, *, rho=None, n=None, mom1=None,
                  mom2=None):
         rows = (rho, n, mom1, mom2)
@@ -171,7 +166,10 @@ class EvolutionState(_StateFields):
             for dst, row in zip(U.reshape(4, -1), rows):
                 if row is not None:
                     dst[...] = row
-        super().__init__(t, U, boundary)
+        # every step constructs one: three direct writes, no loop
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "boundary", boundary)
 
     # the rows of U, as views
     rho = property(lambda self: self.U[0, 0])
@@ -196,7 +194,8 @@ def initialize(profile: SteadyProfile, grid: Grid1D,
     u_t[0] and v_t[0], and the right ghost one half-cell past the grid.
     A snapshot gives its block and time as `load_state_csv` reads them,
     bit for bit, so a run resumed under its own profile continues the run
-    exactly."""
+    exactly. A non-finite entry or a density at or below the floor raises
+    DomainError naming the first such quantity or phase and its cell."""
     _check_covers(profile, grid)
     if pert.shape == FROM_FILE:
         x, U, t0 = load_state_csv(pert.path)
@@ -206,16 +205,22 @@ def initialize(profile: SteadyProfile, grid: Grid1D,
                 f"from the grid's {grid.cells}")
     else:
         vals = perturbation_values(pert, grid.centers)
-        rho0, u0, n0, v0 = (col + vals[c] for c, col in
-                            zip(_COMPONENTS, profile.interp(grid.centers)))
-        U = np.array(((rho0, n0), (rho0 * u0, n0 * v0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho0, u0, n0, v0 = (col + vals[c] for c, col in
+                                zip(_COMPONENTS, profile.interp(grid.centers)))
+            U = np.array(((rho0, n0), (rho0 * u0, n0 * v0)))
         t0 = 0.0
-    for phase, dens in enumerate(U[0], start=1):
-        low = np.nonzero(dens <= DENSITY_FLOOR)[0]
-        if low.size:
-            raise DomainError(
-                f"initial phase-{phase} density at or below the floor "
-                f"at cell {int(low[0])}; perturbation rejected")
+    try:
+        _check(U, t0)
+    except BlowUpError:
+        row, cell = np.argwhere(~np.isfinite(U.reshape(4, -1)))[0]
+        raise DomainError(
+            f"initial {STATE_HEADER.split(',')[1 + row]} at cell {cell} is "
+            "not finite; perturbation rejected") from None
+    except VacuumError as err:
+        raise DomainError(
+            f"initial phase-{err.phase} density at or below the floor "
+            f"at cell {err.cell}; perturbation rejected") from None
     right_ghost = tuple(float(g) for g in
                         profile.interp(grid.length + 0.5 * grid.dx))
     return EvolutionState(t=t0, U=U, boundary=Boundary(

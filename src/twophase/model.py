@@ -50,6 +50,14 @@ class FluidConstants:
         if not (self.gamma >= 1 and self.alpha >= 1):
             raise DomainError("adiabatic exponents must be >= 1")
 
+    def law(self, phase):
+        """(A, g) of phase 1 (A1, gamma) or phase 2 (A2, alpha)."""
+        if phase == 1:
+            return self.A1, self.gamma
+        if phase == 2:
+            return self.A2, self.alpha
+        raise DomainError(f"phase must be 1 or 2, got {phase!r}")
+
 
 @dataclass(frozen=True)
 class FarFieldState:
@@ -172,22 +180,16 @@ def pressure(fluids: FluidConstants, density: float, phase: int) -> float:
     """Power-law pressure of one phase: A * density**exponent."""
     if density <= 0:
         raise DomainError(f"nonpositive density {density} in pressure")
-    if phase == 1:
-        return fluids.A1 * density ** fluids.gamma
-    if phase == 2:
-        return fluids.A2 * density ** fluids.alpha
-    raise DomainError(f"phase must be 1 or 2, got {phase}")
+    A, g = fluids.law(phase)
+    return A * density ** g
 
 
 def pressure_derivative(fluids: FluidConstants, density: float, phase: int) -> float:
     """dp/d(density) = A * g * density**(g-1); the squared phase sound speed."""
     if density <= 0:
         raise DomainError(f"nonpositive density {density} in pressure_derivative")
-    if phase == 1:
-        return fluids.A1 * fluids.gamma * density ** (fluids.gamma - 1.0)
-    if phase == 2:
-        return fluids.A2 * fluids.alpha * density ** (fluids.alpha - 1.0)
-    raise DomainError(f"phase must be 1 or 2, got {phase}")
+    A, g = fluids.law(phase)
+    return A * g * density ** (g - 1.0)
 
 
 def sound_speed(spec: ModelSpec) -> float:
@@ -226,6 +228,13 @@ def classify_regime(spec: ModelSpec) -> Regime:
     return Regime(mach=mach, label=label)
 
 
+def curvature_numerator(spec: ModelSpec) -> float:
+    """The numerator A1 g(g+1) rho_plus^g + A2 al(al+1) n_plus^al of a."""
+    f, far = spec.fluids, spec.far
+    return (f.A1 * f.gamma * (f.gamma + 1.0) * far.rho_plus ** f.gamma
+            + f.A2 * f.alpha * (f.alpha + 1.0) * far.n_plus ** f.alpha)
+
+
 def derived_constants(spec: ModelSpec) -> DerivedConstants:
     """Evaluate the center-manifold constants a, b and the ceiling lambda_star.
 
@@ -241,9 +250,8 @@ def derived_constants(spec: ModelSpec) -> DerivedConstants:
     p1p = pressure_derivative(f, far.rho_plus, 1)
     b = abs(far.rho_plus * (u2 - p1p)
             / (abs(far.u_plus) * math.sqrt((f.mu + far.n_plus) * far.n_plus)))
-    curvature_num = (f.A1 * f.gamma * (f.gamma + 1.0) * far.rho_plus ** f.gamma
-                     + f.A2 * f.alpha * (f.alpha + 1.0) * far.n_plus ** f.alpha)
-    a = curvature_num / (2.0 * u2 * (1.0 + b * b) * (f.mu + far.n_plus))
+    a = (curvature_numerator(spec)
+         / (2.0 * u2 * (1.0 + b * b) * (f.mu + far.n_plus)))
     lambda_star = 2.0 + math.sqrt(8.0 + 1.0 / (1.0 + b * b))
     return DerivedConstants(c_plus=sound_speed(spec), a=a, b=b,
                             lambda_star=lambda_star)

@@ -133,7 +133,7 @@ def test_bad_override_rejected(tmp_path):
         cli.parse_config(path, ("nope.nope=1",))
 
 
-def test_large_delta_allowed_behind_flag(tmp_path):
+def test_large_delta_parses_like_any_other(tmp_path):
     # nothing caps delta: a large one parses like any other
     config = cli.parse_config(write_config(tmp_path, "spec.u_minus = -2.5"))
     assert config.model_spec().delta == pytest.approx(0.5)
@@ -226,6 +226,22 @@ def test_matrix_check_subcommand(tmp_path):
     by_name = {r["name"]: r for r in payload["reports"]}
     assert by_name["M3"]["verdict"] == "positive_definite"
     assert len(by_name["M3"]["eigenvalues"]) == 3
+
+
+def test_matrix_check_keeps_small_eigenvalue_of_sonic_m5(tmp_path):
+    # diag(0.75, 3e16): mid - rad cancelled to 0.0, and the verdict read
+    # positive_semidefinite
+    path = write_config(tmp_path, "spec.u_plus = -1.0", "spec.u_minus = -1.05",
+                        "diagnostics.matrix_names = M5",
+                        "diagnostics.matrix_nu = 1",
+                        "diagnostics.matrix_sigma = 1e8")
+    out = tmp_path / "out"
+    assert cli.main(["matrix-check", "--config", path,
+                     "--out", str(out)]) == 0
+    (report,) = json.loads((out / "run_matrices.json").read_text())["reports"]
+    assert report["matrix"] == [[0.75, 0.0], [0.0, 3e16]]
+    assert report["eigenvalues"] == [0.75, 3e16]
+    assert report["verdict"] == "positive_definite"
 
 
 def test_matrix_check_incomplete_context_exits_3(tmp_path, capsys):
@@ -469,6 +485,10 @@ def _raising_body(err):
      ("center must be finite",)),
     ("evolve", ("evolve.pert_width = inf",), None, 2,
      ("width must be finite",)),
+    # finite parameters whose momentum rho u overflows
+    ("evolve", ("grid.cells = 256", "evolve.pert_amplitude = 1e308",
+                "evolve.pert_components = rho,u"), None, 3,
+     ("initial mom1 at cell 0 is not finite; perturbation rejected",)),
     ("evolve", ("grid.length = 10", "grid.cells = 64",
                 "evolve.pert_shape = from_file",
                 "evolve.pert_path = {nan_snapshot}"), None, 3,
@@ -556,7 +576,7 @@ def _raising_body(err):
         "missing_series", "vacuum", "blow_up", "internal",
         "grid_beyond_profile", "snapshot_grid_mismatch", "t_end_inf",
         "pert_amplitude_nan", "pert_amplitude_inf", "pert_center_inf",
-        "pert_width_inf", "snapshot_nan", "ragged_snapshot",
+        "pert_width_inf", "pert_momentum_overflow", "snapshot_nan", "ragged_snapshot",
         "old_snapshot", "column_twice", "weight_twice", "base_header_typo",
         "non_weight_column", "unordered_times", "five_records",
         "no_records", "weight_overflow", "nan_time", "underscore_tag_column",

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,8 +141,23 @@ def test_initialize_rejections():
         tp.initialize(profile, grid, tp.PerturbationSpec())
     deep = tp.PerturbationSpec(amplitude=-2.0, center=5.0, width=1.0,
                                components=("rho",))
-    with pytest.raises(tp.DomainError):
+    with pytest.raises(tp.DomainError,
+                       match=r"^initial phase-1 density at or below the floor "
+                             r"at cell \d+; perturbation rejected$"):
         tp.initialize(profile, tp.make_grid(10.0, 100), deep)
+
+
+def test_initialize_refuses_a_non_finite_block():
+    # finite parameters whose momentum rho u overflows: refused by name
+    # before any step, with no overflow warning
+    huge = tp.PerturbationSpec(amplitude=1e308, components=("rho", "u"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(tp.DomainError,
+                           match=r"^initial mom1 at cell 0 is not finite; "
+                                 r"perturbation rejected$"):
+            tp.initialize(flat_profile(SUP, x_max=20.0),
+                          tp.make_grid(10.0, 100), huge)
 
 
 # ---------------------------------------------------------------------------

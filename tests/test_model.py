@@ -42,6 +42,16 @@ def test_pressure_derivative_hand_values():
     assert tp.pressure_derivative(f, 3.0, phase=2) == pytest.approx(6.0, rel=1e-15)
 
 
+def test_law_maps_each_phase_to_its_fields():
+    f = tp.FluidConstants(A1=2.0, A2=3.0, gamma=1.4, alpha=2.5, mu=1.0)
+    assert f.law(1) == (2.0, 1.4)
+    assert f.law(2) == (3.0, 2.5)
+    for phase in (0, 3):
+        with pytest.raises(DomainError,
+                           match=f"^phase must be 1 or 2, got {phase}$"):
+            f.law(phase)
+
+
 def test_pressure_rejects_bad_inputs():
     with pytest.raises(DomainError):
         tp.pressure(UNIT, 0.0, phase=1)

@@ -5,12 +5,14 @@ import json
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
 import twophase as tp
 from twophase.diagnostics import (INDEFINITE, POSITIVE_DEFINITE,
-                                  POSITIVE_SEMIDEFINITE)
+                                  POSITIVE_SEMIDEFINITE,
+                                  _symmetric_eigenvalues, _verdict)
 
 from helpers import random_spec, rng_for
 
@@ -105,7 +107,11 @@ def test_m1_semidefinite_construction():
     spec = tp.ModelSpec(fluids=fluids, far=far, u_minus=-1.3)
     report = tp.assemble_quadratic_form("M1", spec)
     assert report.verdict == POSITIVE_SEMIDEFINITE
-    assert report.eigenvalues == (0.0, 0.8)
+    # 1.3 * 1.3 != 1.69 in binary64: the stored off-diagonal q is -8.5e-17,
+    # so the stored form's exact small eigenvalue is -q^2 / 0.8
+    q = report.matrix[0, 1]
+    assert q != 0.0 and report.matrix[1, 1] == 0.0
+    assert report.eigenvalues == (-(q * q) / 0.8, 0.8)
 
 
 def test_m1_m2_diagonal_when_pressure_slopes_match_velocity():
@@ -207,6 +213,88 @@ def test_quadratic_form_refuses_overflowing_entries(name, nu, sigma_value):
                                         sigma_value=1e100, k=0.5)
     assert np.isfinite(report.matrix).all()
     assert report.context["sigma_value"] == 1e100
+
+
+def test_form_entries_keep_their_float_order():
+    # every entry written out per form, in the order of operations each
+    # form had when it was assembled on its own
+    rng = rng_for("form-bits")
+    nu, sigma, k = 1.3, 0.07, 0.4
+    for i in range(60):
+        spec = random_spec(rng, ("supersonic", "subsonic", "sonic")[i % 3],
+                           delta=0.01)
+        f, far = spec.fluids, spec.far
+        rho, n, up = far.rho_plus, far.n_plus, far.u_plus
+        dp1 = f.A1 * f.gamma * rho ** (f.gamma - 1.0)
+        dp2 = f.A2 * f.alpha * n ** (f.alpha - 1.0)
+        u2 = up ** 2
+        b = abs(rho * (u2 - dp1) / (abs(up) * math.sqrt((f.mu + n) * n)))
+        num = (f.A1 * f.gamma * (f.gamma + 1.0) * rho ** f.gamma
+               + f.A2 * f.alpha * (f.alpha + 1.0) * n ** f.alpha)
+        a = num / (2.0 * u2 * (1.0 + b * b) * (f.mu + n))
+        assert tp.derived_constants(spec).a == a
+        off1 = (up * up - dp1) / (2.0 * up)
+        off2 = (up * up - dp2) / (2.0 * up)
+        gfac = num / (2.0 * up * up)
+        off = 0.5 * math.sqrt((f.mu + n) * n) * a * b * nu * sigma
+        bracket5 = (1.0 + nu) - nu * (nu - 1.0) / (2.0 * (1.0 + b * b))
+        bracket6 = (1.0 + nu - nu * (nu - 1.0) / (2.0 * (1.0 + b * b))
+                    + (nu - 1.0) ** 2 / (4.0 * (1.0 + b * b)))
+        expected = {
+            "M1": [[rho, off1],
+                   [off1, 0.5 * f.A1 * f.gamma * (f.gamma - 1.0)
+                    * rho ** (f.gamma - 2.0)]],
+            "M2": [[n, off2],
+                   [off2, 0.5 * f.A2 * f.alpha * (f.alpha - 1.0)
+                    * n ** (f.alpha - 2.0)]],
+            "M5": [[0.75 * n, off],
+                   [off, 0.75 * a * gfac * bracket5 * sigma ** 2]],
+            "M6": [[k * n, off],
+                   [off, k * a * gfac * bracket6 * sigma ** 2]],
+        }
+        for name, rows in expected.items():
+            report = tp.assemble_quadratic_form(name, spec, nu=nu,
+                                                sigma_value=sigma, k=k)
+            assert report.matrix.tolist() == rows, name
+
+
+def _exact_eigenvalues(M):
+    """The eigenvalues of the stored 2x2 form and its determinant, from
+    the closed form mid -/+ rad at 80 digits."""
+    with mpmath.workdps(80):
+        p, q, r = (mpmath.mpf(float(v)) for v in (M[0, 0], M[0, 1], M[1, 1]))
+        mid = (p + r) / 2
+        rad = mpmath.sqrt(((p - r) / 2) ** 2 + q * q)
+        return mid - rad, mid + rad, p * r - q * q, abs(p * r) + q * q
+
+
+def test_two_by_two_eigenvalues_against_exact_oracle():
+    # M1, M2, M5 and M6 over all regimes with sigma up to 1e9: where the
+    # diagonal entries differ by ~1e16 or more, mid - rad in binary64
+    # cancels and a definite form read as semidefinite or indefinite
+    rng = rng_for("eigen-oracle")
+    checked = 0
+    for i in range(300):
+        spec = random_spec(rng, ("supersonic", "subsonic", "sonic")[i % 3],
+                           delta=0.01)
+        nu = float(rng.uniform(0.0, 3.0))
+        sigma = float(10.0 ** rng.uniform(-3.0, 9.0))
+        k = float(rng.uniform(0.05, 0.95))
+        for name in ("M1", "M2", "M5", "M6"):
+            report = tp.assemble_quadratic_form(name, spec, nu=nu,
+                                                sigma_value=sigma, k=k)
+            lo, hi, det, scale = _exact_eigenvalues(report.matrix)
+            assert report.verdict == _verdict((float(lo), float(hi))), \
+                (name, i, report.eigenvalues, float(lo))
+            assert abs(report.eigenvalues[1] - hi) <= 1e-15 * abs(hi)
+            if abs(det) > 1e-8 * scale:
+                checked += 1
+                assert abs(report.eigenvalues[0] - lo) <= 1e-12 * abs(lo), \
+                    (name, i, report.eigenvalues, float(lo))
+    assert checked >= 1000
+    # an exactly singular stored form keeps its exact zero
+    assert _symmetric_eigenvalues(np.array([[1.0, 2.0], [2.0, 4.0]])) == \
+        (0.0, 5.0)
 
 
 def test_report_as_dict_is_json_ready():
