@@ -125,6 +125,10 @@ class NormRecord:
     weighted: dict
 
 
+# a NormRecord's time and plain norms, the first columns of a norm series
+NORM_SERIES_BASE_COLUMNS = ("t", "l2", "h1", "linf", "drag_l2")
+
+
 @dataclass(frozen=True)
 class NormSeries:
     records: tuple
@@ -187,10 +191,11 @@ def phi_potential(fluids: model.FluidConstants, density: float,
     return float(_phi_closed_form(*fluids.law(phase), density, ref_density))
 
 
-def energy_total(state, profile: SteadyProfile, grid,
-                 fluids: model.FluidConstants) -> float:
-    """Midpoint quadrature of the relative energy of both phases."""
+def energy_total(state, profile: SteadyProfile, grid) -> float:
+    """Midpoint quadrature of the relative energy of both phases, under
+    the pressure laws of the fluids the profile was solved for."""
     rho_t, u_t, n_t, v_t = _profile_at_centers(state, profile, grid)
+    fluids = profile.spec.fluids
     e1 = state.rho * (0.5 * (state.u - u_t) ** 2
                       + _phi_closed_form(*fluids.law(1), state.rho, rho_t))
     e2 = state.n * (0.5 * (state.v - v_t) ** 2
@@ -256,11 +261,14 @@ def norms(field: PerturbationField, grid, weights=(), sigma_params=None,
 
 @dataclass(frozen=True)
 class QuadraticFormReport:
+    """A form's matrix and parameters; eigenvalues and verdict follow."""
+
     name: str
     matrix: np.ndarray
-    eigenvalues: tuple
-    verdict: str
     context: dict
+
+    eigenvalues = property(lambda self: _symmetric_eigenvalues(self.matrix))
+    verdict = property(lambda self: _verdict(self.eigenvalues))
 
     def as_dict(self):
         return {
@@ -326,10 +334,7 @@ def assemble_quadratic_form(name: str, spec: model.ModelSpec, nu=None,
     if not finite:
         raise DomainError(f"{name} matrix has a non-finite entry at "
                           f"nu={nu}, sigma_value={sigma_value}")
-    eigenvalues = _symmetric_eigenvalues(M)
-    return QuadraticFormReport(name=name, matrix=M, eigenvalues=eigenvalues,
-                               verdict=_verdict(eigenvalues),
-                               context=context)
+    return QuadraticFormReport(name=name, matrix=M, context=context)
 
 
 def _form_matrix(name, spec, nu, sigma_value, k):
@@ -418,11 +423,8 @@ class TemporalDecayFit:
     window: tuple
 
 
-_PLAIN_NORMS = ("l2", "h1", "linf", "drag_l2")
-
-
 def _select_norm(record: NormRecord, which):
-    if which in _PLAIN_NORMS:
+    if which in NORM_SERIES_BASE_COLUMNS[1:]:
         return getattr(record, which)
     if which in record.weighted:
         return record.weighted[which]
@@ -476,9 +478,6 @@ def fit_temporal_decay(series: NormSeries, which_norm, law: str,
 # norm series CSV
 # ---------------------------------------------------------------------------
 
-NORM_SERIES_BASE_COLUMNS = ("t", "l2", "h1", "linf", "drag_l2")
-
-
 def save_norm_series_csv(series: NormSeries, path):
     """Write the series with one w_<tag> column per weight of the records."""
     tags = ()
@@ -489,8 +488,8 @@ def save_norm_series_csv(series: NormSeries, path):
                 raise DomainError("records carry inconsistent weight tags")
     header = ",".join(NORM_SERIES_BASE_COLUMNS
                       + tuple(f"w_{tag.label}" for tag in tags))
-    cols = np.array([(r.t, r.l2, r.h1, r.linf, r.drag_l2,
-                      *(r.weighted[tag] for tag in tags))
+    cols = np.array([[getattr(r, name) for name in NORM_SERIES_BASE_COLUMNS]
+                     + [r.weighted[tag] for tag in tags]
                      for r in series.records], dtype=float)
     write_csv_rows(path, header, cols.reshape(-1, 5 + len(tags)))
 

@@ -31,6 +31,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -54,24 +55,26 @@ STATE_HEADER = "x,rho,n,mom1,mom2"
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform cell-centered grid on [0, length]."""
+    """Uniform cell-centered grid on [0, length]; the spacing dx and the
+    cell centers follow from length and cells."""
 
     length: float
     cells: int
-    dx: float
-    centers: np.ndarray
+
+    def __post_init__(self):
+        if not 0.0 < self.length < math.inf:
+            raise DomainError(f"grid length must be finite and positive, "
+                              f"got {self.length}")
+        if self.cells < 1:
+            raise DomainError("grid needs at least one cell")
+
+    dx = property(lambda self: self.length / self.cells)
+    centers = cached_property(
+        lambda self: (np.arange(self.cells) + 0.5) * self.dx)
 
 
 def make_grid(length: float, cells: int) -> Grid1D:
-    if not 0.0 < length < math.inf:
-        raise DomainError(f"grid length must be finite and positive, got "
-                          f"{length}")
-    if cells < 1:
-        raise DomainError("grid needs at least one cell")
-    dx = length / cells
-    centers = (np.arange(cells) + 0.5) * dx
-    return Grid1D(length=float(length), cells=int(cells), dx=dx,
-                  centers=centers)
+    return Grid1D(float(length), int(cells))
 
 
 @dataclass(frozen=True)

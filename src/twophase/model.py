@@ -119,6 +119,17 @@ class ModelSpec:
                 f"rho_plus={far.rho_plus:.6g}, n_plus={far.n_plus:.6g}: the "
                 "sum of the far-field pressure laws A1 gamma rho_plus^gamma "
                 "+ A2 alpha n_plus^alpha overflows binary64")
+        # the Mach number divides by c_plus, and a and b by |u_plus|,
+        # u_plus^2, (mu + n_plus) n_plus and 1 + b^2
+        c = derived_constants(self)
+        for name, value, word in (("c_plus", c.c_plus, "positive "),
+                                  ("b", c.b, ""), ("a", c.a, "")):
+            if not (math.isfinite(value) and (value > 0.0 or not word)):
+                source = ", ".join(f"{k.name}={getattr(obj, k.name):.6g}"
+                                   for obj in (f, far) for k in fields(obj))
+                raise DomainError(f"the far-field constant {name} = "
+                                  f"{value:.3g} of {source} is not a {word}"
+                                  "finite binary64 number")
 
     @property
     def delta(self):
@@ -136,22 +147,21 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Regime:
-    """Far-field Mach number and its classification."""
+    """Far-field Mach number and its classification: supersonic iff
+    M > 1 + SONIC_TOLERANCE, sonic iff |M - 1| <= SONIC_TOLERANCE,
+    subsonic otherwise."""
 
     mach: float
-    label: str
 
     @property
-    def is_supersonic(self):
-        return self.label == SUPERSONIC
+    def label(self):
+        if self.mach > 1.0 + SONIC_TOLERANCE:
+            return SUPERSONIC
+        return SONIC if abs(self.mach - 1.0) <= SONIC_TOLERANCE else SUBSONIC
 
-    @property
-    def is_sonic(self):
-        return self.label == SONIC
-
-    @property
-    def is_subsonic(self):
-        return self.label == SUBSONIC
+    is_supersonic = property(lambda self: self.label == SUPERSONIC)
+    is_sonic = property(lambda self: self.label == SONIC)
+    is_subsonic = property(lambda self: self.label == SUBSONIC)
 
 
 @dataclass(frozen=True)
@@ -168,7 +178,9 @@ class DerivedConstants:
     c_plus: float
     a: float
     b: float
-    lambda_star: float
+
+    lambda_star = property(
+        lambda self: 2.0 + math.sqrt(8.0 + 1.0 / (1.0 + self.b * self.b)))
 
 
 class SonicConditionResult(NamedTuple):
@@ -213,19 +225,8 @@ def sonic_velocity(fluids: FluidConstants, rho_plus: float, n_plus: float) -> fl
 
 
 def classify_regime(spec: ModelSpec) -> Regime:
-    """Mach number M = |u_plus|/c_plus, classified against the sonic band.
-
-    supersonic iff M > 1 + SONIC_TOLERANCE, sonic iff
-    |M - 1| <= SONIC_TOLERANCE, subsonic otherwise.
-    """
-    mach = abs(spec.far.u_plus) / sound_speed(spec)
-    if mach > 1.0 + SONIC_TOLERANCE:
-        label = SUPERSONIC
-    elif abs(mach - 1.0) <= SONIC_TOLERANCE:
-        label = SONIC
-    else:
-        label = SUBSONIC
-    return Regime(mach=mach, label=label)
+    """The far field's Mach number M = |u_plus|/c_plus and its regime."""
+    return Regime(abs(spec.far.u_plus) / sound_speed(spec))
 
 
 def curvature_numerator(spec: ModelSpec) -> float:
@@ -243,18 +244,17 @@ def derived_constants(spec: ModelSpec) -> DerivedConstants:
             / (2 u_plus^2 (1+b^2)(mu+n_plus))
         lambda_star = 2 + sqrt(8 + 1/(1+b^2))
 
-    b is reported as a magnitude (see DerivedConstants).
+    b is reported as a magnitude (see DerivedConstants). A denominator
+    that underflows to 0 gives the constant inf, which ModelSpec refuses.
     """
     f, far = spec.fluids, spec.far
     u2 = far.u_plus ** 2
     p1p = pressure_derivative(f, far.rho_plus, 1)
-    b = abs(far.rho_plus * (u2 - p1p)
-            / (abs(far.u_plus) * math.sqrt((f.mu + far.n_plus) * far.n_plus)))
-    a = (curvature_numerator(spec)
-         / (2.0 * u2 * (1.0 + b * b) * (f.mu + far.n_plus)))
-    lambda_star = 2.0 + math.sqrt(8.0 + 1.0 / (1.0 + b * b))
-    return DerivedConstants(c_plus=sound_speed(spec), a=a, b=b,
-                            lambda_star=lambda_star)
+    den = abs(far.u_plus) * math.sqrt((f.mu + far.n_plus) * far.n_plus)
+    b = abs(far.rho_plus * (u2 - p1p) / den) if den else math.inf
+    den = 2.0 * u2 * (1.0 + b * b) * (f.mu + far.n_plus)
+    a = curvature_numerator(spec) / den if den else math.inf
+    return DerivedConstants(c_plus=sound_speed(spec), a=a, b=b)
 
 
 def sonic_pressure_condition(spec: ModelSpec) -> SonicConditionResult:

@@ -112,7 +112,10 @@ class EigenSystem:
     lambdas: tuple
     vectors: np.ndarray  # columns vectors[:, i] match lambdas[i]
     left: np.ndarray  # columns left[:, i] match lambdas[i]
-    sign_pattern: tuple
+
+    sign_pattern = property(lambda self: tuple(
+        ZERO if abs(lam.real) < ZERO_TOLERANCE else (NEG if lam.real < 0 else POS)
+        for lam in self.lambdas))
 
 
 def eigensystem(J) -> EigenSystem:
@@ -135,11 +138,7 @@ def eigensystem(J) -> EigenSystem:
         if res > 1e-8:
             raise NumericsError(f"relative eigenvector residual {res:.3e} "
                                 f"for eigenvalue {lam:.6g}")
-    lambdas = tuple(complex(lam) for lam in w)
-    pattern = tuple(
-        ZERO if abs(lam.real) < ZERO_TOLERANCE else (NEG if lam.real < 0 else POS)
-        for lam in lambdas)
-    return EigenSystem(lambdas, vectors, left, pattern)
+    return EigenSystem(tuple(complex(lam) for lam in w), vectors, left)
 
 
 def _projection_rows(eig, k):
@@ -612,6 +611,7 @@ def steady_residual(spec: model.ModelSpec, profile: SteadyProfile) -> float:
     return float(max(np.max(np.abs(res1)), np.max(np.abs(res2))))
 
 
+# far-field limits; the profile holds each but the last as <quantity>_t
 _FARFIELD_LIMITS = {
     "rho": lambda far: far.rho_plus,
     "u": lambda far: far.u_plus,
@@ -620,11 +620,6 @@ _FARFIELD_LIMITS = {
     "ux": lambda far: 0.0,
     "vx": lambda far: 0.0,
     "ux_over_sigma2": lambda far: 0.0,
-}
-
-_QUANTITY_COLUMNS = {
-    "rho": "rho_t", "u": "u_t", "n": "n_t", "v": "v_t",
-    "ux": "ux_t", "vx": "vx_t",
 }
 
 
@@ -662,7 +657,7 @@ def fit_spatial_decay(profile: SteadyProfile, quantity: str, law: str,
                               profile.spec.delta, x)
         q = profile.ux_t / sigma ** 2
     else:
-        q = getattr(profile, _QUANTITY_COLUMNS[quantity])
+        q = getattr(profile, f"{quantity}_t")
     x_lo, x_hi = window
     mask = (x >= x_lo) & (x <= x_hi)
     if int(mask.sum()) < 8:
@@ -778,9 +773,8 @@ def read_csv_columns(path, kind, accepts):
 
 
 def save_profile_csv(profile: SteadyProfile, path):
-    cols = np.column_stack([profile.x, profile.rho_t, profile.u_t,
-                            profile.n_t, profile.v_t, profile.ux_t,
-                            profile.vx_t])
+    cols = np.column_stack([getattr(profile, name)
+                            for name in PROFILE_HEADER.split(",")])
     write_csv_rows(path, PROFILE_HEADER, cols)
 
 

@@ -379,9 +379,9 @@ def test_criterion_10_energy_suite():
     prof = flat_profile(spec)
     grid = tp.make_grid(50.0, 128)
     rest = tp.initialize(prof, grid, compact_bump(0.0))
-    assert tp.energy_total(rest, prof, grid, spec.fluids) == 0.0
+    assert tp.energy_total(rest, prof, grid) == 0.0
     stirred = tp.initialize(prof, grid, compact_bump(1e-3))
-    assert tp.energy_total(stirred, prof, grid, spec.fluids) > 0.0
+    assert tp.energy_total(stirred, prof, grid) > 0.0
 
     t = np.linspace(0.0, 12.0, 48)
     exp_fit = tp.fit_temporal_decay(

@@ -1,5 +1,6 @@
 """Config parsing, subcommand orchestration, exit codes, determinism."""
 
+import csv
 import json
 import math
 import os
@@ -570,6 +571,30 @@ def _raising_body(err):
                       "diagnostics.matrix_nu = 1",
                       "diagnostics.matrix_sigma = 1e200"), None, 3,
      ("M5 matrix has a non-finite entry at nu=1.0, sigma_value=1e+200",)),
+    # far fields whose center-manifold constants are not finite
+    ("regime", ("spec.rho_plus = 1e-200", "spec.u_plus = -1e-170",
+                "spec.u_minus = -1.05e-170"), None, 2,
+     ("the far-field constant a = inf of", "rho_plus=1e-200",
+      "u_plus=-1e-170")),
+    ("regime", ("spec.rho_plus = 1e-200", "spec.u_plus = -1e-160",
+                "spec.u_minus = -1.05e-160"), None, 2,
+     ("the far-field constant a = inf of", "rho_plus=1e-200",
+      "u_plus=-1e-160")),
+    ("regime", ("spec.A1 = 1e308",), None, 2,
+     ("the far-field constant a = nan of A1=1e+308",)),
+    ("regime", ("spec.A1 = 1e-300", "spec.A2 = 1e-300",
+                "spec.rho_plus = 1e308", "spec.n_plus = 1e308",
+                "spec.u_plus = -1e-10", "spec.u_minus = -1.05e-10"), None, 2,
+     ("the far-field constant c_plus = 0 of", "is not a positive finite")),
+    # configuration errors the subcommands find
+    ("sweep", ("sweep.parameter = output.bogus", "sweep.values = 1,2"),
+     None, 2, ("cannot sweep over 'output.bogus'",)),
+    ("sweep", ("sweep.parameter = spec.u_minus", "sweep.values ="), None, 2,
+     ("sweep.values must list at least one value",)),
+    ("matrix-check", ("diagnostics.matrix_names =",), None, 2,
+     ("diagnostics.matrix_names is empty",)),
+    ("regime", ("diagnostics.fit_window = a:b",), None, 2,
+     ("diagnostics.fit_window: cannot parse 'a:b'",)),
 ], ids=["bad_key", "pressure_overflow", "pressure_underflow",
         "pressure_sum_overflow", "eigenvector_residual", "malformed_series",
         "bad_weight_tag", "ragged_series",
@@ -585,7 +610,9 @@ def _raising_body(err):
         "steady_u_plus_inf", "regime_u_plus_huge", "u_minus_inf",
         "u_minus_huge", "mu_huge", "sonic_mu_huge", "x_domain_inf",
         "grid_length_inf", "matrix_nu_inf", "matrix_sigma_inf",
-        "matrix_sigma_huge"])
+        "matrix_sigma_huge", "a_underflow", "a_overflow", "a_nan",
+        "c_plus_zero", "sweep_unknown_key", "sweep_no_values",
+        "no_matrix_names", "fit_window_unparsable"])
 def test_exit_codes_name_the_cause(tmp_path, capsys, monkeypatch, command,
                                    extra, raised, code, fragments):
     bad_series = tmp_path / "series.csv"
@@ -634,7 +661,9 @@ def test_exit_codes_name_the_cause(tmp_path, capsys, monkeypatch, command,
     ('{"t": "soon"}', "t must be a finite number"),
     ('{"t": true}', "t must be a finite number"),
     ('[0.0]', "expected a JSON object"),
-], ids=["t_text", "t_bool", "not_an_object"])
+    # an integer past the largest double
+    ('{"t": 1%s}' % ("0" * 399), "t must be a finite number"),
+], ids=["t_text", "t_bool", "not_an_object", "t_huge_integer"])
 def test_malformed_snapshot_sidecar_exits_3(tmp_path, capsys, sidecar,
                                             fragment):
     snapshot = tmp_path / "snap.csv"
@@ -681,6 +710,27 @@ def test_sweep_over_four_specs(tmp_path):
         # child echoes reparse to the directory they live in
         echoed = cli.parse_config(str(child / "run_config.txt"))
         assert echoed.hash == row[0]
+
+
+def test_sweep_runs_in_process_and_records_an_aborted_child(tmp_path,
+                                                            monkeypatch):
+    # one worker, the default, runs the children here, with no pool; a
+    # child that raises is a row of the index, not the sweep's failure
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+    path = write_config(tmp_path, "spec.u_plus = -1.0",
+                        "spec.u_minus = -1.05",
+                        "sweep.parameter = spec.u_minus",
+                        "sweep.values = -1.05,-0.95",
+                        "sweep.subcommand = steady")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 0
+    rows = {row[2]: row[3:] for row in csv.reader(
+        (out / "run_index.csv").read_text().splitlines()[1:])}
+    assert rows["-1.05"] == ["completed", ""]
+    status, reason = rows["-0.95"]
+    assert status == "aborted"
+    assert reason.startswith("DomainError: sonic profiles decay through "
+                             "u~ < u_plus; ")
 
 
 def test_sweep_validation(tmp_path):

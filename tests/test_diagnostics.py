@@ -98,7 +98,7 @@ def test_perturbation_and_energy_keep_the_full_interpolation_bits():
         fluids.A1, fluids.gamma, state.rho, rho_t))
     e2 = state.n * (0.5 * field.psi_bar ** 2 + _phi_closed_form(
         fluids.A2, fluids.alpha, state.n, n_t))
-    assert tp.energy_total(state, profile, grid, fluids) == \
+    assert tp.energy_total(state, profile, grid) == \
         float(grid.dx * np.sum(e1 + e2))
 
 
@@ -151,11 +151,10 @@ def test_phi_potential_against_quadrature():
 
 def test_energy_zero_iff_zero_perturbation(unit_setup):
     spec, profile, grid = unit_setup
-    assert tp.energy_total(state_from(profile, grid), profile, grid,
-                           spec.fluids) == 0.0
+    assert tp.energy_total(state_from(profile, grid), profile, grid) == 0.0
     bump = 1e-3 * np.exp(-((grid.centers - 8.0) / 1.5) ** 2)
     state = state_from(profile, grid, du=bump)
-    assert tp.energy_total(state, profile, grid, spec.fluids) > 0.0
+    assert tp.energy_total(state, profile, grid) > 0.0
 
 
 def test_energy_constant_velocity_perturbation(unit_setup):
@@ -164,7 +163,7 @@ def test_energy_constant_velocity_perturbation(unit_setup):
     state = state_from(profile, grid, du=eps)
     # densities untouched, so the energy is exactly rho_plus eps^2 L / 2
     expected = spec.far.rho_plus * eps ** 2 * grid.length / 2.0
-    assert tp.energy_total(state, profile, grid, spec.fluids) == \
+    assert tp.energy_total(state, profile, grid) == \
         pytest.approx(expected, rel=1e-12)
 
 
@@ -177,8 +176,8 @@ def test_energy_phase_swap_symmetry():
     bump = 0.02 * np.exp(-((grid.centers - 10.0) / 3.0) ** 2)
     on_first = state_from(profile, grid, drho=bump, du=2 * bump)
     on_second = state_from(profile, grid, dn=bump, dv=2 * bump)
-    e1 = tp.energy_total(on_first, profile, grid, fluids)
-    e2 = tp.energy_total(on_second, profile, grid, fluids)
+    e1 = tp.energy_total(on_first, profile, grid)
+    e2 = tp.energy_total(on_second, profile, grid)
     assert e1 == e2
 
 
@@ -275,6 +274,21 @@ def test_norms_exponential_weight_overflow():
     assert f"{lam_max:.6g}" in str(err.value)
 
 
+def test_norms_exponential_weight_sum_overflow():
+    # at lam_max the two last cells' terms e^(lam x) |w|^2 dx are each
+    # finite and their sum is not; dx = 2 keeps sum |w|^2 finite
+    grid = make_grid(2000.0, 1000)
+    phi = np.zeros(grid.cells)
+    phi[-2:] = math.sqrt(0.45 * np.finfo(float).max)
+    zeros = np.zeros(grid.cells)
+    field = tp.PerturbationField(phi=phi, psi=zeros, phi_bar=zeros,
+                                 psi_bar=zeros)
+    lam_max = math.log(np.finfo(float).max) / grid.centers[-1]
+    with pytest.raises(tp.WeightOverflowError) as err:
+        tp.norms(field, grid, weights=(tp.ExponentialLambda(lam_max),))
+    assert err.value.lam == lam_max
+
+
 def test_weight_tag_labels_and_validation():
     assert tp.AlgebraicNu(1.0).label == "alg1"
     assert tp.SigmaNu(2.5).label == "sig2.5"
@@ -287,9 +301,9 @@ def test_weight_tag_labels_and_validation():
 
 @pytest.mark.parametrize("label", [
     "alg1_0", "alg 1", "alg1 ", "exp\t0.5", "sig2\n", "alg\u0661",
-    "exp\u00a00.5"])
+    "exp\u00a00.5", "algx"])
 def test_weight_tag_refuses_text_that_no_label_spells(label):
-    # Python's float reads each of these
+    # Python's float reads each of these but the last, which it refuses
     with pytest.raises(tp.DomainError, match="unknown weight tag"):
         tp.weight_tag(label)
 

@@ -59,6 +59,32 @@ def test_make_grid_fields():
         tp.make_grid(5.0, 0)
 
 
+def test_grid_is_its_length_and_cell_count():
+    a, b = tp.make_grid(10.0, 8), tp.make_grid(10.0, 8)
+    assert a == b and hash(a) == hash(b)
+    assert {a: "grid"}[b] == "grid"
+    assert a != tp.make_grid(10.0, 9) and a != tp.make_grid(10.5, 8)
+    assert [f.name for f in dataclasses.fields(tp.Grid1D)] == ["length",
+                                                               "cells"]
+    # a grid built directly is checked as make_grid checks it
+    with pytest.raises(tp.DomainError,
+                       match="^grid length must be finite and positive, "
+                             "got -1.0$"):
+        tp.Grid1D(-1.0, 8)
+    with pytest.raises(tp.DomainError,
+                       match="^grid needs at least one cell$"):
+        tp.Grid1D(10.0, 0)
+    # dx and the centers are the expressions make_grid stored, bit for bit
+    for length, cells in ((10.0, 8), (100.0, 2048), (30.000000000000004, 512),
+                          (7.3, 997)):
+        grid = tp.make_grid(length, cells)
+        dx = length / cells
+        assert grid.dx == dx
+        np.testing.assert_array_equal(grid.centers,
+                                      (np.arange(cells) + 0.5) * dx)
+        assert grid.centers is grid.centers
+
+
 def test_perturbation_spec_validation():
     with pytest.raises(tp.DomainError):
         tp.PerturbationSpec(shape="sine")
@@ -123,11 +149,11 @@ def test_grid_inside_profile_is_one_check():
     assert grid.length > profile.x[-1]
     state = tp.initialize(profile, grid, tp.PerturbationSpec(amplitude=1e-3))
     assert tp.perturbation(state, profile, grid).psi.size == 512
-    assert tp.energy_total(state, profile, grid, UNIT) > 0.0
+    assert tp.energy_total(state, profile, grid) > 0.0
     past = tp.make_grid(30.001, 512)
     for call in (lambda: tp.initialize(profile, past, tp.PerturbationSpec()),
                  lambda: tp.perturbation(state, profile, past),
-                 lambda: tp.energy_total(state, profile, past, UNIT)):
+                 lambda: tp.energy_total(state, profile, past)):
         with pytest.raises(tp.DomainError,
                            match="grid length 30.001 exceeds the profile "
                                  "domain 30"):
@@ -239,10 +265,10 @@ def test_heun_is_stable_at_every_cfl_stable_dt_accepts(u_plus, cells):
     for cfl in (0.3, 0.4, 0.5):
         state = state0
         dt = tp.stable_dt(state, grid, spec, cfl=cfl)
-        energy = tp.energy_total(state, profile, grid, UNIT)
+        energy = tp.energy_total(state, profile, grid)
         for _ in range(600):
             state = tp.step(state, grid, spec, dt)
-            after = tp.energy_total(state, profile, grid, UNIT)
+            after = tp.energy_total(state, profile, grid)
             assert after <= energy
             energy = after
     for cfl in (0.6, 0.9):

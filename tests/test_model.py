@@ -2,12 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twophase as tp
 from twophase.errors import DomainError
+from twophase.model import SONIC, SONIC_TOLERANCE, SUBSONIC, SUPERSONIC
+
+from helpers import random_spec, rng_for
 
 UNIT = tp.FluidConstants(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0)
 
@@ -59,6 +63,10 @@ def test_pressure_rejects_bad_inputs():
         tp.pressure(UNIT, -1.0, phase=2)
     with pytest.raises(DomainError):
         tp.pressure(UNIT, 1.0, phase=3)
+    for density in (0.0, -1.0):
+        with pytest.raises(DomainError, match=f"nonpositive density "
+                           f"{density} in pressure_derivative"):
+            tp.pressure_derivative(UNIT, density, phase=1)
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +98,36 @@ def test_classify_regime_three_cases():
     assert sub.is_subsonic and sub.mach == pytest.approx(0.5)
 
 
+def _label_as_stored(mach):
+    """The regime label as classify_regime computed and stored it."""
+    if mach > 1.0 + SONIC_TOLERANCE:
+        label = SUPERSONIC
+    elif abs(mach - 1.0) <= SONIC_TOLERANCE:
+        label = SONIC
+    else:
+        label = SUBSONIC
+    return label
+
+
+def test_regime_label_follows_the_mach_number():
+    rng = rng_for("regime-label")
+    machs = []
+    for edge in (1.0 - SONIC_TOLERANCE, 1.0 + SONIC_TOLERANCE):
+        machs += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 2.0)]
+    for regime in ("supersonic", "sonic", "subsonic"):
+        for _ in range(50):
+            spec = random_spec(rng, regime)
+            mach = abs(spec.far.u_plus) / tp.sound_speed(spec)
+            assert tp.classify_regime(spec) == tp.Regime(mach)
+            machs.append(mach)
+    labels = set()
+    for mach in machs:
+        label = tp.Regime(float(mach)).label
+        assert label == _label_as_stored(float(mach))
+        labels.add(label)
+    assert labels == {SUPERSONIC, SONIC, SUBSONIC}
+
+
 def test_sonic_velocity_roundtrip():
     f = tp.FluidConstants(A1=0.8, A2=1.2, gamma=1.4, alpha=2.0, mu=0.9)
     u = tp.sonic_velocity(f, 1.3, 0.7)
@@ -114,6 +152,16 @@ def test_constants_symmetric_unit():
     assert c.b == 0.0
     assert c.a == pytest.approx(1.0, rel=1e-14)
     assert c.lambda_star == pytest.approx(5.0, rel=1e-14)
+
+
+def test_lambda_star_follows_b():
+    rng = rng_for("lambda-star")
+    for regime in ("supersonic", "sonic", "subsonic"):
+        for _ in range(50):
+            c = tp.derived_constants(random_spec(rng, regime))
+            b2 = c.b * c.b
+            # the expression derived_constants stored
+            assert c.lambda_star == 2.0 + math.sqrt(8.0 + 1.0 / (1.0 + b2))
 
 
 def test_lambda_star_limits():
@@ -263,3 +311,28 @@ def test_spec_refuses_an_overflowing_momentum_flux():
     far = tp.FarFieldState(rho_plus=1.0, n_plus=1e10, u_plus=-1e150)
     with pytest.raises(DomainError, match="n_plus u_plus\\^2 overflows"):
         tp.ModelSpec(fluids=UNIT, far=far, u_minus=-1e150)
+
+
+@pytest.mark.parametrize("fluids, far, name, value", [
+    # u_plus^2 underflows to 0, the denominator of a with it
+    ({}, dict(rho_plus=1e-200, u_plus=-1e-170), "a", "inf"),
+    # u_plus^2 is subnormal and a overflows
+    ({}, dict(rho_plus=1e-200, u_plus=-1e-160), "a", "inf"),
+    # the numerator of a overflows and so does 1 + b^2
+    (dict(A1=1e308), dict(u_plus=-2.0), "a", "nan"),
+    # rho_plus + n_plus overflows and the sound speed vanishes
+    (dict(A1=1e-300, A2=1e-300), dict(rho_plus=1e308, n_plus=1e308,
+                                      u_plus=-1e-10), "c_plus", "0"),
+], ids=["a_underflow", "a_overflow", "a_nan", "c_plus_zero"])
+def test_spec_refuses_a_far_field_without_finite_constants(fluids, far,
+                                                           name, value):
+    fluids = tp.FluidConstants(**dict(dict(A1=1.0, A2=1.0, gamma=1.0,
+                                           alpha=1.0, mu=1.0), **fluids))
+    far = tp.FarFieldState(**dict(dict(rho_plus=1.0, n_plus=1.0), **far))
+    with pytest.raises(DomainError) as err:
+        tp.ModelSpec(fluids=fluids, far=far, u_minus=1.05 * far.u_plus)
+    message = str(err.value)
+    assert message.startswith(f"the far-field constant {name} = {value} of ")
+    for obj in (fluids, far):
+        for key, number in vars(obj).items():
+            assert f"{key}={number:.6g}" in message

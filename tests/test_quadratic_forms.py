@@ -297,6 +297,59 @@ def test_two_by_two_eigenvalues_against_exact_oracle():
         (0.0, 5.0)
 
 
+def _spectrum_as_stored(M):
+    """The eigenvalues and verdict that assemble_quadratic_form computed
+    from the matrix and stored beside it."""
+    if M.shape == (2, 2):
+        (p, q), (_, r) = M.tolist()
+        mid = 0.5 * (p + r)
+        rad = math.hypot(0.5 * (p - r), q)
+        det = p * r - q * q
+        if mid > 0.0 and math.isfinite(det):
+            eigenvalues = (det / (mid + rad), mid + rad)
+        else:
+            eigenvalues = (mid - rad, mid + rad)
+    else:
+        eigenvalues = tuple(np.linalg.eigvalsh(M).tolist())
+    lo = min(eigenvalues)
+    if lo > 1e-10:
+        return eigenvalues, POSITIVE_DEFINITE
+    if lo > -1e-10:
+        return eigenvalues, POSITIVE_SEMIDEFINITE
+    return eigenvalues, INDEFINITE
+
+
+def test_eigenvalues_and_verdict_follow_the_matrix():
+    # M5 on the unit sonic spec at nu = 10, sigma = 1 is diag(0.75, -51):
+    # mid <= 0, so both eigenvalues are mid -/+ rad
+    report = tp.assemble_quadratic_form("M5", UNIT_SONIC, nu=10.0,
+                                        sigma_value=1.0)
+    assert report.matrix.tolist() == [[0.75, 0.0], [0.0, -51.0]]
+    assert report.eigenvalues == (-51.0, 0.75)
+    assert report.verdict == INDEFINITE
+    # nu up to 12 makes many M5 and M6 indefinite with mid <= 0, where
+    # eigvalsh would round otherwise than mid -/+ rad
+    rng = rng_for("spectrum-as-stored")
+    fallbacks = 0
+    for i in range(150):
+        spec = random_spec(rng, ("supersonic", "subsonic", "sonic")[i % 3],
+                           delta=0.01)
+        nu = float(rng.uniform(0.0, 12.0))
+        sigma = float(10.0 ** rng.uniform(-3.0, 3.0))
+        k = float(rng.uniform(0.05, 0.95))
+        for name in ("M1", "M2", "M3", "M4", "M5", "M6"):
+            report = tp.assemble_quadratic_form(name, spec, nu=nu,
+                                                sigma_value=sigma, k=k)
+            eigenvalues, verdict = _spectrum_as_stored(report.matrix)
+            assert report.eigenvalues == eigenvalues, (name, i)
+            assert report.verdict == verdict, (name, i)
+            if (len(eigenvalues) == 2 and report.matrix.trace() <= 0.0
+                    and eigenvalues
+                    != tuple(np.linalg.eigvalsh(report.matrix).tolist())):
+                fallbacks += 1
+    assert fallbacks >= 20
+
+
 def test_report_as_dict_is_json_ready():
     report = tp.assemble_quadratic_form("M4", UNIT_SONIC)
     blob = json.dumps(report.as_dict(), indent=2)

@@ -68,6 +68,10 @@ def test_sign_patterns(regime, pattern):
         assert tuple(sorted(eig.sign_pattern)) == tuple(sorted(pattern))
         # sorted ascending by real part, the pattern reads off directly
         assert eig.sign_pattern == pattern
+        # the expression eigensystem stored the pattern from
+        assert eig.sign_pattern == tuple(
+            "zero" if abs(lam.real) < 1e-8
+            else ("neg" if lam.real < 0 else "pos") for lam in eig.lambdas)
 
 
 @pytest.mark.parametrize("regime", ["supersonic", "sonic", "subsonic"])

@@ -138,6 +138,27 @@ def test_residual_above_bound_at_node_cap_raises(monkeypatch):
         tp.solve_steady(unit_spec(-1.001, -1.051))
 
 
+def test_collocation_failure_raises_shooting_error():
+    solutions = []
+
+    def failing(*args, **kwargs):
+        sol = solve_bvp(*args, **kwargs)
+        sol.success = False
+        sol.message = "The maximum number of mesh nodes is exceeded."
+        solutions.append(sol)
+        return sol
+
+    solve_bvp = tp.steady.solve_bvp
+    with mock.patch.object(tp.steady, "solve_bvp", failing):
+        with pytest.raises(tp.ShootingError,
+                           match=r"^collocation failed: The maximum number "
+                                 r"of mesh nodes is exceeded\. \(last "
+                                 r"residual ") as err:
+            tp.solve_steady(unit_spec(-2.0, -2.05))
+    (sol,) = solutions
+    assert err.value.residual == float(np.max(sol.rms_residuals))
+
+
 def test_stiff_layer_refines_output_grid():
     # a fast stable rate of -29 at mu = 0.21: on the default 2048 points the
     # stencil truncation error alone is ~2e-6, so the grid must grow
