@@ -21,21 +21,19 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, model
-from .diagnostics import (assemble_quadratic_form, fit_temporal_decay,
-                          load_norm_series_csv, norms, perturbation,
-                          save_norm_series_csv, weight_tag)
+from .diagnostics import (QUADRATIC_FORMS, assemble_quadratic_form,
+                          fit_temporal_decay, load_norm_series_csv, norms,
+                          perturbation, save_norm_series_csv, weight_tag)
 from .errors import (BlowUpError, ConfigError, DomainError,
                      InsufficientDataError, NumericsError, ShootingError,
                      SingularityError, VacuumError, WeightOverflowError)
-from .ibvp import (COMPACT_BUMP, FROM_FILE, GAUSSIAN, PerturbationSpec,
-                   evolve, initialize, make_grid, save_state_csv)
-from .steady import (ALGEBRAIC, EXPONENTIAL, SteadySolveOptions, eigensystem,
-                     farfield_jacobian, fit_spatial_decay, save_profile_csv,
-                     solve_steady, steady_residual)
+from .ibvp import (GAUSSIAN, PerturbationSpec, evolve, initialize, make_grid,
+                   save_state_csv)
+from .steady import (ALGEBRAIC, DECAY_LAWS, EXPONENTIAL, SteadySolveOptions,
+                     eigensystem, farfield_jacobian, fit_spatial_decay,
+                     save_profile_csv, solve_steady, steady_residual)
 
 _VERSION = f"twophase {__version__}"
-_MATRIX_NAMES = ("M1", "M2", "M3", "M4", "M5", "M6")
-_RUN_SUBCOMMANDS = ("steady", "evolve", "decay-fit", "matrix-check", "regime")
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +45,7 @@ _REQUIRED = object()
 
 @dataclass(frozen=True)
 class _Key:
-    kind: str            # float, optfloat, int, str, list
+    kind: str            # float, int, str, list
     default: object
     check: object = None  # value -> error message or None
 
@@ -56,8 +54,8 @@ def _positive(v):
     return None if v > 0 else "must be positive"
 
 
-def _negative(v):
-    return None if v < 0 else "must be negative (outflow)"
+def _finite_positive(v):
+    return None if 0 < v < math.inf else "must be finite and positive"
 
 
 def _finite_nonnegative(v):
@@ -80,71 +78,67 @@ def _choice(*options):
     return check
 
 
-def _component_list(items):
-    bad = [c for c in items if c not in ("rho", "u", "n", "v")]
-    if bad:
-        return f"unknown component(s) {', '.join(bad)}"
-    return None
-
-
 def _matrix_list(items):
-    bad = [m for m in items if m not in _MATRIX_NAMES]
+    bad = [m for m in items if m not in QUADRATIC_FORMS]
     if bad:
         return f"unknown matrix name(s) {', '.join(bad)}"
     return None
 
 
+def _child_subcommand(v):
+    # a sweep runs any subcommand but itself
+    return _choice(*(name for name in _RUNNERS if name != "sweep"))(v)
+
+
+# the objects built from a config check the values they hold (spec.*,
+# grid.*, steady.*, evolve.pert_*; see _cross_validate), these the rest
 _SCHEMA = {
-    "spec.A1": _Key("float", _REQUIRED, _positive),
-    "spec.A2": _Key("float", _REQUIRED, _positive),
-    "spec.gamma": _Key("float", _REQUIRED, _at_least_one),
-    "spec.alpha": _Key("float", _REQUIRED, _at_least_one),
-    "spec.mu": _Key("float", _REQUIRED, _positive),
-    "spec.rho_plus": _Key("float", _REQUIRED, _positive),
-    "spec.n_plus": _Key("float", _REQUIRED, _positive),
-    "spec.u_plus": _Key("float", _REQUIRED, _negative),
-    "spec.u_minus": _Key("float", _REQUIRED, _negative),
-    "grid.length": _Key("float", 100.0, _positive),
-    "grid.cells": _Key("int", 1024, _at_least_one),
-    "steady.x_domain": _Key("optfloat", None, _positive),
-    "steady.points": _Key("int", 2048, _at_least_one),
+    "spec.A1": _Key("float", _REQUIRED),
+    "spec.A2": _Key("float", _REQUIRED),
+    "spec.gamma": _Key("float", _REQUIRED),
+    "spec.alpha": _Key("float", _REQUIRED),
+    "spec.mu": _Key("float", _REQUIRED),
+    "spec.rho_plus": _Key("float", _REQUIRED),
+    "spec.n_plus": _Key("float", _REQUIRED),
+    "spec.u_plus": _Key("float", _REQUIRED),
+    "spec.u_minus": _Key("float", _REQUIRED),
+    "grid.length": _Key("float", 100.0),
+    "grid.cells": _Key("int", 1024),
+    "steady.x_domain": _Key("float", None),
+    "steady.points": _Key("int", 2048),
     "evolve.t_end": _Key("float", 10.0, _finite_nonnegative),
     "evolve.cfl": _Key("float", 0.4, _unit_open),
     "evolve.observer_stride": _Key("int", 10, _at_least_one),
-    "evolve.wall_clock_budget": _Key("optfloat", None, _positive),
-    "evolve.pert_shape": _Key("str", GAUSSIAN,
-                              _choice(GAUSSIAN, COMPACT_BUMP, FROM_FILE)),
+    "evolve.wall_clock_budget": _Key("float", None, _positive),
+    "evolve.pert_shape": _Key("str", GAUSSIAN),
     "evolve.pert_amplitude": _Key("float", 0.0),
     "evolve.pert_center": _Key("float", 10.0),
-    "evolve.pert_width": _Key("float", 2.0, _positive),
-    "evolve.pert_components": _Key("list", ("u",), _component_list),
+    "evolve.pert_width": _Key("float", 2.0),
+    "evolve.pert_components": _Key("list", ("u",)),
     "evolve.pert_path": _Key("str", ""),
     "diagnostics.weights": _Key("list", ()),
     "diagnostics.fit_norm": _Key("str", "l2"),
-    "diagnostics.fit_law": _Key("str", EXPONENTIAL,
-                                _choice(EXPONENTIAL, ALGEBRAIC)),
+    "diagnostics.fit_law": _Key("str", EXPONENTIAL, _choice(*DECAY_LAWS)),
     "diagnostics.fit_window": _Key("str", ""),
     "diagnostics.series_path": _Key("str", ""),
-    "diagnostics.matrix_names": _Key("list", ("M1", "M2", "M3", "M4"),
+    "diagnostics.matrix_names": _Key("list", QUADRATIC_FORMS[:4],
                                      _matrix_list),
-    "diagnostics.matrix_nu": _Key("optfloat", None, _finite_nonnegative),
-    "diagnostics.matrix_sigma": _Key("optfloat", None, _positive),
-    "diagnostics.matrix_k": _Key("optfloat", None, _unit_open),
+    "diagnostics.matrix_nu": _Key("float", None, _finite_nonnegative),
+    "diagnostics.matrix_sigma": _Key("float", None, _finite_positive),
+    "diagnostics.matrix_k": _Key("float", None, _unit_open),
     "output.directory": _Key("str", ""),
     "output.prefix": _Key("str", "run"),
     "sweep.parameter": _Key("str", ""),
     "sweep.values": _Key("list", ()),
-    "sweep.subcommand": _Key("str", "steady", _choice(*_RUN_SUBCOMMANDS)),
+    "sweep.subcommand": _Key("str", "steady", _child_subcommand),
 }
 
 
-def _parse_value(key, raw, kind):
-    raw = raw.strip()
+def _parse_value(key, raw, meta):
+    raw, kind = raw.strip(), meta.kind
     try:
         if kind == "float":
-            return float(raw)
-        if kind == "optfloat":
-            return None if raw == "" else float(raw)
+            return None if raw == "" and meta.default is None else float(raw)
         if kind == "int":
             return int(raw, 10)
         if kind == "list":
@@ -157,8 +151,6 @@ def _parse_value(key, raw, kind):
 
 def _format_value(value, kind):
     if kind == "float":
-        return repr(value)
-    if kind == "optfloat":
         return "" if value is None else repr(value)
     if kind == "list":
         return ",".join(value)
@@ -274,7 +266,7 @@ def _build_values(raw):
     values = {}
     for key, meta in _SCHEMA.items():
         if key in raw:
-            value = _parse_value(key, raw[key], meta.kind)
+            value = _parse_value(key, raw[key], meta)
         else:
             value = meta.default
         if meta.check is not None and value is not None:
@@ -288,10 +280,13 @@ def _build_values(raw):
 
 
 def _cross_validate(config):
-    # re-run the module-level invariant gates so a bad config dies with
-    # exit code 2 instead of surfacing later as a solver error
+    # build every object a subcommand builds from the config, each of
+    # which checks the values it holds, so a bad config dies with exit
+    # code 2 before any work
     try:
         config.model_spec()
+        config.grid()
+        config.steady_options()
         config.perturbation_spec()
         config.weight_tags()
         config.fit_window()
@@ -332,11 +327,6 @@ class RunRecord:
     reason: str
     files: tuple
 
-    def as_dict(self):
-        payload = asdict(self)
-        payload["files"] = list(self.files)
-        return payload
-
 
 def _utc_now():
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -353,6 +343,7 @@ def _write_json(path, payload):
 # ---------------------------------------------------------------------------
 
 def _steady_body(config, out_dir, workers):
+    """construct a steady profile and report its residuals"""
     spec = config.model_spec()
     profile = solve_steady(spec, config.steady_options())
     prefix = config.values["output.prefix"]
@@ -393,6 +384,7 @@ def _steady_body(config, out_dir, workers):
 
 
 def _evolve_body(config, out_dir, workers):
+    """run the time-dependent problem from a perturbed profile"""
     v = config.values
     spec = config.model_spec()
     grid = config.grid()
@@ -428,6 +420,7 @@ def _evolve_body(config, out_dir, workers):
 
 
 def _decay_fit_body(config, out_dir, workers):
+    """fit a decay law to a recorded norm series"""
     v = config.values
     path = v["diagnostics.series_path"]
     if not path:
@@ -453,6 +446,7 @@ def _decay_fit_body(config, out_dir, workers):
 
 
 def _matrix_check_body(config, out_dir, workers):
+    """evaluate the energy-estimate quadratic forms"""
     v = config.values
     names = v["diagnostics.matrix_names"]
     if not names:
@@ -471,6 +465,7 @@ def _matrix_check_body(config, out_dir, workers):
 
 
 def _regime_body(config, out_dir, workers):
+    """classify the far field and report derived constants"""
     spec = config.model_spec()
     regime = model.classify_regime(spec)
     constants = model.derived_constants(spec)
@@ -506,6 +501,7 @@ def _sweep_child(job):
 
 
 def _sweep_body(config, out_dir, workers):
+    """fan one parameter over a list of values"""
     v = config.values
     param = v["sweep.parameter"]
     raw_values = v["sweep.values"]
@@ -524,9 +520,9 @@ def _sweep_body(config, out_dir, workers):
     for raw in raw_values:
         try:
             child = ExperimentConfig(_build_values({**base, param: raw}))
+            _cross_validate(child)
         except ConfigError as err:
             raise ConfigError(f"sweep value {raw!r}: {err}") from None
-        _cross_validate(child)
         children.append((raw, child))
     if len({child.hash for _, child in children}) < len(children):
         raise ConfigError(
@@ -582,10 +578,10 @@ def run_subcommand(name, config, out_dir, workers=1) -> RunRecord:
         emitted, status, reason = _RUNNERS[name](config, out_dir, workers)
     except Exception as err:
         record = record_with("aborted", f"{type(err).__name__}: {err}")
-        _write_json(record_path, record.as_dict())
+        _write_json(record_path, asdict(record))
         raise
     record = record_with(status, reason, emitted)
-    _write_json(record_path, record.as_dict())
+    _write_json(record_path, asdict(record))
     return record
 
 
@@ -618,16 +614,8 @@ def _build_parser():
                     "for the two-phase outflow problem on the half line.")
     parser.add_argument("--version", action="version", version=_VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "steady": "construct a steady profile and report its residuals",
-        "evolve": "run the time-dependent problem from a perturbed profile",
-        "decay-fit": "fit a decay law to a recorded norm series",
-        "matrix-check": "evaluate the energy-estimate quadratic forms",
-        "regime": "classify the far field and report derived constants",
-        "sweep": "fan one parameter over a list of values",
-    }
-    for name in (*_RUN_SUBCOMMANDS, "sweep"):
-        p = sub.add_parser(name, help=helps[name])
+    for name, body in _RUNNERS.items():
+        p = sub.add_parser(name, help=body.__doc__)
         p.add_argument("--config", required=True,
                        help="path to a section.key = value config file")
         p.add_argument("--out", default=None,

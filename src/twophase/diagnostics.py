@@ -15,7 +15,7 @@ import numpy as np
 
 from . import model
 from .errors import DomainError, InsufficientDataError, WeightOverflowError
-from .steady import (ALGEBRAIC, EXPONENTIAL, SteadyProfile, _log_linear_fit,
+from .steady import (DECAY_LAWS, EXPONENTIAL, SteadyProfile, _log_linear_fit,
                      read_csv_columns, sigma_profile, write_csv_rows)
 
 POSITIVE_DEFINITE = "positive_definite"
@@ -337,6 +337,10 @@ def assemble_quadratic_form(name: str, spec: model.ModelSpec, nu=None,
     return QuadraticFormReport(name=name, matrix=M, context=context)
 
 
+#: the energy-estimate forms that _form_matrix assembles
+QUADRATIC_FORMS = ("M1", "M2", "M3", "M4", "M5", "M6")
+
+
 def _form_matrix(name, spec, nu, sigma_value, k):
     """The entries of form `name` and the parameters that set them."""
     f = spec.fluids
@@ -378,7 +382,8 @@ def _form_matrix(name, spec, nu, sigma_value, k):
         context["nu"] = nu
         context["sigma_value"] = sigma_value
     else:
-        raise DomainError(f"unknown quadratic form {name!r}")
+        raise DomainError(f"unknown quadratic form {name!r}; accepted: "
+                          f"{', '.join(QUADRATIC_FORMS)}")
     return M, context
 
 
@@ -443,7 +448,7 @@ def fit_temporal_decay(series: NormSeries, which_norm, law: str,
     final half of the records. A non-finite value inside the window raises
     DomainError naming the record's time.
     """
-    if law not in (EXPONENTIAL, ALGEBRAIC):
+    if law not in DECAY_LAWS:
         raise DomainError(f"unknown law {law!r}")
     if len(series.records) < 8:
         raise InsufficientDataError(

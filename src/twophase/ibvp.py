@@ -39,6 +39,7 @@ from scipy.linalg import LinAlgError, solveh_banded
 
 from .diagnostics import NormSeries, _check_covers
 from .errors import BlowUpError, DomainError, VacuumError
+from .model import _require
 from .steady import SteadyProfile, read_csv_columns, write_csv_rows
 
 DENSITY_FLOOR = 1e-10
@@ -95,16 +96,14 @@ class PerturbationSpec:
 
     def __post_init__(self):
         if self.shape not in _SHAPES:
-            raise DomainError(f"unknown perturbation shape {self.shape!r}")
-        for name in ("amplitude", "center", "width"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"perturbation {name} must be finite, "
-                                  f"got {getattr(self, name)}")
-        if self.width <= 0.0:
-            raise DomainError("perturbation width must be positive")
+            raise DomainError(f"unknown perturbation shape {self.shape!r}; "
+                              f"accepted: {', '.join(_SHAPES)}")
+        _require(self, "finite", names=("amplitude", "center", "width"))
+        _require(self, "positive", lambda v: v > 0.0, ("width",))
         unknown = [c for c in self.components if c not in _COMPONENTS]
         if unknown:
-            raise DomainError(f"unknown perturbation components {unknown}")
+            raise DomainError(f"unknown perturbation components {unknown}; "
+                              f"accepted: {', '.join(_COMPONENTS)}")
         if self.shape == FROM_FILE and not self.path:
             raise DomainError("file-based perturbation needs a path")
 

@@ -24,13 +24,13 @@ SUBSONIC = "subsonic"
 SONIC_TOLERANCE = 1e-9
 
 
-def _require_finite(obj, names=None):
-    """DomainError naming the first of obj's fields `names` (default: all)
-    that is not a finite number."""
+def _require(obj, what, test=math.isfinite, names=None):
+    """DomainError "<name> must be <what>, got <value>" for the first of
+    obj's fields `names` (default: all) whose value fails `test`."""
     for name in names or [f.name for f in fields(obj)]:
         value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
+        if not test(value):
+            raise DomainError(f"{name} must be {what}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,9 @@ class FluidConstants:
     mu: float
 
     def __post_init__(self):
-        _require_finite(self)
-        if not (self.A1 > 0 and self.A2 > 0 and self.mu > 0):
-            raise DomainError("pressure coefficients and viscosity must be positive")
-        if not (self.gamma >= 1 and self.alpha >= 1):
-            raise DomainError("adiabatic exponents must be >= 1")
+        _require(self, "finite")
+        _require(self, "positive", lambda v: v > 0, ("A1", "A2", "mu"))
+        _require(self, "at least 1", lambda v: v >= 1, ("gamma", "alpha"))
 
     def law(self, phase):
         """(A, g) of phase 1 (A1, gamma) or phase 2 (A2, alpha)."""
@@ -68,11 +66,9 @@ class FarFieldState:
     u_plus: float
 
     def __post_init__(self):
-        _require_finite(self)
-        if not (self.rho_plus > 0 and self.n_plus > 0):
-            raise DomainError("far-field densities must be positive")
-        if not self.u_plus < 0:
-            raise DomainError("far-field velocity must be negative (outflow)")
+        _require(self, "finite")
+        _require(self, "positive", lambda v: v > 0, ("rho_plus", "n_plus"))
+        _require(self, "negative (outflow)", lambda v: v < 0, ("u_plus",))
 
 
 @dataclass(frozen=True)
@@ -88,9 +84,8 @@ class ModelSpec:
     u_minus: float
 
     def __post_init__(self):
-        _require_finite(self, ["u_minus"])
-        if not self.u_minus < 0:
-            raise DomainError("boundary velocity u_minus must be negative (outflow)")
+        _require(self, "finite", names=("u_minus",))
+        _require(self, "negative (outflow)", lambda v: v < 0, ("u_minus",))
         # every far-field quantity (sound speed, Jacobian, a) is built from
         # A g density^g and density u_plus^2; binary64 must hold each as a
         # positive finite number
@@ -147,9 +142,10 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Regime:
-    """Far-field Mach number and its classification: supersonic iff
-    M > 1 + SONIC_TOLERANCE, sonic iff |M - 1| <= SONIC_TOLERANCE,
-    subsonic otherwise."""
+    """Far-field Mach number and its classification against the two
+    rounded band edges: supersonic iff M > 1 + SONIC_TOLERANCE, subsonic
+    iff M < 1 - SONIC_TOLERANCE, sonic otherwise, so the sonic band is
+    every double between them."""
 
     mach: float
 
@@ -157,7 +153,7 @@ class Regime:
     def label(self):
         if self.mach > 1.0 + SONIC_TOLERANCE:
             return SUPERSONIC
-        return SONIC if abs(self.mach - 1.0) <= SONIC_TOLERANCE else SUBSONIC
+        return SUBSONIC if self.mach < 1.0 - SONIC_TOLERANCE else SONIC
 
     is_supersonic = property(lambda self: self.label == SUPERSONIC)
     is_sonic = property(lambda self: self.label == SONIC)

@@ -41,6 +41,7 @@ import re
 import time
 from dataclasses import dataclass, field, replace
 from itertools import chain
+from numbers import Integral
 
 import numpy as np
 import scipy.linalg
@@ -53,6 +54,8 @@ from .errors import (DomainError, InsufficientDataError, NumericsError,
 
 EXPONENTIAL = "exponential"
 ALGEBRAIC = "algebraic"
+#: the decay laws that fit_spatial_decay and fit_temporal_decay accept
+DECAY_LAWS = (EXPONENTIAL, ALGEBRAIC)
 
 NEG, ZERO, POS = "neg", "zero", "pos"
 
@@ -306,7 +309,8 @@ class SpatialDecayFit:
 @dataclass(frozen=True)
 class SteadySolveOptions:
     """x_domain is the profile interval length (None: derived from the
-    spec); points is the output grid size before refinement."""
+    spec); points is the output grid size before refinement, an integer
+    of at least 2."""
 
     x_domain: float = None
     points: int = 2048
@@ -315,6 +319,11 @@ class SteadySolveOptions:
         if self.x_domain is not None and not 0.0 < self.x_domain < math.inf:
             raise DomainError("steady x_domain must be finite and positive, "
                               f"got {self.x_domain}")
+        points = self.points
+        if (isinstance(points, bool) or not isinstance(points, Integral)
+                or points < 2):
+            raise DomainError("steady points must be an integer of at least "
+                              f"2, got {points!r}")
 
 
 def _build_profile(spec, x, states):
@@ -519,7 +528,9 @@ def solve_steady(spec: model.ModelSpec,
         x = np.linspace(0.0, x_domain, n)
         return _build_profile(spec, x, spline(x))
 
-    n = opts.points
+    # off the sonic point steady_residual certifies the grid, and its
+    # stencils need 6 nodes
+    n = opts.points if regime.is_sonic else max(opts.points, 6)
     profile = sample(n)
 
     if regime.is_sonic:
@@ -649,7 +660,7 @@ def fit_spatial_decay(profile: SteadyProfile, quantity: str, law: str,
     """
     if quantity not in _FARFIELD_LIMITS:
         raise DomainError(f"unknown quantity {quantity!r}")
-    if law not in (EXPONENTIAL, ALGEBRAIC):
+    if law not in DECAY_LAWS:
         raise DomainError(f"unknown law {law!r}")
     x = profile.x
     if quantity == "ux_over_sigma2":

@@ -79,6 +79,118 @@ def test_override_round_trip(tmp_path):
     assert cli.parse_config(str(echoed)).hash == overridden.hash
 
 
+# the example config of the README
+README_LINES = (
+    "spec.A1 = 1.0",
+    "spec.A2 = 1.0",
+    "spec.gamma = 1.0",
+    "spec.alpha = 1.0",
+    "spec.mu = 1.0",
+    "spec.rho_plus = 1.0",
+    "spec.n_plus = 1.0",
+    "spec.u_plus = -2.0",
+    "spec.u_minus = -2.05",
+    "",
+    "grid.length = 100.0",
+    "grid.cells = 2048",
+    "evolve.t_end = 50.0",
+    "evolve.pert_shape = compact_bump",
+    "evolve.pert_amplitude = 1e-3",
+    "evolve.pert_center = 50.0",
+    "evolve.pert_width = 10.0",
+    "diagnostics.weights = exp0.1, alg2",
+)
+
+README_CANONICAL = (
+    "diagnostics.fit_law = exponential\n"
+    "diagnostics.fit_norm = l2\n"
+    "diagnostics.fit_window = \n"
+    "diagnostics.matrix_k = \n"
+    "diagnostics.matrix_names = M1,M2,M3,M4\n"
+    "diagnostics.matrix_nu = \n"
+    "diagnostics.matrix_sigma = \n"
+    "diagnostics.series_path = \n"
+    "diagnostics.weights = exp0.1,alg2\n"
+    "evolve.cfl = 0.4\n"
+    "evolve.observer_stride = 10\n"
+    "evolve.pert_amplitude = 0.001\n"
+    "evolve.pert_center = 50.0\n"
+    "evolve.pert_components = u\n"
+    "evolve.pert_path = \n"
+    "evolve.pert_shape = compact_bump\n"
+    "evolve.pert_width = 10.0\n"
+    "evolve.t_end = 50.0\n"
+    "evolve.wall_clock_budget = \n"
+    "grid.cells = 2048\n"
+    "grid.length = 100.0\n"
+    "output.directory = \n"
+    "output.prefix = run\n"
+    "spec.A1 = 1.0\n"
+    "spec.A2 = 1.0\n"
+    "spec.alpha = 1.0\n"
+    "spec.gamma = 1.0\n"
+    "spec.mu = 1.0\n"
+    "spec.n_plus = 1.0\n"
+    "spec.rho_plus = 1.0\n"
+    "spec.u_minus = -2.05\n"
+    "spec.u_plus = -2.0\n"
+    "steady.points = 2048\n"
+    "steady.x_domain = \n"
+    "sweep.parameter = \n"
+    "sweep.subcommand = steady\n"
+    "sweep.values = \n")
+
+BASE_CANONICAL = (
+    "diagnostics.fit_law = exponential\n"
+    "diagnostics.fit_norm = l2\n"
+    "diagnostics.fit_window = \n"
+    "diagnostics.matrix_k = \n"
+    "diagnostics.matrix_names = M1,M2,M3,M4\n"
+    "diagnostics.matrix_nu = \n"
+    "diagnostics.matrix_sigma = \n"
+    "diagnostics.series_path = \n"
+    "diagnostics.weights = \n"
+    "evolve.cfl = 0.4\n"
+    "evolve.observer_stride = 10\n"
+    "evolve.pert_amplitude = 0.0\n"
+    "evolve.pert_center = 10.0\n"
+    "evolve.pert_components = u\n"
+    "evolve.pert_path = \n"
+    "evolve.pert_shape = gaussian\n"
+    "evolve.pert_width = 2.0\n"
+    "evolve.t_end = 10.0\n"
+    "evolve.wall_clock_budget = \n"
+    "grid.cells = 1024\n"
+    "grid.length = 100.0\n"
+    "output.directory = \n"
+    "output.prefix = run\n"
+    "spec.A1 = 1.0\n"
+    "spec.A2 = 1.0\n"
+    "spec.alpha = 1.0\n"
+    "spec.gamma = 1.0\n"
+    "spec.mu = 1.0\n"
+    "spec.n_plus = 1.0\n"
+    "spec.rho_plus = 1.0\n"
+    "spec.u_minus = -2.05\n"
+    "spec.u_plus = -2.0\n"
+    "steady.points = 2048\n"
+    "steady.x_domain = \n"
+    "sweep.parameter = \n"
+    "sweep.subcommand = steady\n"
+    "sweep.values = \n")
+
+
+def test_canonical_text_and_hash_are_pinned(tmp_path):
+    # the hash is a sha256 prefix of the canonical text alone, the same on
+    # every platform; a renamed key, a new default or a changed format of
+    # a value shows here
+    readme = cli.parse_config(write_config(tmp_path, lines=README_LINES))
+    assert readme.canonical_text() == README_CANONICAL
+    assert readme.hash == "6029b3efff55"
+    base = cli.parse_config(write_config(tmp_path, name="base.cfg"))
+    assert base.canonical_text() == BASE_CANONICAL
+
+
 @pytest.mark.parametrize("extra, fragment", [
     (("spec.bogus = 1",), "unknown key"),
     (("grid.cells = 100", "grid.cells = 200"), "duplicate"),
@@ -87,13 +199,16 @@ def test_override_round_trip(tmp_path):
     (("grid.cells = 2.5",), "cannot parse"),
     (("spec.u_minus = 2.0",), "negative (outflow)"),
     (("evolve.cfl = 1.0",), "strictly between"),
-    (("evolve.pert_shape = sine",), "one of"),
-    (("evolve.pert_components = rho,w",), "unknown component"),
+    (("evolve.pert_shape = sine",),
+     "accepted: gaussian, compact_bump, from_file"),
+    (("evolve.pert_components = rho,w",),
+     "unknown perturbation components ['w']; accepted: rho, u, n, v"),
     (("diagnostics.matrix_names = M7",), "unknown matrix"),
     (("diagnostics.weights = alg1,poly2",), "weight tag"),
     (("diagnostics.fit_window = 5",), "t_lo:t_hi"),
     (("diagnostics.fit_window = 5:2",), "below"),
-    (("steady.points = 0",), "at least 1"),
+    (("steady.points = 0",),
+     "steady points must be an integer of at least 2, got 0"),
     (("evolve.pert_shape = from_file",), "path"),
     (("diagnostics.weights = algnan",), "finite nu >= 0, got nan"),
     (("diagnostics.weights = alg1,expinf",), "finite lam >= 0, got inf"),
@@ -306,6 +421,15 @@ def test_evolve_wall_clock_truncation(tmp_path):
     assert "budget" in record["reason"]
 
 
+def test_evolve_infinite_wall_clock_budget_is_no_budget(tmp_path):
+    path = write_config(tmp_path, "evolve.wall_clock_budget = inf",
+                        lines=EVOLVE_LINES)
+    out = tmp_path / "out"
+    assert cli.main(["evolve", "--config", path, "--out", str(out)]) == 0
+    record = json.loads((out / "run_run.json").read_text())
+    assert record["status"] == "completed"
+
+
 def test_decay_fit_subcommand(tmp_path):
     t = np.arange(30.0)
     records = tuple(
@@ -387,6 +511,52 @@ def test_invalid_override_exits_2(tmp_path):
     path = write_config(tmp_path)
     assert cli.main(["steady", "--config", path, "--out", str(tmp_path),
                      "--override", "spec.u_minus=2.0"]) == 2
+
+
+# one broken value per rule that an object built from the config checks
+# (ModelSpec and its parts, Grid1D, SteadySolveOptions, PerturbationSpec),
+# with the refusal that names it
+OBJECT_RULES = [
+    ("spec.A1 = -1", "A1 must be positive, got -1.0"),
+    ("spec.A2 = 0", "A2 must be positive, got 0.0"),
+    ("spec.gamma = 0.5", "gamma must be at least 1, got 0.5"),
+    ("spec.alpha = 0.9", "alpha must be at least 1, got 0.9"),
+    ("spec.mu = -2", "mu must be positive, got -2.0"),
+    ("spec.rho_plus = 0", "rho_plus must be positive, got 0.0"),
+    ("spec.n_plus = -1", "n_plus must be positive, got -1.0"),
+    ("spec.u_plus = 2", "u_plus must be negative (outflow), got 2.0"),
+    ("spec.u_minus = 0", "u_minus must be negative (outflow), got 0.0"),
+    ("grid.length = -1", "grid length must be finite and positive, got -1.0"),
+    ("grid.cells = 0", "grid needs at least one cell"),
+    ("steady.x_domain = 0",
+     "steady x_domain must be finite and positive, got 0.0"),
+    ("evolve.pert_shape = sine", "unknown perturbation shape 'sine'"),
+    ("evolve.pert_width = 0", "width must be positive, got 0.0"),
+    ("evolve.pert_components = u,w", "unknown perturbation components ['w']"),
+    ("steady.points = 1", "steady points must be an integer of at least 2, "
+                          "got 1"),
+    ("grid.length = inf", "grid length must be finite and positive, got inf"),
+    ("steady.x_domain = inf",
+     "steady x_domain must be finite and positive, got inf"),
+]
+
+
+@pytest.mark.parametrize("command", ["regime", "steady", "evolve"])
+@pytest.mark.parametrize("line, fragment", OBJECT_RULES,
+                         ids=[line.replace(" = ", "=")
+                              for line, _ in OBJECT_RULES])
+def test_object_rules_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                             command, line, fragment):
+    # grid.length = inf and steady.x_domain = inf exited 0 on regime and 3
+    # on evolve, steady.points = 1 exited 3 on steady
+    def no_solve(*args):
+        raise AssertionError("solve_steady ran")
+    monkeypatch.setattr(cli, "solve_steady", no_solve)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", write_config(tmp_path, line),
+                     "--out", str(out)]) == 2
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
 
 
 def write_snapshot(path, length, cells):
@@ -555,9 +725,9 @@ def _raising_body(err):
     ("steady", ("spec.mu = 1e308", "spec.u_plus = -1.0",
                 "spec.u_minus = -1.05"), None, 3,
      ("sigma_profile needs a > 0",)),
-    ("steady", ("steady.x_domain = inf",), None, 3,
+    ("steady", ("steady.x_domain = inf",), None, 2,
      ("steady x_domain must be finite and positive, got inf",)),
-    ("evolve", ("grid.length = inf",), None, 3,
+    ("evolve", ("grid.length = inf",), None, 2,
      ("grid length must be finite and positive, got inf",)),
     ("matrix-check", ("diagnostics.matrix_names = M5",
                       "diagnostics.matrix_nu = inf",
@@ -565,8 +735,8 @@ def _raising_body(err):
      ("diagnostics.matrix_nu: must be finite and nonnegative (got inf)",)),
     ("matrix-check", ("diagnostics.matrix_names = M5",
                       "diagnostics.matrix_nu = 1",
-                      "diagnostics.matrix_sigma = inf"), None, 3,
-     ("M5 parameter sigma_value must be finite, got inf",)),
+                      "diagnostics.matrix_sigma = inf"), None, 2,
+     ("diagnostics.matrix_sigma: must be finite and positive (got inf)",)),
     ("matrix-check", ("diagnostics.matrix_names = M5",
                       "diagnostics.matrix_nu = 1",
                       "diagnostics.matrix_sigma = 1e200"), None, 3,
@@ -746,6 +916,17 @@ def test_sweep_validation(tmp_path):
                              "sweep.values = -2.01,3.0", name="c.cfg")
     assert cli.main(["sweep", "--config", bad_value,
                      "--out", str(tmp_path / "o3")]) == 2
+
+
+def test_sweep_refuses_a_bad_value_before_any_child_runs(tmp_path, capsys):
+    path = write_config(tmp_path, "sweep.parameter = grid.length",
+                        "sweep.values = 10,inf", "sweep.subcommand = regime")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 2
+    assert ("sweep value 'inf': grid length must be finite and positive, "
+            "got inf") in capsys.readouterr().err
+    # the sweep's own echo and record, and no child directory or index
+    assert sorted(os.listdir(out)) == ["run_config.txt", "run_run.json"]
 
 
 # ---------------------------------------------------------------------------

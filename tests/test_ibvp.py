@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -98,6 +99,21 @@ def test_perturbation_spec_validation():
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(tp.DomainError, match=f"{name} must be finite"):
                 tp.PerturbationSpec(**{name: bad})
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(shape="sine"), "unknown perturbation shape 'sine'; accepted: "
+                         "gaussian, compact_bump, from_file"),
+    (dict(components=("rho", "w")), "unknown perturbation components "
+                                    "['w']; accepted: rho, u, n, v"),
+    (dict(amplitude=math.nan), "amplitude must be finite, got nan"),
+    (dict(center=-math.inf), "center must be finite, got -inf"),
+    (dict(width=0.0), "width must be positive, got 0.0"),
+    (dict(width=-1.5), "width must be positive, got -1.5"),
+])
+def test_perturbation_refusals_name_the_field(kwargs, message):
+    with pytest.raises(tp.DomainError, match=f"^{re.escape(message)}$"):
+        tp.PerturbationSpec(**kwargs)
 
 
 def test_perturbation_values_taper_and_support():

@@ -1,6 +1,8 @@
 """Scalar model quantities: pressures, sound speed, regimes, constants."""
 
 import math
+import re
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -102,10 +104,10 @@ def _label_as_stored(mach):
     """The regime label as classify_regime computed and stored it."""
     if mach > 1.0 + SONIC_TOLERANCE:
         label = SUPERSONIC
-    elif abs(mach - 1.0) <= SONIC_TOLERANCE:
-        label = SONIC
-    else:
+    elif mach < 1.0 - SONIC_TOLERANCE:
         label = SUBSONIC
+    else:
+        label = SONIC
     return label
 
 
@@ -126,6 +128,28 @@ def test_regime_label_follows_the_mach_number():
         assert label == _label_as_stored(float(mach))
         labels.add(label)
     assert labels == {SUPERSONIC, SONIC, SUBSONIC}
+
+
+def test_sonic_band_is_every_double_between_its_edges():
+    # 1 + 1e-9 is 1.0000000827e-9 from 1, so |M - 1| <= SONIC_TOLERANCE
+    # labelled it subsonic, between a sonic and a supersonic double
+    assert tp.Regime(1.0 + SONIC_TOLERANCE).label == SONIC
+    machs = {1.0}
+    for edge in (1.0 - SONIC_TOLERANCE, 1.0 + SONIC_TOLERANCE):
+        for direction in (0.0, 2.0):
+            mach = edge
+            for _ in range(64):
+                machs.add(mach)
+                mach = float(np.nextafter(mach, direction))
+    labels = [tp.Regime(mach).label for mach in sorted(machs)]
+    assert [label for label, _ in groupby(labels)] == [SUBSONIC, SONIC,
+                                                       SUPERSONIC]
+    for edge in (1.0 - SONIC_TOLERANCE, 1.0 + SONIC_TOLERANCE):
+        assert tp.Regime(edge).label == SONIC
+    assert tp.Regime(float(np.nextafter(1.0 - SONIC_TOLERANCE, 0.0))).label \
+        == SUBSONIC
+    assert tp.Regime(float(np.nextafter(1.0 + SONIC_TOLERANCE, 2.0))).label \
+        == SUPERSONIC
 
 
 def test_sonic_velocity_roundtrip():
@@ -284,6 +308,30 @@ def test_spec_validation():
     far = tp.FarFieldState(rho_plus=1.0, n_plus=1.0, u_plus=-1.0)
     with pytest.raises(DomainError):
         tp.ModelSpec(fluids=UNIT, far=far, u_minus=0.5)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("A1", -1.0, "A1 must be positive, got -1.0"),
+    ("A2", 0.0, "A2 must be positive, got 0.0"),
+    ("mu", -2.0, "mu must be positive, got -2.0"),
+    ("gamma", 0.5, "gamma must be at least 1, got 0.5"),
+    ("alpha", 0.9, "alpha must be at least 1, got 0.9"),
+    ("rho_plus", 0.0, "rho_plus must be positive, got 0.0"),
+    ("n_plus", -1.0, "n_plus must be positive, got -1.0"),
+    ("u_plus", 2.0, "u_plus must be negative (outflow), got 2.0"),
+    ("u_plus", 0.0, "u_plus must be negative (outflow), got 0.0"),
+    ("u_minus", 2.0, "u_minus must be negative (outflow), got 2.0"),
+])
+def test_refusals_name_the_field_and_the_value(field, value, message):
+    fluids = dict(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0)
+    far = dict(rho_plus=1.0, n_plus=1.0, u_plus=-2.0)
+    for group in (fluids, far):
+        if field in group:
+            group[field] = value
+    u_minus = value if field == "u_minus" else -2.05
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        tp.ModelSpec(fluids=tp.FluidConstants(**fluids),
+                     far=tp.FarFieldState(**far), u_minus=u_minus)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

@@ -4,6 +4,7 @@ import dataclasses
 import decimal
 import importlib.util
 import math
+import re
 import time
 import warnings
 from pathlib import Path
@@ -447,6 +448,31 @@ def test_end_gap_rejects_a_profile_cut_off_early():
     with pytest.raises(tp.ShootingError,
                        match=r"end gap 2\.449e-03 > 2\.000e-08"):
         tp.solve_steady(spec, tp.SteadySolveOptions(x_domain=2.0))
+
+
+@pytest.mark.parametrize("points", [0, 1, -3, 2.5, True])
+def test_options_refuse_points_below_two_or_not_an_integer(points):
+    # 0 raised an internal IndexError, 1 a far-field ShootingError, -3
+    # numpy's ValueError, and 2.5 was accepted
+    message = f"steady points must be an integer of at least 2, got {points!r}"
+    with pytest.raises(tp.DomainError, match=f"^{re.escape(message)}$"):
+        tp.SteadySolveOptions(points=points)
+
+
+@pytest.mark.parametrize("u_plus", [-2.0, -1.0, -0.5])
+def test_two_points_give_a_checked_profile(u_plus):
+    # off the sonic point the residual's stencils need 6 nodes, so the
+    # grid starts there and is refined as for any other count
+    options = tp.SteadySolveOptions(points=2)
+    assert options.points == 2
+    spec = unit_spec(u_plus, u_plus - 0.05)
+    prof = tp.solve_steady(spec, options)
+    assert abs(prof.u_t[0] - spec.u_minus) <= 1e-8
+    if prof.regime.is_sonic:
+        assert len(prof.x) == 2
+    else:
+        assert len(prof.x) == prof.stats.points >= 6
+        assert prof.stats.residual <= tp.steady.RESIDUAL_BOUND
 
 
 def test_non_finite_interval_or_start_mesh_is_a_domain_error():
