@@ -207,11 +207,12 @@ def test_canonical_text_and_hash_are_pinned(tmp_path):
     (("diagnostics.weights = alg1,poly2",), "weight tag"),
     (("diagnostics.fit_window = 5",), "t_lo:t_hi"),
     (("diagnostics.fit_window = 5:2",), "below"),
-    (("steady.points = 0",),
-     "steady points must be an integer of at least 2, got 0"),
+    (("evolve.observer_stride = 0",), "at least 1"),
     (("evolve.pert_shape = from_file",), "path"),
     (("diagnostics.weights = algnan",), "finite nu >= 0, got nan"),
     (("diagnostics.weights = alg1,expinf",), "finite lam >= 0, got inf"),
+    (("steady.points = 0",),
+     "steady points must be an integer of at least 2, got 0"),
 ])
 def test_config_rejections_name_the_problem(tmp_path, extra, fragment):
     with pytest.raises(tp.ConfigError) as err:
