@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .diagnostics import (QUADRATIC_FORMS, assemble_quadratic_form,
 from .errors import (BlowUpError, ConfigError, DomainError,
                      InsufficientDataError, NumericsError, ShootingError,
                      SingularityError, VacuumError, WeightOverflowError)
-from .ibvp import (GAUSSIAN, PerturbationSpec, evolve, initialize, make_grid,
+from .ibvp import (Grid1D, PerturbationSpec, evolve, initialize,
                    save_state_csv)
 from .steady import (ALGEBRAIC, DECAY_LAWS, EXPONENTIAL, SteadySolveOptions,
                      eigensystem, farfield_jacobian, fit_spatial_decay,
@@ -40,13 +40,10 @@ _VERSION = f"twophase {__version__}"
 # config schema
 # ---------------------------------------------------------------------------
 
-_REQUIRED = object()
-
-
 @dataclass(frozen=True)
 class _Key:
-    kind: str            # float, int, str, list
-    default: object
+    kind: type            # what a value parses to: float, int, str, tuple
+    default: object       # MISSING: the key is required
     check: object = None  # value -> error message or None
 
 
@@ -90,69 +87,66 @@ def _child_subcommand(v):
     return _choice(*(name for name in _RUNNERS if name != "sweep"))(v)
 
 
+def _object_keys(cls, prefix, **defaults):
+    # the keys of an object built from a config: <prefix><field> of the
+    # field's declared type and default, or the one given here; a field
+    # that holds an object gives that object's keys under the same prefix
+    keys = {}
+    for f in fields(cls):
+        if is_dataclass(f.type):
+            keys.update(_object_keys(f.type, prefix))
+        else:
+            keys[prefix + f.name] = _Key(f.type,
+                                         defaults.get(f.name, f.default))
+    return keys
+
+
 # the objects built from a config check the values they hold (spec.*,
 # grid.*, steady.*, evolve.pert_*; see _cross_validate), these the rest
 _SCHEMA = {
-    "spec.A1": _Key("float", _REQUIRED),
-    "spec.A2": _Key("float", _REQUIRED),
-    "spec.gamma": _Key("float", _REQUIRED),
-    "spec.alpha": _Key("float", _REQUIRED),
-    "spec.mu": _Key("float", _REQUIRED),
-    "spec.rho_plus": _Key("float", _REQUIRED),
-    "spec.n_plus": _Key("float", _REQUIRED),
-    "spec.u_plus": _Key("float", _REQUIRED),
-    "spec.u_minus": _Key("float", _REQUIRED),
-    "grid.length": _Key("float", 100.0),
-    "grid.cells": _Key("int", 1024),
-    "steady.x_domain": _Key("float", None),
-    "steady.points": _Key("int", 2048),
-    "evolve.t_end": _Key("float", 10.0, _finite_nonnegative),
-    "evolve.cfl": _Key("float", 0.4, _unit_open),
-    "evolve.observer_stride": _Key("int", 10, _at_least_one),
-    "evolve.wall_clock_budget": _Key("float", None, _positive),
-    "evolve.pert_shape": _Key("str", GAUSSIAN),
-    "evolve.pert_amplitude": _Key("float", 0.0),
-    "evolve.pert_center": _Key("float", 10.0),
-    "evolve.pert_width": _Key("float", 2.0),
-    "evolve.pert_components": _Key("list", ("u",)),
-    "evolve.pert_path": _Key("str", ""),
-    "diagnostics.weights": _Key("list", ()),
-    "diagnostics.fit_norm": _Key("str", "l2"),
-    "diagnostics.fit_law": _Key("str", EXPONENTIAL, _choice(*DECAY_LAWS)),
-    "diagnostics.fit_window": _Key("str", ""),
-    "diagnostics.series_path": _Key("str", ""),
-    "diagnostics.matrix_names": _Key("list", QUADRATIC_FORMS[:4],
+    **_object_keys(model.ModelSpec, "spec."),
+    **_object_keys(Grid1D, "grid.", length=100.0, cells=1024),
+    **_object_keys(SteadySolveOptions, "steady."),
+    "evolve.t_end": _Key(float, 10.0, _finite_nonnegative),
+    "evolve.cfl": _Key(float, 0.4, _unit_open),
+    "evolve.observer_stride": _Key(int, 10, _at_least_one),
+    "evolve.wall_clock_budget": _Key(float, None, _positive),
+    **_object_keys(PerturbationSpec, "evolve.pert_"),
+    "diagnostics.weights": _Key(tuple, ()),
+    "diagnostics.fit_norm": _Key(str, "l2"),
+    "diagnostics.fit_law": _Key(str, EXPONENTIAL, _choice(*DECAY_LAWS)),
+    "diagnostics.fit_window": _Key(str, ""),
+    "diagnostics.series_path": _Key(str, ""),
+    "diagnostics.matrix_names": _Key(tuple, QUADRATIC_FORMS[:4],
                                      _matrix_list),
-    "diagnostics.matrix_nu": _Key("float", None, _finite_nonnegative),
-    "diagnostics.matrix_sigma": _Key("float", None, _finite_positive),
-    "diagnostics.matrix_k": _Key("float", None, _unit_open),
-    "output.directory": _Key("str", ""),
-    "output.prefix": _Key("str", "run"),
-    "sweep.parameter": _Key("str", ""),
-    "sweep.values": _Key("list", ()),
-    "sweep.subcommand": _Key("str", "steady", _child_subcommand),
+    "diagnostics.matrix_nu": _Key(float, None, _finite_nonnegative),
+    "diagnostics.matrix_sigma": _Key(float, None, _finite_positive),
+    "diagnostics.matrix_k": _Key(float, None, _unit_open),
+    "output.directory": _Key(str, ""),
+    "output.prefix": _Key(str, "run"),
+    "sweep.parameter": _Key(str, ""),
+    "sweep.values": _Key(tuple, ()),
+    "sweep.subcommand": _Key(str, "steady", _child_subcommand),
 }
 
 
 def _parse_value(key, raw, meta):
     raw, kind = raw.strip(), meta.kind
+    if kind is tuple:
+        return tuple(item.strip() for item in raw.split(",") if item.strip())
+    if raw == "" and meta.default is None:
+        return None
     try:
-        if kind == "float":
-            return None if raw == "" and meta.default is None else float(raw)
-        if kind == "int":
-            return int(raw, 10)
-        if kind == "list":
-            return tuple(item.strip() for item in raw.split(",")
-                         if item.strip())
-        return raw
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"{key}: cannot parse {raw!r} as {kind}") from None
+        raise ConfigError(
+            f"{key}: cannot parse {raw!r} as {kind.__name__}") from None
 
 
 def _format_value(value, kind):
-    if kind == "float":
+    if kind is float:
         return "" if value is None else repr(value)
-    if kind == "list":
+    if kind is tuple:
         return ",".join(value)
     return str(value)
 
@@ -184,36 +178,25 @@ class ExperimentConfig:
     def canonical_text(self):
         return canonical_config_text(self.values)
 
+    def _build(self, cls, prefix, **overrides):
+        # cls from the values of its keys (see _object_keys), but for the
+        # fields given here
+        kwargs = {f.name: (self._build(f.type, prefix) if is_dataclass(f.type)
+                           else self.values[prefix + f.name])
+                  for f in fields(cls)}
+        return cls(**(kwargs | overrides))
+
     def model_spec(self):
-        v = self.values
-        fluids = model.FluidConstants(A1=v["spec.A1"], A2=v["spec.A2"],
-                                      gamma=v["spec.gamma"],
-                                      alpha=v["spec.alpha"], mu=v["spec.mu"])
-        far = model.FarFieldState(rho_plus=v["spec.rho_plus"],
-                                  n_plus=v["spec.n_plus"],
-                                  u_plus=v["spec.u_plus"])
-        return model.ModelSpec(fluids=fluids, far=far,
-                               u_minus=v["spec.u_minus"])
+        return self._build(model.ModelSpec, "spec.")
 
     def grid(self):
-        return make_grid(self.values["grid.length"],
-                         self.values["grid.cells"])
+        return self._build(Grid1D, "grid.")
 
-    def steady_options(self, x_domain=None):
-        v = self.values
-        if x_domain is None:
-            x_domain = v["steady.x_domain"]
-        return SteadySolveOptions(x_domain=x_domain,
-                                  points=v["steady.points"])
+    def steady_options(self, **overrides):
+        return self._build(SteadySolveOptions, "steady.", **overrides)
 
     def perturbation_spec(self):
-        v = self.values
-        return PerturbationSpec(shape=v["evolve.pert_shape"],
-                                amplitude=v["evolve.pert_amplitude"],
-                                center=v["evolve.pert_center"],
-                                width=v["evolve.pert_width"],
-                                components=v["evolve.pert_components"],
-                                path=v["evolve.pert_path"])
+        return self._build(PerturbationSpec, "evolve.pert_")
 
     def weight_tags(self):
         return tuple(weight_tag(label)
@@ -260,7 +243,7 @@ def _values_from_lines(lines, source="config"):
 
 def _build_values(raw):
     missing = sorted(key for key, meta in _SCHEMA.items()
-                     if meta.default is _REQUIRED and key not in raw)
+                     if meta.default is MISSING and key not in raw)
     if missing:
         raise ConfigError("missing required key(s): " + ", ".join(missing))
     values = {}
@@ -371,11 +354,7 @@ def _steady_body(config, out_dir, workers):
         x_hi = float(profile.x[-1])
         fit = fit_spatial_decay(profile, "u", law,
                                 (0.25 * x_hi, 0.75 * x_hi))
-        report["decay_fit"] = {"law": fit.law,
-                               "rate_or_slope": float(fit.rate_or_slope),
-                               "prefactor": float(fit.prefactor),
-                               "r_squared": float(fit.r_squared),
-                               "window": list(fit.window)}
+        report["decay_fit"] = asdict(fit)
     else:
         report["decay_fit"] = None
     report_name = f"{prefix}_steady.json"
@@ -436,11 +415,7 @@ def _decay_fit_body(config, out_dir, workers):
     prefix = v["output.prefix"]
     fit_name = f"{prefix}_fit.json"
     _write_json(os.path.join(out_dir, fit_name),
-                {"law": fit.model, "norm": v["diagnostics.fit_norm"],
-                 "rate": float(fit.rate),
-                 "prefactor": float(fit.prefactor),
-                 "r_squared": float(fit.r_squared),
-                 "window": [float(fit.window[0]), float(fit.window[1])],
+                {**asdict(fit), "norm": v["diagnostics.fit_norm"],
                  "records": len(series.records), "source": str(path)})
     return ([fit_name], "completed", "")
 
@@ -475,10 +450,8 @@ def _regime_body(config, out_dir, workers):
         "regime": regime.label,
         "mach": float(regime.mach),
         "delta": float(spec.delta),
-        "c_plus": float(constants.c_plus),
-        "a": float(constants.a),
-        "b": float(constants.b),
-        "lambda_star": float(constants.lambda_star),
+        **asdict(constants),
+        "lambda_star": constants.lambda_star,
         "eigenvalues": [[float(lam.real), float(lam.imag)]
                         for lam in eig.lambdas],
         "sign_pattern": list(eig.sign_pattern),

@@ -421,7 +421,7 @@ def hat_transform(spec: model.ModelSpec, field_values):
 
 @dataclass(frozen=True)
 class TemporalDecayFit:
-    model: str
+    law: str
     rate: float
     prefactor: float
     r_squared: float
@@ -473,7 +473,7 @@ def fit_temporal_decay(series: NormSeries, which_norm, law: str,
         raise DomainError("norm values must be positive inside the window")
     abscissa = times[mask] if law == EXPONENTIAL else np.log1p(times[mask])
     slope, intercept, r2 = _log_linear_fit(abscissa, vals)
-    return TemporalDecayFit(model=law, rate=float(-slope),
+    return TemporalDecayFit(law=law, rate=float(-slope),
                             prefactor=float(math.exp(intercept)),
                             r_squared=float(r2), window=(float(t_lo),
                                                          float(t_hi)))

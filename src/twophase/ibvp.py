@@ -39,7 +39,7 @@ from scipy.linalg import LinAlgError, solveh_banded
 
 from .diagnostics import NormSeries, _check_covers
 from .errors import BlowUpError, DomainError, VacuumError
-from .model import _require
+from .model import _is_integer, _require
 from .steady import SteadyProfile, read_csv_columns, write_csv_rows
 
 DENSITY_FLOOR = 1e-10
@@ -66,6 +66,9 @@ class Grid1D:
         if not 0.0 < self.length < math.inf:
             raise DomainError(f"grid length must be finite and positive, "
                               f"got {self.length}")
+        if not _is_integer(self.cells):
+            raise DomainError(
+                f"grid cells must be an integer, got {self.cells!r}")
         if self.cells < 1:
             raise DomainError("grid needs at least one cell")
 
@@ -75,7 +78,7 @@ class Grid1D:
 
 
 def make_grid(length: float, cells: int) -> Grid1D:
-    return Grid1D(float(length), int(cells))
+    return Grid1D(float(length), cells)
 
 
 @dataclass(frozen=True)
@@ -401,8 +404,8 @@ def step(state: EvolutionState, grid: Grid1D, spec, dt: float,
     stable up to `stable_dt`. imex=True takes one ARS(2,2,2) step instead,
     stable up to `stable_dt(..., imex=True)`; `evolve` marches with it.
     Neither stepper writes into the block of the state it starts from."""
-    if dt <= 0.0:
-        raise DomainError("step needs dt > 0")
+    if not 0.0 < dt < math.inf:
+        raise DomainError(f"step needs a finite dt > 0, got dt={dt}")
     if imex:
         return _imex_step(state, grid, spec, dt)
     t = state.t + dt
@@ -577,14 +580,19 @@ def evolve(state: EvolutionState, grid: Grid1D, spec, t_end: float,
     or just watch). The step is clipped to land exactly on t_end. The drag
     is implicit, so a fast relaxation never limits stability; a smaller
     cfl resolves it in time. A wall-clock budget in seconds turns an
-    overlong run into a truncated result instead of an error.
+    overlong run into a truncated result instead of an error (0.0
+    truncates at once, inf is no budget, NaN or a negative one is refused).
     """
     if not math.isfinite(t_end):
         raise DomainError(f"t_end must be finite, got {t_end}")
     if t_end < state.t:
         raise DomainError("t_end lies before the state time")
-    if observer_stride < 1:
-        raise DomainError("observer_stride must be a positive integer")
+    if not _is_integer(observer_stride) or observer_stride < 1:
+        raise DomainError("observer_stride must be a positive integer, got "
+                          f"{observer_stride!r}")
+    if wall_clock_budget is not None and not wall_clock_budget >= 0.0:
+        raise DomainError("wall_clock_budget must be nonnegative, got "
+                          f"{wall_clock_budget}")
     records = []
 
     def observe(current):

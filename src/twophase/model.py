@@ -12,6 +12,7 @@ function of the parameter set; no state, no arrays.
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Integral
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -31,6 +32,12 @@ def _require(obj, what, test=math.isfinite, names=None):
         value = getattr(obj, name)
         if not test(value):
             raise DomainError(f"{name} must be {what}, got {value}")
+
+
+def _is_integer(value):
+    """True for a Python or numpy integer; a bool is an int to Python but
+    never a count."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ import re
 import time
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from numbers import Integral
 
 import numpy as np
 import scipy.linalg
@@ -319,11 +318,9 @@ class SteadySolveOptions:
         if self.x_domain is not None and not 0.0 < self.x_domain < math.inf:
             raise DomainError("steady x_domain must be finite and positive, "
                               f"got {self.x_domain}")
-        points = self.points
-        if (isinstance(points, bool) or not isinstance(points, Integral)
-                or points < 2):
+        if not model._is_integer(self.points) or self.points < 2:
             raise DomainError("steady points must be an integer of at least "
-                              f"2, got {points!r}")
+                              f"2, got {self.points!r}")
 
 
 def _build_profile(spec, x, states):

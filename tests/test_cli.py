@@ -213,6 +213,12 @@ def test_canonical_text_and_hash_are_pinned(tmp_path):
     (("diagnostics.weights = alg1,expinf",), "finite lam >= 0, got inf"),
     (("steady.points = 0",),
      "steady points must be an integer of at least 2, got 0"),
+    (("diagnostics.fit_law = linear",),
+     "diagnostics.fit_law: must be one of exponential, algebraic "
+     "(got linear)"),
+    (("sweep.subcommand = sweep",),
+     "sweep.subcommand: must be one of steady, evolve, decay-fit, "
+     "matrix-check, regime (got sweep)"),
 ])
 def test_config_rejections_name_the_problem(tmp_path, extra, fragment):
     with pytest.raises(tp.ConfigError) as err:
@@ -917,6 +923,16 @@ def test_sweep_validation(tmp_path):
                              "sweep.values = -2.01,3.0", name="c.cfg")
     assert cli.main(["sweep", "--config", bad_value,
                      "--out", str(tmp_path / "o3")]) == 2
+
+
+def test_run_subcommand_refuses_an_unknown_name(tmp_path):
+    # the command line offers only the known names; a caller of
+    # run_subcommand can pass any, and gets a ConfigError before any write
+    config = cli.parse_config(write_config(tmp_path))
+    out = tmp_path / "out"
+    with pytest.raises(tp.ConfigError, match="^unknown subcommand 'bogus'$"):
+        cli.run_subcommand("bogus", config, str(out))
+    assert not out.exists()
 
 
 def test_sweep_refuses_a_bad_value_before_any_child_runs(tmp_path, capsys):

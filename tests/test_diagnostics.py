@@ -237,6 +237,13 @@ def test_norms_algebraic_weight_monotbackstop():
     assert vals[0] < vals[1] < vals[2]
 
 
+def test_norms_refuses_a_label_in_place_of_a_tag():
+    # norms takes tags; weight_tag reads a label into one
+    grid = make_grid(15.0, 400)
+    with pytest.raises(tp.DomainError, match="unknown weight tag 'alg1'"):
+        tp.norms(exp_field(grid), grid, weights=("alg1",))
+
+
 def test_norms_sigma_weight_matches_direct_formula():
     grid = make_grid(15.0, 400)
     field = exp_field(grid, components=(0,))
@@ -375,7 +382,7 @@ def test_fit_temporal_algebraic_exact():
     t = np.linspace(0.0, 100.0, 101)
     series = series_from(t, 5.0 * (1.0 + t) ** -1.5)
     fit = tp.fit_temporal_decay(series, "l2", "algebraic")
-    assert fit.model == "algebraic"
+    assert fit.law == "algebraic"
     assert fit.rate == pytest.approx(1.5, abs=1e-10)
     assert fit.prefactor == pytest.approx(5.0, rel=1e-9)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)

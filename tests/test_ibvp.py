@@ -60,6 +60,17 @@ def test_make_grid_fields():
         tp.make_grid(5.0, 0)
 
 
+@pytest.mark.parametrize("make, cells", [
+    (tp.Grid1D, 2.5), (tp.Grid1D, True), (tp.make_grid, 2.9)],
+    ids=["fraction", "bool", "make_grid"])
+def test_grid_cells_must_be_an_integer(make, cells):
+    # 2.5 cells once put a center on the boundary, and make_grid cut 2.9
+    # down to 2
+    with pytest.raises(tp.DomainError,
+                       match=f"^grid cells must be an integer, got {cells}$"):
+        make(10.0, cells)
+
+
 def test_grid_is_its_length_and_cell_count():
     a, b = tp.make_grid(10.0, 8), tp.make_grid(10.0, 8)
     assert a == b and hash(a) == hash(b)
@@ -527,6 +538,16 @@ def test_step_rejects_nonpositive_dt():
         tp.step(state, grid, SUP, -1e-3)
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf])
+@pytest.mark.parametrize("imex", [False, True], ids=["heun", "imex"])
+def test_step_rejects_non_finite_dt(imex, dt):
+    # not a blow-up at t=nan or t=inf, nor a numpy warning from the kernel
+    grid = tp.make_grid(10.0, 100)
+    state = tp.initialize(flat_profile(SUP), grid, tp.PerturbationSpec())
+    with pytest.raises(tp.DomainError, match=f"dt={dt}$"):
+        tp.step(state, grid, SUP, dt, imex=imex)
+
+
 def test_the_boundary_record_is_carried_not_copied():
     # a state is its time, its block and one Boundary, which every step of
     # a run hands on as the same object
@@ -812,6 +833,20 @@ def test_evolve_validation():
     for t_end in (math.inf, math.nan):
         with pytest.raises(tp.DomainError, match="t_end must be finite"):
             tp.evolve(state, grid, SUP, t_end=t_end)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("observer_stride", 2.5), ("observer_stride", math.nan),
+    ("observer_stride", True), ("wall_clock_budget", math.nan),
+    ("wall_clock_budget", -1.0)])
+def test_evolve_refuses_what_it_would_misread(name, value):
+    # a nan budget never truncated the run, and a nan stride observed only
+    # the first and last states
+    grid = tp.make_grid(10.0, 100)
+    state = tp.initialize(flat_profile(SUP), grid, tp.PerturbationSpec())
+    with pytest.raises(tp.DomainError,
+                       match=f"^{name} must be .*, got {value}$"):
+        tp.evolve(state, grid, SUP, t_end=1.0, **{name: value})
 
 
 def test_evolve_wall_clock_truncation():

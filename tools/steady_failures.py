@@ -13,9 +13,9 @@ documents, so a broken contract shows on its own), the failing indices,
 the wall time, per regime, the median solve_bvp passes and collocation
 nodes of the specs that solved (from each profile's SolveStats), and
 profiles_sha256: the sha256 of the bytes of the seven profile columns
-(x, rho_t, u_t, n_t, v_t, ux_t, vx_t) of every spec that solved, in draw
-order, so two checkouts that print the same digest built the same
-profiles bit for bit.
+of steady.PROFILE_HEADER (x, rho_t, u_t, n_t, v_t, ux_t, vx_t) of every
+spec that solved, in draw order, so two checkouts that print the same
+digest built the same profiles bit for bit.
 
     PYTHONPATH=src python3 tools/steady_failures.py
 
@@ -32,6 +32,7 @@ import numpy as np
 from scipy.stats import qmc
 
 import twophase as tp
+from twophase.steady import PROFILE_HEADER
 
 COUNT = 1500
 SEED = 20240611
@@ -44,7 +45,6 @@ FLUID_RANGES = (("A1", 0.3, 3.0), ("A2", 0.3, 3.0), ("gamma", 1.0, 3.0),
 FAR_RANGES = (("rho_plus", 0.3, 3.0), ("n_plus", 0.3, 3.0))
 DELTA_RANGE = (0.005, 0.05)
 DOCUMENTED = (tp.DomainError, tp.ShootingError, tp.SingularityError)
-PROFILE_COLUMNS = ("x", "rho_t", "u_t", "n_t", "v_t", "ux_t", "vx_t")
 
 
 def _scale(unit, lo, hi):
@@ -93,7 +93,7 @@ def main():
             indices.append(i)
             continue
         stats[regime].append(profile.stats)
-        for name in PROFILE_COLUMNS:
+        for name in PROFILE_HEADER.split(","):
             digest.update(np.ascontiguousarray(getattr(profile, name)))
     wall = time.perf_counter() - started
     solve = {regime: {
