@@ -8,7 +8,13 @@ evaluates it for both steppers on the block an `EvolutionState` is, its
 conserved variables as one (2, 2, N) array U = ((rho, n), (m1, m2)) (its
 velocities are derived from them), padded into a (2, 2(N+2)) array whose
 rows hold phase 1's padded cells followed by phase 2's, so each pad, flux
-and difference runs once over both phases. Each step returns a new block.
+and difference runs once over both phases. The kernel writes into one
+workspace per thread and cell count, whose buffers and views are built
+once and reused by every stage of both steppers; a different cell count
+replaces it. The workspace only changes where the temporaries live: the
+element operations are those of a kernel that allocates each one, and
+give the same bits. Each step returns a new block, and no array that
+`_rates`, `step` or `evolve` returns is part of the workspace.
 An isothermal phase (exponent 1) takes p = A rho and c = sqrt(A gamma)
 with no power, the same bits as the power.
 
@@ -29,6 +35,7 @@ a fixed point of the semi-discrete scheme and of both steppers.
 import json
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,7 +46,7 @@ from scipy.linalg import LinAlgError, solveh_banded
 
 from .diagnostics import NormSeries, _check_covers
 from .errors import BlowUpError, DomainError, VacuumError
-from .model import _is_integer, _require
+from .model import _is_integer, _is_real, _require
 from .steady import SteadyProfile, read_csv_columns, write_csv_rows
 
 DENSITY_FLOOR = 1e-10
@@ -63,6 +70,9 @@ class Grid1D:
     cells: int
 
     def __post_init__(self):
+        if not _is_real(self.length):
+            raise DomainError(f"grid length must be a real number, got "
+                              f"{self.length!r}")
         if not 0.0 < self.length < math.inf:
             raise DomainError(f"grid length must be finite and positive, "
                               f"got {self.length}")
@@ -216,7 +226,7 @@ def initialize(profile: SteadyProfile, grid: Grid1D,
             U = np.array(((rho0, n0), (rho0 * u0, n0 * v0)))
         t0 = 0.0
     try:
-        _check(U, t0)
+        _check(_workspace(grid.cells), U, t0)
     except BlowUpError:
         row, cell = np.argwhere(~np.isfinite(U.reshape(4, -1)))[0]
         raise DomainError(
@@ -232,13 +242,15 @@ def initialize(profile: SteadyProfile, grid: Grid1D,
         float(profile.u_t[0]), float(profile.v_t[0]), right_ghost))
 
 
-def _sound_speed(coef, expo, dens):
-    """sqrt(p'(dens)) for p = coef dens^expo; a float for an isothermal
-    phase, where pow(x, 0) = 1 exactly makes the constant sqrt(coef) the
-    same bits as the power."""
+def _sound_speed(coef, expo, dens, out=None):
+    """sqrt(p'(dens)) for p = coef dens^expo, in out if given; a float for
+    an isothermal phase, where pow(x, 0) = 1 exactly makes the constant
+    sqrt(coef) the same bits as the power."""
     if expo == 1.0:
         return math.sqrt(coef * expo)
-    return np.sqrt(coef * expo * dens ** (expo - 1.0))
+    out = np.power(dens, expo - 1.0, out=out)
+    out *= coef * expo
+    return np.sqrt(out, out=out)
 
 
 def stable_dt(state: EvolutionState, grid: Grid1D, spec, cfl: float = 0.4,
@@ -292,52 +304,139 @@ def _ghost_cells(dens, boundary):
                      ((rho_0 * u_bc, g_rho * g_u), (n_0 * v_bc, g_n * g_v))))
 
 
-def _pad(rows, ghosts):
-    """The rows with their ghost cells at both ends: rows (..., N) and
-    ghosts (..., 2) make one (..., N+2) array."""
-    P = np.empty(rows.shape[:-1] + (rows.shape[-1] + 2,))
-    P[..., 1:-1] = rows
-    P[..., ::rows.shape[-1] + 1] = ghosts
-    return P
+def _left_right(a):
+    """The views of a's last axis left and right of each face."""
+    return a[..., :-1], a[..., 1:]
 
 
-def _ghosted(U, boundary):
-    """The block with one ghost cell on each side of each phase, laid out
-    as one (2, 2(N+2)) array: row 0 the densities, row 1 the momenta, each
-    row phase 1's padded cells followed by phase 2's. Returns it with its
-    velocities; the ghost cells are those of `_ghost_cells`."""
-    P = _pad(U, _ghost_cells(U[0], boundary)).reshape(2, -1)
-    return P, P[1] / P[0]
+class _Workspace:
+    """The kernel's buffers at one cell count N, and every view of them it
+    slices, built once.
+
+    `padded` is the (2, 2, N+2) block with one ghost cell on each side of
+    each phase: `interior` its cells, `pads` its ghost cells. `P` is the
+    same memory as one (2, 2(N+2)) array, row 0 the densities and row 1
+    the momenta, each row phase 1's padded cells followed by phase 2's, so
+    that each flux and difference runs once over both phases. `flux` holds
+    the physical fluxes (m, m u + p); its first row is P's momentum row.
+    Each pair named `*_lr` holds the values left and right of the faces.
+    `rates` is the (2, 2, N) block `_convection` and `_stage_rates` fill.
+    """
+
+    def __init__(self, cells):
+        half = cells + 2
+        width = 2 * half
+        self.cells = cells
+        rows = np.empty((3, width))
+        self.P, self.flux = rows[:2], rows[1:]
+        self.dens, self.mom = self.P
+        self.padded = self.P.reshape(2, 2, half)
+        self.interior = self.padded[..., 1:-1]
+        self.dens_interior = self.interior[0]
+        self.pads = self.padded[..., ::half - 1]
+        self.finite = np.empty((2, 2, cells), dtype=bool)
+        # convection
+        self.vel = np.empty(width)
+        self.speed = np.empty(width)
+        scratch = np.empty(width)
+        self.phases = tuple(
+            (self.dens[part], self.flux[1, part], self.speed[part],
+             scratch[part])
+            for part in (slice(None, half), slice(half, None)))
+        self.a = np.empty(width - 1)
+        self.num = np.empty((2, width - 1))
+        self.jump = np.empty((2, width - 1))
+        self.mom_flux = self.flux[1]
+        self.speed_lr = _left_right(self.speed)
+        self.flux_lr = _left_right(self.flux)
+        self.P_lr = _left_right(self.P)
+        self.num_lr = _left_right(self.num)
+        rates = np.empty((2, width))
+        self.differences = rates[:, :-2]
+        self.rates = rates.reshape(2, 2, half)[..., :cells]
+        self.momentum_rates = self.rates[1]
+        self.mom1_rates, self.mom2_rates = self.momentum_rates
+        # viscosity and drag
+        w = self.vel.reshape(2, half)
+        n_p = self.padded[0, 1]
+        self.w_lr = _left_right(w)
+        self.n_lr = _left_right(n_p)
+        self.n_cells = n_p[1:-1]
+        self.u_cells, self.v_cells = w[:, 1:-1]
+        self.dw = np.empty((2, half - 1))
+        self.dw_1, self.dw_2 = self.dw
+        self.dw_lr = _left_right(self.dw)
+        self.n_face = np.empty(half - 1)
+        self.visc = np.empty((2, cells))
+        self.drag = np.empty(cells)
 
 
-def _convection(P, vel, f, dx):
-    """Rusanov flux differences of the ghosted block, as a (2, 2, N) block
-    of rates. Every operation runs once over both phases; the one interface
-    between phase 1's right ghost and phase 2's left ghost mixes the phases
-    and its flux is discarded."""
-    dens, mom = P
-    half = dens.size // 2
-    flux = np.empty_like(P)  # the physical fluxes (m, m u + p)
-    flux[0] = mom
-    np.multiply(mom, vel, out=flux[1])
-    speed = np.abs(vel)
-    for cells, coef, expo in ((slice(None, half), f.A1, f.gamma),
-                              (slice(half, None), f.A2, f.alpha)):
+class _PerThread(threading.local):
+    workspace = None
+
+
+_PER_THREAD = _PerThread()
+
+
+def _workspace(cells):
+    """The calling thread's workspace for a cell count. A thread holds one;
+    a different cell count replaces it."""
+    ws = _PER_THREAD.workspace
+    if ws is None or ws.cells != cells:
+        ws = _PER_THREAD.workspace = _Workspace(cells)
+    return ws
+
+
+def _fill_ghosts(ws, boundary):
+    """Write the ghost cells of the workspace's interior, those of
+    `_ghost_cells`, into its pads; returns them."""
+    ghosts = _ghost_cells(ws.dens_interior, boundary)
+    ws.pads[...] = ghosts
+    return ghosts
+
+
+def _load(U, boundary):
+    """The calling thread's workspace, holding the block U with the
+    boundary's ghost cells."""
+    ws = _workspace(U.shape[-1])
+    ws.interior[...] = U
+    _fill_ghosts(ws, boundary)
+    return ws
+
+
+def _convection(ws, f, dx):
+    """Rusanov flux differences of the workspace's padded block, as its
+    (2, 2, N) rates; its velocities are left in ws.vel. Every operation
+    runs once over both phases; the one interface between phase 1's right
+    ghost and phase 2's left ghost mixes the phases and its flux is
+    discarded."""
+    vel, speed, a, num, jump = ws.vel, ws.speed, ws.a, ws.num, ws.jump
+    np.divide(ws.mom, ws.dens, out=vel)
+    np.multiply(ws.mom, vel, out=ws.mom_flux)
+    np.abs(vel, out=speed)
+    for (dens, mom_flux, phase_speed, scratch), coef, expo in zip(
+            ws.phases, (f.A1, f.A2), (f.gamma, f.alpha)):
         # an isothermal phase skips the power: pow(x, 1) = x exactly
-        flux[1, cells] += (coef * dens[cells] if expo == 1.0
-                           else coef * dens[cells] ** expo)
-        speed[cells] += _sound_speed(coef, expo, dens[cells])
-    a = np.maximum(speed[:-1], speed[1:])
-    num = flux[:, :-1] + flux[:, 1:]
-    num *= 0.5
-    jump = P[:, 1:] - P[:, :-1]
-    jump *= 0.5 * a
+        if expo == 1.0:
+            np.multiply(dens, coef, out=scratch)
+        else:
+            np.power(dens, expo, out=scratch)
+            scratch *= coef
+        mom_flux += scratch
+        phase_speed += _sound_speed(coef, expo, dens, out=scratch)
+    np.maximum(*ws.speed_lr, out=a)
+    # twice the Rusanov flux, (f_L + f_R) - a (U_R - U_L); the division by
+    # -2 dx takes the two halves, bit for bit
+    np.add(*ws.flux_lr, out=num)
+    P_l, P_r = ws.P_lr
+    np.subtract(P_r, P_l, out=jump)
+    jump *= a
     num -= jump
-    # the flux differences reuse the physical fluxes' buffer; x / (-dx) is
-    # -(x / dx) bit for bit, signed zeros included
-    rates = np.subtract(num[:, 1:], num[:, :-1], out=flux[:, :-2])
-    rates /= -dx
-    return flux.reshape(2, 2, half)[:, :, :half - 2]
+    num_l, num_r = ws.num_lr
+    # x / (-2 dx) is -(x / (2 dx)) bit for bit, signed zeros included
+    np.subtract(num_r, num_l, out=ws.differences)
+    ws.differences /= -2.0 * dx
+    return ws.rates
 
 
 def _faces(n_p, mu):
@@ -349,37 +448,53 @@ def _faces(n_p, mu):
     return kappa
 
 
-def _viscosity_drag(P, vel, mu, dx):
-    """The viscous terms D(kappa D w), mu u_xx and (n v_x)_x, as a (2, N)
-    block, and the drag n (v - u) per cell, which enters the phase-1
-    momentum with a plus sign and the phase-2 one with a minus."""
-    w = vel.reshape(2, -1)
-    flux = _faces(P[0, w.shape[1]:], mu) * ((w[:, 1:] - w[:, :-1]) / dx)
-    visc = (flux[:, 1:] - flux[:, :-1]) / dx
-    drag = P[0, w.shape[1] + 1:-1] * (w[1, 1:-1] - w[0, 1:-1])
+def _viscosity_drag(ws, mu, dx):
+    """The viscous terms D(kappa D w) with the coefficients of `_faces`,
+    mu u_xx and (n v_x)_x, as a (2, N) block, and the drag n (v - u) per
+    cell, which enters the phase-1 momentum with a plus sign and the
+    phase-2 one with a minus; both from the velocities `_convection` left
+    in the workspace, and both held there."""
+    dw, n_face, visc, drag = ws.dw, ws.n_face, ws.visc, ws.drag
+    w_l, w_r = ws.w_lr
+    np.subtract(w_r, w_l, out=dw)
+    dw /= dx
+    ws.dw_1 *= mu
+    np.add(*ws.n_lr, out=n_face)
+    n_face *= 0.5
+    ws.dw_2 *= n_face
+    dw_l, dw_r = ws.dw_lr
+    np.subtract(dw_r, dw_l, out=visc)
+    visc /= dx
+    np.subtract(ws.v_cells, ws.u_cells, out=drag)
+    drag *= ws.n_cells
     return visc, drag
+
+
+def _stage_rates(ws, f, dx):
+    """Semi-discrete right-hand side of the workspace's padded block: the
+    convective part plus the viscous and drag terms, as its rates."""
+    rates = _convection(ws, f, dx)
+    visc, drag = _viscosity_drag(ws, f.mu, dx)
+    # (convection + viscosity) + drag: the order of the sums fixes the bits
+    # of the Heun reference
+    ws.momentum_rates += visc
+    ws.mom1_rates += drag
+    ws.mom2_rates -= drag
+    return rates
 
 
 # non-finite values propagate silently; the stage checks abort on them
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _rates(U, spec, dx, boundary):
     """Semi-discrete right-hand side of the block with the boundary's ghost
-    cells: the convective part plus the viscous and drag terms."""
-    P, vel = _ghosted(U, boundary)
-    rates = _convection(P, vel, spec.fluids, dx)
-    visc, drag = _viscosity_drag(P, vel, spec.fluids.mu, dx)
-    # (convection + viscosity) + drag: the order of the sums fixes the bits
-    # of the Heun reference
-    rates[1] += visc
-    rates[1, 0] += drag
-    rates[1, 1] -= drag
-    return rates
+    cells, as a new (2, 2, N) array."""
+    return _stage_rates(_load(U, boundary), spec.fluids, dx).copy()
 
 
-def _check(U, t):
+def _check(ws, U, t):
     """Abort on a non-finite entry (BlowUpError) or a density at or below
     the floor (VacuumError naming the first such phase and cell)."""
-    finite = np.isfinite(U).all()
+    finite = np.isfinite(U, out=ws.finite).all()
     if finite and U[0].min() > DENSITY_FLOOR:
         return
     if not finite:
@@ -388,13 +503,6 @@ def _check(U, t):
         low = np.nonzero(U[0, phase] <= DENSITY_FLOOR)[0]
         if low.size:
             raise VacuumError(phase + 1, int(low[0]), t)
-
-
-def _forward_euler(state, grid, spec, dt):
-    """U + dt R(U) of the state's block and boundary, checked at t + dt."""
-    U1 = state.U + dt * _rates(state.U, spec, grid.dx, state.boundary)
-    _check(U1, state.t + dt)
-    return U1
 
 
 def step(state: EvolutionState, grid: Grid1D, spec, dt: float,
@@ -406,13 +514,31 @@ def step(state: EvolutionState, grid: Grid1D, spec, dt: float,
     Neither stepper writes into the block of the state it starts from."""
     if not 0.0 < dt < math.inf:
         raise DomainError(f"step needs a finite dt > 0, got dt={dt}")
-    if imex:
-        return _imex_step(state, grid, spec, dt)
+    return (_imex_step if imex else _heun_step)(state, grid, spec, dt)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _heun_step(state, grid, spec, dt):
+    """The Euler stage U1 = U + dt R(U), then (U + U1 + dt R(U1)) / 2, both
+    checked at t + dt. U1 is the workspace's interior; the new block is
+    the one array the step allocates."""
     t = state.t + dt
-    U1 = _forward_euler(state, grid, spec, dt)
-    U = 0.5 * (state.U + U1 + dt * _rates(U1, spec, grid.dx, state.boundary))
-    _check(U, t)
-    return EvolutionState(t, U, state.boundary)
+    f, dx = spec.fluids, grid.dx
+    U0, boundary = state.U, state.boundary
+    ws = _load(U0, boundary)
+    rates = _stage_rates(ws, f, dx)
+    rates *= dt
+    U1 = ws.interior
+    U1 += rates
+    _check(ws, U1, t)
+    _fill_ghosts(ws, boundary)
+    rates = _stage_rates(ws, f, dx)
+    rates *= dt
+    U = np.add(U0, U1)
+    U += rates
+    U *= 0.5
+    _check(ws, U, t)
+    return EvolutionState(t, U, boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -521,33 +647,41 @@ def _imex_step(state: EvolutionState, grid: Grid1D, spec, dt: float
     stage solves for the momenta, and G of the middle stage is recovered
     from its solve as (m - rhs) / (gamma dt), never evaluated a second
     time. Ghosts depend on densities only, so each stage is ghosted once;
-    the solves read only the ghosted densities and the ghost velocities."""
+    the solves read only the ghosted densities and the ghost velocities.
+    Fa and the middle stage have arrays of their own, and the middle
+    stage's becomes the new block."""
     t = state.t + dt
     h = IMEX_GAMMA * dt
     f, dx = spec.fluids, grid.dx
     U0, boundary = state.U, state.boundary
-    Fa = _convection(*_ghosted(U0, boundary), f, dx)
+    ws = _load(U0, boundary)
+    Fa = _convection(ws, f, dx).copy()
     # densities of the middle stage, then its momenta's right-hand sides
-    U = U0 + h * Fa
-    _check(U, t)
-    ghosts = _ghost_cells(U[0], boundary)
-    P = _pad(U, ghosts)
-    M = _implicit_momenta(P[0], ghosts[1] / ghosts[0], U[1], h, f.mu, dx, t)
-    P[1, :, 1:-1] = M
-    P = P.reshape(2, -1)
-    Fb = _convection(P, P[1] / P[0], f, dx)
+    U = np.multiply(Fa, h)
+    U += U0
+    _check(ws, U, t)
+    ws.dens_interior[...] = U[0]
+    ghosts = _fill_ghosts(ws, boundary)
+    M = _implicit_momenta(ws.padded[0], ghosts[1] / ghosts[0], U[1], h,
+                          f.mu, dx, t)
+    ws.interior[1] = M
+    Fb = _convection(ws, f, dx)
     # the solved momenta become G of the middle stage in place
     M -= U[1]
     M /= h
-    # the last stage; rebinding U and P frees the middle stage's arrays
-    U = U0 + IMEX_DELTA * dt * Fa
-    U += (1.0 - IMEX_DELTA) * dt * Fb
-    U[1] += (dt - h) * M
-    _check(U, t)
-    ghosts = _ghost_cells(U[0], boundary)
-    U[1] = _implicit_momenta(_pad(U[0], ghosts[0]), ghosts[1] / ghosts[0],
-                             U[1], h, f.mu, dx, t)
-    _check(U, t)
+    # the last stage, in the middle stage's array
+    Fa *= IMEX_DELTA * dt
+    np.add(U0, Fa, out=U)
+    Fb *= (1.0 - IMEX_DELTA) * dt
+    U += Fb
+    M *= dt - h
+    U[1] += M
+    _check(ws, U, t)
+    ws.dens_interior[...] = U[0]
+    ghosts = _fill_ghosts(ws, boundary)
+    U[1] = _implicit_momenta(ws.padded[0], ghosts[1] / ghosts[0], U[1], h,
+                             f.mu, dx, t)
+    _check(ws, U, t)
     return EvolutionState(t, U, boundary)
 
 

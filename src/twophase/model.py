@@ -12,7 +12,7 @@ function of the parameter set; no state, no arrays.
 
 import math
 from dataclasses import dataclass, fields
-from numbers import Integral
+from numbers import Integral, Real
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -38,6 +38,12 @@ def _is_integer(value):
     """True for a Python or numpy integer; a bool is an int to Python but
     never a count."""
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    """True for a Python or numpy real number; a bool is an int to Python
+    but never a measure."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,17 @@ import hashlib
 import json
 import math
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 import twophase as tp
-from twophase.ibvp import (_faces, _forward_euler, _ghost_cells, _ghosted,
-                           _implicit_momenta, _pad, _rates, _viscosity_drag)
+from twophase.ibvp import (_convection, _faces, _fill_ghosts,
+                           _implicit_momenta, _load, _rates,
+                           _viscosity_drag, _workspace)
 
 from helpers import (MACH2_UNIT_BOUNDARY, assert_shortest_round_trip,
                      flat_profile, per_value_csv, rng_for)
@@ -34,6 +37,29 @@ def sup_spec(fluids):
 
 # where each conserved row lives in the block U = ((rho, n), (mom1, mom2))
 ROW = {"rho": (0, 0), "n": (0, 1), "mom1": (1, 0), "mom2": (1, 1)}
+
+
+def forward_euler(state, grid, spec, dt):
+    """The Euler stage U + dt R(U) of the state's block and boundary."""
+    return state.U + dt * _rates(state.U, spec, grid.dx, state.boundary)
+
+
+def padded_densities(dens, boundary):
+    """The (2, N+2) densities with the boundary's ghost cells, and the
+    (2, 2, 2) ghost cells, from the kernel's workspace."""
+    ws = _workspace(dens.shape[1])
+    ws.dens_interior[...] = dens
+    ghosts = _fill_ghosts(ws, boundary)
+    return ws.padded[0].copy(), ghosts
+
+
+def viscosity_drag(U, boundary, fluids, dx):
+    """The viscous terms and the drag of the block with the boundary's
+    ghost cells, as the kernel computes them after its convection."""
+    ws = _load(U, boundary)
+    _convection(ws, fluids, dx)
+    visc, drag = _viscosity_drag(ws, fluids.mu, dx)
+    return visc.copy(), drag.copy()
 
 
 def homogeneous_state(cells, rho, u, n, v, t=0.0):
@@ -83,6 +109,13 @@ def test_grid_is_its_length_and_cell_count():
                        match="^grid length must be finite and positive, "
                              "got -1.0$"):
         tp.Grid1D(-1.0, 8)
+    # a length that is not a real number, a bool among them
+    for length, shown in ((True, "True"), ("10", "'10'"), (None, "None"),
+                          (1j, "1j"), (np.True_, "np.True_")):
+        with pytest.raises(tp.DomainError,
+                           match=re.escape("grid length must be a real "
+                                           f"number, got {shown}") + "$"):
+            tp.Grid1D(length, 8)
     with pytest.raises(tp.DomainError,
                        match="^grid needs at least one cell$"):
         tp.Grid1D(10.0, 0)
@@ -343,7 +376,7 @@ def test_drag_relaxation_matches_heun_closed_form():
     exact = gap0 * math.exp(-rate * dt)
     assert stepped.v[j] - stepped.u[j] == pytest.approx(exact, abs=1e-8)
     # a single Euler stage only gets the first-order term
-    (rho1, n1), (m1, m2) = _forward_euler(state, grid, SUP, dt)
+    (rho1, n1), (m1, m2) = forward_euler(state, grid, SUP, dt)
     gap_euler = m2[j] / n1[j] - m1[j] / rho1[j]
     assert gap_euler == pytest.approx(gap0 * (1.0 - rate * dt), rel=1e-12)
     assert abs(gap_euler - exact) > abs(
@@ -385,7 +418,7 @@ def test_euler_stage_mass_budget(fluids):
     state = smooth_state(grid)
     rho, u, n, v = state.rho, state.u, state.n, state.v
     dt = 1e-3
-    (rho1, n1), _ = _forward_euler(state, grid, spec, dt)
+    (rho1, n1), _ = forward_euler(state, grid, spec, dt)
 
     def rusanov_mass(rl, ul, cl, rr, ur, cr):
         a = max(abs(ul) + cl, abs(ur) + cr)
@@ -419,7 +452,7 @@ def test_euler_stage_momentum_budget(fluids):
     grid = tp.make_grid(12.8, 64)
     dx, dt = grid.dx, 1e-3
     state = smooth_state(grid)
-    _, (mom1, mom2) = _forward_euler(state, grid, spec, dt)
+    _, (mom1, mom2) = forward_euler(state, grid, spec, dt)
 
     def rusanov_momentum(left, right, phase):
         def parts(r, w):
@@ -595,6 +628,88 @@ def test_stepped_rows_are_views_of_a_new_block(imex):
     np.testing.assert_array_equal(s1.U, U1)
 
 
+def bumped_state(cells, center):
+    """A non-isothermal state with all four components bumped, on a grid
+    of the given number of 0.1-wide cells."""
+    grid = tp.make_grid(0.1 * cells, cells)
+    pert = tp.PerturbationSpec(shape="compact_bump", amplitude=1e-2,
+                               center=center, width=2.0,
+                               components=("rho", "u", "n", "v"))
+    profile = flat_profile(sup_spec(HOT), x_max=grid.length)
+    return tp.initialize(profile, grid, pert), grid
+
+
+def march(state, grid, steps=5, imex=False):
+    for _ in range(steps):
+        state = tp.step(state, grid, sup_spec(HOT), 1e-3, imex=imex)
+    return state
+
+
+def alternating_cell_counts():
+    # each change of cell count replaces the thread's workspace
+    (big, big_grid), (small, small_grid) = (bumped_state(1024, 50.0),
+                                            bumped_state(64, 3.0))
+    for imex in (False, True):
+        alone = (march(big, big_grid, imex=imex),
+                 march(small, small_grid, imex=imex))
+        a, b = big, small
+        for _ in range(5):
+            a = march(a, big_grid, steps=1, imex=imex)
+            b = march(b, small_grid, steps=1, imex=imex)
+        np.testing.assert_array_equal(a.U, alone[0].U)
+        np.testing.assert_array_equal(b.U, alone[1].U)
+
+
+def concurrent_threads():
+    # states of one cell count stepped at once, one per thread, with more
+    # threads than the two cores of a small machine
+    starts = [bumped_state(1024, c) for c in (30.0, 50.0, 70.0)]
+    serial = [march(s, g, steps=40) for s, g in starts]
+    got = [None] * len(starts)
+    barrier = threading.Barrier(len(starts), timeout=60.0)
+
+    def run(k):
+        barrier.wait()
+        got[k] = march(*starts[k], steps=40)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,))
+                   for k in range(len(starts))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for mine, want in zip(got, serial):
+        np.testing.assert_array_equal(mine.U, want.U)
+
+
+def returned_arrays_stay_put():
+    # what step and _rates return is the caller's: later steps and rate
+    # calls at the same cell count leave it as it was
+    state, grid = bumped_state(1024, 50.0)
+    spec = sup_spec(HOT)
+    kept = [march(state, grid, steps=1, imex=imex) for imex in (False, True)]
+    rates = _rates(state.U, spec, grid.dx, state.boundary)
+    copies = [s.U.copy() for s in kept] + [rates.copy()]
+    for stepped, imex in zip(kept, (False, True)):
+        march(stepped, grid, steps=2, imex=imex)
+    _rates(kept[0].U, spec, grid.dx, state.boundary)
+    for array, copy in zip([s.U for s in kept] + [rates], copies):
+        np.testing.assert_array_equal(array, copy)
+
+
+@pytest.mark.parametrize("case", [alternating_cell_counts, concurrent_threads,
+                                  returned_arrays_stay_put],
+                         ids=lambda case: case.__name__)
+def test_the_kernel_workspace_is_never_shared(case):
+    case()
+
+
 def test_a_row_given_by_keyword_replaces_it_in_a_copy():
     # dataclasses.replace(state, rho=...) passes the row by keyword: the
     # new state holds a copy of the block with that row replaced, and the
@@ -626,9 +741,8 @@ SKEWED_BOUNDARY = tp.Boundary(u_bc=-2.01, v_bc=-1.97,
 
 def implicit_momenta(dens, R, boundary, h, mu, dx):
     """`_implicit_momenta` at the densities and ghosts of a block."""
-    ghosts = _ghost_cells(dens, boundary)
-    return _implicit_momenta(_pad(dens, ghosts[0]), ghosts[1] / ghosts[0], R,
-                             h, mu, dx, t=0.0)
+    D, ghosts = padded_densities(dens, boundary)
+    return _implicit_momenta(D, ghosts[1] / ghosts[0], R, h, mu, dx, t=0.0)
 
 
 def test_implicit_solve_matches_viscous_drag_terms():
@@ -637,7 +751,7 @@ def test_implicit_solve_matches_viscous_drag_terms():
     # ghost row shows as an O(h) residual here
     grid = tp.make_grid(12.8, 64)
     x = grid.centers
-    mu = 0.6
+    mu = HOT.mu
     rho = 1.0 + 0.1 * np.sin(0.5 * x)
     n = 1.0 + 0.08 * np.cos(0.4 * x)
     r1 = rho * (-2.0 + 0.05 * np.cos(0.3 * x))
@@ -645,9 +759,8 @@ def test_implicit_solve_matches_viscous_drag_terms():
     h = 0.05
     m1, m2 = implicit_momenta(np.array((rho, n)), np.array((r1, r2)),
                               SKEWED_BOUNDARY, h, mu, grid.dx)
-    (visc1, visc2), drag = _viscosity_drag(
-        *_ghosted(np.array(((rho, n), (m1, m2))), SKEWED_BOUNDARY), mu,
-        grid.dx)
+    (visc1, visc2), drag = viscosity_drag(
+        np.array(((rho, n), (m1, m2))), SKEWED_BOUNDARY, HOT, grid.dx)
     res1 = m1 - h * (visc1 + drag) - r1
     res2 = m2 - h * (visc2 - drag) - r2
     assert np.max(np.abs(res1)) <= 1e-12 * np.max(np.abs(r1))
@@ -660,9 +773,9 @@ def dense_implicit_momenta(dens, R, boundary, h, mu, dx):
     """The implicit stage solved with the assembled 2N x 2N matrix over
     the interleaved velocities (u_0, v_0, u_1, v_1, ...)."""
     cells = dens.shape[1]
-    ghosts = _ghost_cells(dens, boundary)
+    D, ghosts = padded_densities(dens, boundary)
     wg = ghosts[1] / ghosts[0]
-    kappa = _faces(_pad(dens, ghosts[0])[1], mu)
+    kappa = _faces(D[1], mu)
     k = h / dx ** 2
     A = np.zeros((2 * cells, 2 * cells))
     b = np.zeros(2 * cells)
@@ -758,8 +871,7 @@ def test_imex_settles_on_the_semi_discrete_steady_state():
     start = tp.initialize(profile, grid, tp.PerturbationSpec())
     s = tp.evolve(start, grid, spec, t_end=40.0).state
     rates = _rates(s.U, spec, grid.dx, s.boundary)
-    (visc1, visc2), drag = _viscosity_drag(*_ghosted(s.U, s.boundary),
-                                           UNIT.mu, grid.dx)
+    (visc1, visc2), drag = viscosity_drag(s.U, s.boundary, UNIT, grid.dx)
     implicit = max(np.max(np.abs(visc1 + drag)), np.max(np.abs(visc2 - drag)))
     assert implicit > 0.01
     assert max(np.max(np.abs(r)) for r in rates) <= 1e-6 * implicit

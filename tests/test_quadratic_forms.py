@@ -1,6 +1,7 @@
 """Definiteness checks for the energy-estimate matrices and the sonic
 diagonalizing transform."""
 
+import dataclasses
 import json
 import math
 import re
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import twophase as tp
+from twophase import diagnostics
 from twophase.diagnostics import (INDEFINITE, POSITIVE_DEFINITE,
                                   POSITIVE_SEMIDEFINITE,
                                   _symmetric_eigenvalues, _verdict)
@@ -404,3 +406,21 @@ def test_hat_transform_rejects_nonsonic():
         spec = random_spec(rng, regime)
         with pytest.raises(tp.DomainError):
             tp.hat_transform(spec, (1.0, 0.0, 0.0))
+
+
+def test_hat_transform_rejects_a_two_dimensional_kernel(monkeypatch):
+    # no sonic spec gives M4 a second zero eigenvalue, so a stand-in form
+    # with a two-dimensional kernel reaches the degenerate branch
+    real = tp.assemble_quadratic_form("M4", UNIT_SONIC)
+    degenerate = dataclasses.replace(real, matrix=np.diag([0.0, 0.0, 1.0]))
+    calls = []
+
+    def fake(name, spec):
+        calls.append((name, spec))
+        return degenerate
+
+    monkeypatch.setattr(diagnostics, "assemble_quadratic_form", fake)
+    with pytest.raises(tp.DomainError,
+                       match="^M4 positive eigenvalues are degenerate$"):
+        tp.hat_transform(UNIT_SONIC, (1.0, 0.0, 0.0))
+    assert calls == [("M4", UNIT_SONIC)]

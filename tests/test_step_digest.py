@@ -1,5 +1,5 @@
-"""The step-digest tool: it runs, and a run compared with its own saved
-states reads the same bits."""
+"""The step-digest tool: it runs, reports each march's time per step, and
+a run compared with its own saved states reads the same bits."""
 
 import importlib.util
 import json
@@ -32,5 +32,7 @@ def test_save_then_compare_reads_zero_deviation(tmp_path, capsys):
         for stepper in ("heun", "imex"):
             for key in (f"{stepper}_sha256", f"{stepper}_dt"):
                 assert after[key] == before[key]
+            for line in (before, after):
+                assert line[f"{stepper}_us"] > 0.0
             deviation = after[f"{stepper}_deviation"]
             assert deviation == {name: 0.0 for name in tool.ARRAYS}

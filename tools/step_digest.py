@@ -4,7 +4,8 @@ For each setup it prints one JSON line: the sha256 (first 12 hex digits)
 of rho, mom1, n, mom2 after 200 Heun steps at the initial `stable_dt`, as
 criterion 08's twin marches, and after 50 IMEX steps each at the current
 `stable_dt(..., imex=True)`, as `evolve` marches, plus the `float.hex` of
-both initial steps. Running it on two checkouts tells whether a
+both initial steps, and `heun_us` and `imex_us`, the wall time of each
+march over its steps. Running it on two checkouts tells whether a
 change to the kernel keeps the bits; `--save PATH` also writes the final
 states to an .npz, keyed `<setup>_<stepper>_<array>`, for a comparison by
 tolerance where the bits may move. `--compare PATH` reads such an .npz
@@ -23,6 +24,7 @@ cells.
 import argparse
 import hashlib
 import json
+import time
 
 import numpy as np
 
@@ -91,9 +93,12 @@ def main(argv=None):
         line = {"setup": name, "cells": cells}
         for stepper, steps, imex in (("heun", HEUN_STEPS, False),
                                      ("imex", IMEX_STEPS, True)):
+            began = time.perf_counter()
             final, dt = _march(start, grid, spec, steps, imex)
+            elapsed = time.perf_counter() - began
             line[f"{stepper}_sha256"] = _sha(final)
             line[f"{stepper}_dt"] = float.hex(dt)
+            line[f"{stepper}_us"] = round(elapsed / steps * 1e6, 1)
             for arr in ARRAYS:
                 finals[f"{name}_{stepper}_{arr}"] = getattr(final, arr)
             if saved is not None:
