@@ -11,7 +11,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -21,15 +20,16 @@ from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 import numpy as np
 
 from . import __version__, model
-from .diagnostics import (QUADRATIC_FORMS, assemble_quadratic_form,
-                          fit_temporal_decay, load_norm_series_csv, norms,
-                          perturbation, save_norm_series_csv, weight_tag)
+from .diagnostics import (QUADRATIC_FORMS, _check_forms,
+                          assemble_quadratic_form, fit_temporal_decay,
+                          load_norm_series_csv, norms, perturbation,
+                          save_norm_series_csv, weight_tag)
 from .errors import (BlowUpError, ConfigError, DomainError,
                      InsufficientDataError, NumericsError, ShootingError,
                      SingularityError, VacuumError, WeightOverflowError)
-from .ibvp import (Grid1D, PerturbationSpec, evolve, initialize,
-                   save_state_csv)
-from .steady import (ALGEBRAIC, DECAY_LAWS, EXPONENTIAL, SteadySolveOptions,
+from .ibvp import (Grid1D, PerturbationSpec, _check_evolve, evolve,
+                   initialize, save_state_csv)
+from .steady import (ALGEBRAIC, EXPONENTIAL, SteadySolveOptions, _check_fit,
                      eigensystem, farfield_jacobian, fit_spatial_decay,
                      save_profile_csv, solve_steady, steady_residual)
 
@@ -44,47 +44,6 @@ _VERSION = f"twophase {__version__}"
 class _Key:
     kind: type            # what a value parses to: float, int, str, tuple
     default: object       # MISSING: the key is required
-    check: object = None  # value -> error message or None
-
-
-def _positive(v):
-    return None if v > 0 else "must be positive"
-
-
-def _finite_positive(v):
-    return None if 0 < v < math.inf else "must be finite and positive"
-
-
-def _finite_nonnegative(v):
-    return None if 0 <= v < math.inf else "must be finite and nonnegative"
-
-
-def _at_least_one(v):
-    return None if v >= 1 else "must be at least 1"
-
-
-def _unit_open(v):
-    return None if 0.0 < v < 1.0 else "must lie strictly between 0 and 1"
-
-
-def _choice(*options):
-    def check(v):
-        if v in options:
-            return None
-        return "must be one of " + ", ".join(options)
-    return check
-
-
-def _matrix_list(items):
-    bad = [m for m in items if m not in QUADRATIC_FORMS]
-    if bad:
-        return f"unknown matrix name(s) {', '.join(bad)}"
-    return None
-
-
-def _child_subcommand(v):
-    # a sweep runs any subcommand but itself
-    return _choice(*(name for name in _RUNNERS if name != "sweep"))(v)
 
 
 def _object_keys(cls, prefix, **defaults):
@@ -101,32 +60,31 @@ def _object_keys(cls, prefix, **defaults):
     return keys
 
 
-# the objects built from a config check the values they hold (spec.*,
-# grid.*, steady.*, evolve.pert_*; see _cross_validate), these the rest
+# each value is checked by the object built from it or by the function
+# that takes it (see _cross_validate)
 _SCHEMA = {
     **_object_keys(model.ModelSpec, "spec."),
     **_object_keys(Grid1D, "grid.", length=100.0, cells=1024),
     **_object_keys(SteadySolveOptions, "steady."),
-    "evolve.t_end": _Key(float, 10.0, _finite_nonnegative),
-    "evolve.cfl": _Key(float, 0.4, _unit_open),
-    "evolve.observer_stride": _Key(int, 10, _at_least_one),
-    "evolve.wall_clock_budget": _Key(float, None, _positive),
+    "evolve.t_end": _Key(float, 10.0),
+    "evolve.cfl": _Key(float, 0.4),
+    "evolve.observer_stride": _Key(int, 10),
+    "evolve.wall_clock_budget": _Key(float, None),
     **_object_keys(PerturbationSpec, "evolve.pert_"),
     "diagnostics.weights": _Key(tuple, ()),
     "diagnostics.fit_norm": _Key(str, "l2"),
-    "diagnostics.fit_law": _Key(str, EXPONENTIAL, _choice(*DECAY_LAWS)),
+    "diagnostics.fit_law": _Key(str, EXPONENTIAL),
     "diagnostics.fit_window": _Key(str, ""),
     "diagnostics.series_path": _Key(str, ""),
-    "diagnostics.matrix_names": _Key(tuple, QUADRATIC_FORMS[:4],
-                                     _matrix_list),
-    "diagnostics.matrix_nu": _Key(float, None, _finite_nonnegative),
-    "diagnostics.matrix_sigma": _Key(float, None, _finite_positive),
-    "diagnostics.matrix_k": _Key(float, None, _unit_open),
+    "diagnostics.matrix_names": _Key(tuple, QUADRATIC_FORMS[:4]),
+    "diagnostics.matrix_nu": _Key(float, None),
+    "diagnostics.matrix_sigma": _Key(float, None),
+    "diagnostics.matrix_k": _Key(float, None),
     "output.directory": _Key(str, ""),
     "output.prefix": _Key(str, "run"),
     "sweep.parameter": _Key(str, ""),
     "sweep.values": _Key(tuple, ()),
-    "sweep.subcommand": _Key(str, "steady", _child_subcommand),
+    "sweep.subcommand": _Key(str, "steady"),
 }
 
 
@@ -206,18 +164,11 @@ class ExperimentConfig:
         text = self.values["diagnostics.fit_window"]
         if not text:
             return None
-        parts = text.split(":")
-        if len(parts) != 2:
-            raise ConfigError(
-                "diagnostics.fit_window: expected 't_lo:t_hi'")
         try:
-            lo, hi = float(parts[0]), float(parts[1])
+            lo, hi = map(float, text.split(":"))
         except ValueError:
-            raise ConfigError(
-                f"diagnostics.fit_window: cannot parse {text!r}") from None
-        if not lo < hi:
-            raise ConfigError("diagnostics.fit_window: t_lo must be below "
-                              "t_hi")
+            raise ConfigError(f"diagnostics.fit_window: cannot parse "
+                              f"{text!r} as 't_lo:t_hi'") from None
         return (lo, hi)
 
 
@@ -246,35 +197,35 @@ def _build_values(raw):
                      if meta.default is MISSING and key not in raw)
     if missing:
         raise ConfigError("missing required key(s): " + ", ".join(missing))
-    values = {}
-    for key, meta in _SCHEMA.items():
-        if key in raw:
-            value = _parse_value(key, raw[key], meta)
-        else:
-            value = meta.default
-        if meta.check is not None and value is not None:
-            message = meta.check(value)
-            if message:
-                raise ConfigError(
-                    f"{key}: {message} "
-                    f"(got {_format_value(value, meta.kind)})")
-        values[key] = value
-    return values
+    return {key: _parse_value(key, raw[key], meta) if key in raw
+            else meta.default for key, meta in _SCHEMA.items()}
 
 
 def _cross_validate(config):
-    # build every object a subcommand builds from the config, each of
-    # which checks the values it holds, so a bad config dies with exit
-    # code 2 before any work
+    # build every object a subcommand builds from the config and check
+    # each call argument by the rule of the function that takes it (an
+    # evolve from time 0), so a bad config exits 2 before any work
+    v = config.values
     try:
         config.model_spec()
         config.grid()
         config.steady_options()
         config.perturbation_spec()
         config.weight_tags()
-        config.fit_window()
+        _check_fit(v["diagnostics.fit_law"], config.fit_window())
+        _check_evolve(0.0, v["evolve.t_end"], v["evolve.observer_stride"],
+                      v["evolve.wall_clock_budget"], v["evolve.cfl"])
+        _check_forms(v["diagnostics.matrix_names"],
+                     v["diagnostics.matrix_nu"],
+                     v["diagnostics.matrix_sigma"], v["diagnostics.matrix_k"])
     except DomainError as err:
         raise ConfigError(str(err)) from err
+    # a sweep runs any subcommand but itself
+    children = [name for name in _RUNNERS if name != "sweep"]
+    if v["sweep.subcommand"] not in children:
+        raise ConfigError(f"sweep.subcommand: must be one of "
+                          f"{', '.join(children)} "
+                          f"(got {v['sweep.subcommand']})")
 
 
 def parse_config(path, overrides=()) -> ExperimentConfig:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import model
 from .errors import DomainError, InsufficientDataError, WeightOverflowError
-from .steady import (DECAY_LAWS, EXPONENTIAL, SteadyProfile, _log_linear_fit,
+from .steady import (EXPONENTIAL, SteadyProfile, _check_fit, _log_linear_fit,
                      read_csv_columns, sigma_profile, write_csv_rows)
 
 POSITIVE_DEFINITE = "positive_definite"
@@ -38,9 +38,10 @@ class _Weight:
     def __post_init__(self):
         (field,) = fields(self)
         value = getattr(self, field.name)
-        if not (math.isfinite(value) and value >= 0):
+        if not (model._is_real(value) and math.isfinite(value)
+                and value >= 0):
             raise DomainError(f"{self.word} weight needs a finite "
-                              f"{field.name} >= 0, got {value}")
+                              f"{field.name} >= 0, got {value!r}")
 
     @property
     def label(self):
@@ -310,6 +311,28 @@ def _verdict(eigenvalues):
     return INDEFINITE
 
 
+#: the energy-estimate forms that _form_matrix assembles
+QUADRATIC_FORMS = ("M1", "M2", "M3", "M4", "M5", "M6")
+
+
+def _check_forms(names, nu, sigma_value, k):
+    """The rules of `assemble_quadratic_form`'s arguments: each name known
+    and each parameter given within its rule, whatever the form."""
+    for name in names:
+        if name not in QUADRATIC_FORMS:
+            raise DomainError(f"unknown matrix {name!r}; accepted: "
+                              f"{', '.join(QUADRATIC_FORMS)}")
+    for label, value, what, test in (
+            ("nu", nu, "be finite and nonnegative",
+             lambda v: 0.0 <= v < math.inf),
+            ("sigma_value", sigma_value, "be finite and positive",
+             lambda v: 0.0 < v < math.inf),
+            ("k", k, "lie strictly between 0 and 1",
+             lambda v: 0.0 < v < 1.0)):
+        if value is not None and not test(value):
+            raise DomainError(f"{label} must {what}, got {value}")
+
+
 def assemble_quadratic_form(name: str, spec: model.ModelSpec, nu=None,
                             sigma_value=None, k=None) -> QuadraticFormReport:
     """Assemble one of the energy-estimate matrices M1..M6 and classify it.
@@ -318,14 +341,14 @@ def assemble_quadratic_form(name: str, spec: model.ModelSpec, nu=None,
     coordinates; M3 (supersonic) and M4 (sonic) share the same entries in
     (phi, phi_bar, psi_bar) coordinates; M5/M6 are the sigma-scaled blocks of
     the weighted sonic estimate and need nu and sigma_value (M6 also needs
-    the free parameter k). A non-finite nu, sigma_value or k raises
-    DomainError naming it, and so does a matrix whose entries overflow (a
-    large finite nu or sigma_value), naming the form, nu and sigma_value.
+    the free parameter k). Each parameter given must meet the rule of the
+    weights the energy estimate uses, whatever the form: nu finite and
+    >= 0, sigma_value finite and > 0, 0 < k < 1. An unknown name or a
+    parameter outside its rule raises DomainError naming it and its value,
+    and so does a matrix whose entries overflow (a large finite nu or
+    sigma_value), naming the form, nu and sigma_value.
     """
-    for label, value in (("nu", nu), ("sigma_value", sigma_value), ("k", k)):
-        if value is not None and not math.isfinite(value):
-            raise DomainError(f"{name} parameter {label} must be finite, "
-                              f"got {value}")
+    _check_forms((name,), nu, sigma_value, k)
     try:
         M, context = _form_matrix(name, spec, nu, sigma_value, k)
         finite = np.isfinite(M).all()
@@ -337,12 +360,9 @@ def assemble_quadratic_form(name: str, spec: model.ModelSpec, nu=None,
     return QuadraticFormReport(name=name, matrix=M, context=context)
 
 
-#: the energy-estimate forms that _form_matrix assembles
-QUADRATIC_FORMS = ("M1", "M2", "M3", "M4", "M5", "M6")
-
-
 def _form_matrix(name, spec, nu, sigma_value, k):
-    """The entries of form `name` and the parameters that set them."""
+    """The entries of form `name`, one of QUADRATIC_FORMS, and the
+    parameters that set them."""
     f = spec.fluids
     far = spec.far
     rho, n, up = far.rho_plus, far.n_plus, far.u_plus
@@ -361,7 +381,7 @@ def _form_matrix(name, spec, nu, sigma_value, k):
             [0.0, -dp2 * up / n, -dp2],
             [-dp1, -dp2, -(rho + n) * up],
         ])
-    elif name in ("M5", "M6"):
+    else:
         if nu is None or sigma_value is None:
             raise DomainError(f"{name} needs nu and sigma_value")
         consts = model.derived_constants(spec)
@@ -373,17 +393,12 @@ def _form_matrix(name, spec, nu, sigma_value, k):
         if name == "M6":
             if k is None:
                 raise DomainError("M6 needs the free parameter k")
-            if not 0.0 < k < 1.0:
-                raise DomainError(f"M6 parameter k must lie in (0, 1), got {k}")
             bracket += (nu - 1.0) ** 2 / (4.0 * (1.0 + b * b))
             weight = context["k"] = k
         M = np.array([[weight * n, off],
                       [off, weight * a * gfac * bracket * sigma_value ** 2]])
         context["nu"] = nu
         context["sigma_value"] = sigma_value
-    else:
-        raise DomainError(f"unknown quadratic form {name!r}; accepted: "
-                          f"{', '.join(QUADRATIC_FORMS)}")
     return M, context
 
 
@@ -445,11 +460,11 @@ def fit_temporal_decay(series: NormSeries, which_norm, law: str,
 
     Algebraic law regresses log N on log(1+t) (rate is the power, positive
     for decay); exponential law regresses log N on t. window defaults to the
-    final half of the records. A non-finite value inside the window raises
-    DomainError naming the record's time.
+    final half of the records. An unknown law or a window whose low end is
+    not below its high end raises DomainError (the rule both fits share)
+    first, and so does a non-finite value in the window, naming its time.
     """
-    if law not in DECAY_LAWS:
-        raise DomainError(f"unknown law {law!r}")
+    _check_fit(law, window)
     if len(series.records) < 8:
         raise InsufficientDataError(
             f"norm series holds {len(series.records)} records (need 8)")

@@ -253,6 +253,14 @@ def _sound_speed(coef, expo, dens, out=None):
     return np.sqrt(out, out=out)
 
 
+def _check_cfl(cfl, imex):
+    """The cfl rule of `stable_dt`: (0, 1) with imex, (0, 1/2] without."""
+    if not 0.0 < cfl < 1.0:
+        raise DomainError(f"cfl must lie strictly between 0 and 1, got {cfl}")
+    if not imex and cfl > 0.5:
+        raise DomainError(f"the Heun step needs cfl <= 0.5, got {cfl}")
+
+
 def stable_dt(state: EvolutionState, grid: Grid1D, spec, cfl: float = 0.4,
               imex: bool = False) -> float:
     """Stability step of `step`: cfl times the advective bound
@@ -269,10 +277,7 @@ def stable_dt(state: EvolutionState, grid: Grid1D, spec, cfl: float = 0.4,
 
     A state whose largest wave speed is not finite has no stable step:
     BlowUpError at the state's time."""
-    if not 0.0 < cfl < 1.0:
-        raise DomainError(f"cfl must lie in (0, 1), got {cfl}")
-    if not imex and cfl > 0.5:
-        raise DomainError(f"the Heun step needs cfl <= 0.5, got {cfl}")
+    _check_cfl(cfl, imex)
     f = spec.fluids
     c1 = _sound_speed(f.A1, f.gamma, state.rho)
     c2 = _sound_speed(f.A2, f.alpha, state.n)
@@ -700,6 +705,20 @@ class EvolveResult:
     dt_max: float
 
 
+def _check_evolve(t, t_end, observer_stride, wall_clock_budget, cfl):
+    """The rules of `evolve`'s arguments, for a start at time t."""
+    if not (math.isfinite(t_end) and t_end >= t):
+        raise DomainError(f"t_end must be finite and not before the start "
+                          f"time {t}, got {t_end}")
+    if not _is_integer(observer_stride) or observer_stride < 1:
+        raise DomainError("observer_stride must be an integer of at least 1, "
+                          f"got {observer_stride!r}")
+    if wall_clock_budget is not None and not wall_clock_budget >= 0.0:
+        raise DomainError("wall_clock_budget must be nonnegative, got "
+                          f"{wall_clock_budget}")
+    _check_cfl(cfl, imex=True)
+
+
 def evolve(state: EvolutionState, grid: Grid1D, spec, t_end: float,
            observer_stride: int = 1, observers=(), cfl: float = 0.4,
            wall_clock_budget: float = None) -> EvolveResult:
@@ -715,18 +734,13 @@ def evolve(state: EvolutionState, grid: Grid1D, spec, t_end: float,
     is implicit, so a fast relaxation never limits stability; a smaller
     cfl resolves it in time. A wall-clock budget in seconds turns an
     overlong run into a truncated result instead of an error (0.0
-    truncates at once, inf is no budget, NaN or a negative one is refused).
+    truncates at once, inf is no budget). The arguments are checked
+    before any observer runs: t_end finite and not before the state's
+    time, observer_stride an integer >= 1, wall_clock_budget None or >= 0,
+    cfl as `stable_dt(..., imex=True)` takes it; else DomainError naming
+    the argument and the value.
     """
-    if not math.isfinite(t_end):
-        raise DomainError(f"t_end must be finite, got {t_end}")
-    if t_end < state.t:
-        raise DomainError("t_end lies before the state time")
-    if not _is_integer(observer_stride) or observer_stride < 1:
-        raise DomainError("observer_stride must be a positive integer, got "
-                          f"{observer_stride!r}")
-    if wall_clock_budget is not None and not wall_clock_budget >= 0.0:
-        raise DomainError("wall_clock_budget must be nonnegative, got "
-                          f"{wall_clock_budget}")
+    _check_evolve(state.t, t_end, observer_stride, wall_clock_budget, cfl)
     records = []
 
     def observe(current):

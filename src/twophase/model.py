@@ -27,9 +27,12 @@ SONIC_TOLERANCE = 1e-9
 
 def _require(obj, what, test=math.isfinite, names=None):
     """DomainError "<name> must be <what>, got <value>" for the first of
-    obj's fields `names` (default: all) whose value fails `test`."""
+    obj's fields `names` (default: all) whose value fails `test`, or
+    "<name> must be a real number" for one that is not a real number."""
     for name in names or [f.name for f in fields(obj)]:
         value = getattr(obj, name)
+        if not _is_real(value):
+            raise DomainError(f"{name} must be a real number, got {value!r}")
         if not test(value):
             raise DomainError(f"{name} must be {what}, got {value}")
 

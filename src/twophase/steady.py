@@ -315,9 +315,13 @@ class SteadySolveOptions:
     points: int = 2048
 
     def __post_init__(self):
-        if self.x_domain is not None and not 0.0 < self.x_domain < math.inf:
-            raise DomainError("steady x_domain must be finite and positive, "
-                              f"got {self.x_domain}")
+        if self.x_domain is not None:
+            if not model._is_real(self.x_domain):
+                raise DomainError("steady x_domain must be a real number, "
+                                  f"got {self.x_domain!r}")
+            if not 0.0 < self.x_domain < math.inf:
+                raise DomainError("steady x_domain must be finite and "
+                                  f"positive, got {self.x_domain}")
         if not model._is_integer(self.points) or self.points < 2:
             raise DomainError("steady points must be an integer of at least "
                               f"2, got {self.points!r}")
@@ -643,6 +647,17 @@ def _log_linear_fit(abscissa, values):
     return slope, intercept, r2
 
 
+def _check_fit(law, window):
+    """The rules of both decay fits: law one of DECAY_LAWS, and a window,
+    when one is given, from a low end to a higher one."""
+    if law not in DECAY_LAWS:
+        raise DomainError(f"unknown law {law!r}; accepted: "
+                          f"{', '.join(DECAY_LAWS)}")
+    if window is not None and not window[0] < window[1]:
+        raise DomainError("fit window must have its low end below its high "
+                          f"end, got ({window[0]}, {window[1]})")
+
+
 def fit_spatial_decay(profile: SteadyProfile, quantity: str, law: str,
                       window: tuple) -> SpatialDecayFit:
     """Least-squares decay fit of |q(x) - q_inf| on a window.
@@ -653,12 +668,12 @@ def fit_spatial_decay(profile: SteadyProfile, quantity: str, law: str,
     quantity "ux_over_sigma2" divides u~_x by the closed-form sigma^2, whose
     algebraic fit has slope about 0 and prefactor about the curvature
     constant, with sigma's a and sigma0 the spec's curvature constant and
-    delta.
+    delta. An unknown law, or a window whose low end is not below its high
+    end, raises DomainError by the rule both fits share.
     """
     if quantity not in _FARFIELD_LIMITS:
         raise DomainError(f"unknown quantity {quantity!r}")
-    if law not in DECAY_LAWS:
-        raise DomainError(f"unknown law {law!r}")
+    _check_fit(law, window)
     x = profile.x
     if quantity == "ux_over_sigma2":
         sigma = sigma_profile(model.derived_constants(profile.spec).a,

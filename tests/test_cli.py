@@ -214,8 +214,7 @@ def test_canonical_text_and_hash_are_pinned(tmp_path):
     (("steady.points = 0",),
      "steady points must be an integer of at least 2, got 0"),
     (("diagnostics.fit_law = linear",),
-     "diagnostics.fit_law: must be one of exponential, algebraic "
-     "(got linear)"),
+     "unknown law 'linear'; accepted: exponential, algebraic"),
     (("sweep.subcommand = sweep",),
      "sweep.subcommand: must be one of steady, evolve, decay-fit, "
      "matrix-check, regime (got sweep)"),
@@ -224,6 +223,54 @@ def test_config_rejections_name_the_problem(tmp_path, extra, fragment):
     with pytest.raises(tp.ConfigError) as err:
         cli.parse_config(write_config(tmp_path, *extra))
     assert fragment in str(err.value)
+
+
+def flat_state(cells):
+    """The unit-fluid far field at Mach 2, flat on `cells` cells at t = 0."""
+    U = np.array(((1.0, 1.0), (-2.0, -2.0)))[:, :, None] * np.ones(cells)
+    return tp.EvolutionState(t=0.0, U=U, boundary=MACH2_UNIT_BOUNDARY)
+
+
+# each call argument a config holds, with a value outside its rule, and
+# the public function that takes it, called with the same value: evolve
+# from t = 0, the fit on no records (its rules come first), the forms on
+# the config's spec
+CALL_ARGUMENTS = [
+    ("evolve.t_end = -1", "evolve", dict(t_end=-1.0)),
+    ("evolve.cfl = 1.5", "evolve", dict(cfl=1.5)),
+    ("evolve.observer_stride = 0", "evolve", dict(observer_stride=0)),
+    ("evolve.wall_clock_budget = -1", "evolve",
+     dict(wall_clock_budget=-1.0)),
+    ("diagnostics.fit_law = linear", "fit", dict(law="linear")),
+    ("diagnostics.fit_window = 5:2", "fit", dict(window=(5.0, 2.0))),
+    ("diagnostics.matrix_names = M1,M7", "form", dict(name="M7")),
+    ("diagnostics.matrix_nu = -1", "form", dict(nu=-1.0)),
+    ("diagnostics.matrix_sigma = 0", "form", dict(sigma_value=0.0)),
+    ("diagnostics.matrix_k = 1.5", "form", dict(k=1.5)),
+]
+
+
+@pytest.mark.parametrize("line, function, kwargs", CALL_ARGUMENTS,
+                         ids=[line.partition(" =")[0]
+                              for line, _, _ in CALL_ARGUMENTS])
+def test_each_call_argument_has_one_rule(tmp_path, line, function, kwargs):
+    # the command line's own rules gave other texts, and refused a value
+    # (wall_clock_budget = 0) that evolve takes
+    spec = cli.parse_config(write_config(tmp_path)).model_spec()
+    calls = {
+        "evolve": lambda: tp.evolve(flat_state(64), tp.make_grid(10.0, 64),
+                                    spec, **{"t_end": 1.0, **kwargs}),
+        "fit": lambda: tp.fit_temporal_decay(
+            tp.NormSeries(records=()), "l2", **{"law": "exponential",
+                                                **kwargs}),
+        "form": lambda: tp.assemble_quadratic_form(
+            **{"name": "M1", "spec": spec, **kwargs}),
+    }
+    with pytest.raises(tp.DomainError) as raised:
+        calls[function]()
+    with pytest.raises(tp.ConfigError) as refused:
+        cli.parse_config(write_config(tmp_path, line))
+    assert str(raised.value) in str(refused.value)
 
 
 @pytest.mark.parametrize("key", ["steady.eps_seed", "steady.ode_tol",
@@ -428,6 +475,19 @@ def test_evolve_wall_clock_truncation(tmp_path):
     assert "budget" in record["reason"]
 
 
+def test_evolve_zero_wall_clock_budget_truncates_at_once(tmp_path):
+    # evolve documents 0 as "truncate at once"; the command line refused it
+    path = write_config(tmp_path, "evolve.wall_clock_budget = 0",
+                        lines=EVOLVE_LINES)
+    out = tmp_path / "out"
+    assert cli.main(["evolve", "--config", path, "--out", str(out)]) == 0
+    record = json.loads((out / "run_run.json").read_text())
+    assert record["status"] == "truncated"
+    assert record["reason"] == "wall clock budget exhausted at t=0"
+    series = tp.load_norm_series_csv(out / "run_norms.csv")
+    assert series.times().tolist() == [0.0]
+
+
 def test_evolve_infinite_wall_clock_budget_is_no_budget(tmp_path):
     path = write_config(tmp_path, "evolve.wall_clock_budget = inf",
                         lines=EVOLVE_LINES)
@@ -569,9 +629,7 @@ def test_object_rules_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
 def write_snapshot(path, length, cells):
     """A flat unit-fluid state at Mach 2 on the given grid, with its
     sidecar, as `save_state_csv` writes it."""
-    U = np.array(((1.0, 1.0), (-2.0, -2.0)))[:, :, None] * np.ones(cells)
-    state = tp.EvolutionState(t=0.0, U=U, boundary=MACH2_UNIT_BOUNDARY)
-    tp.save_state_csv(state, tp.make_grid(length, cells), path)
+    tp.save_state_csv(flat_state(cells), tp.make_grid(length, cells), path)
 
 
 def write_norm_series(path, header, times, rates):
@@ -654,7 +712,7 @@ def _raising_body(err):
                 "evolve.pert_path = {snapshot}"), None, 3,
      ("{snapshot}", "64 cell centers", "grid's 32")),
     ("evolve", ("evolve.t_end = inf",), None, 2,
-     ("evolve.t_end", "finite")),
+     ("t_end must be finite and not before the start time 0.0, got inf",)),
     ("evolve", ("evolve.pert_amplitude = nan",), None, 2,
      ("amplitude must be finite",)),
     ("evolve", ("evolve.pert_amplitude = inf",), None, 2,
@@ -739,11 +797,11 @@ def _raising_body(err):
     ("matrix-check", ("diagnostics.matrix_names = M5",
                       "diagnostics.matrix_nu = inf",
                       "diagnostics.matrix_sigma = 1"), None, 2,
-     ("diagnostics.matrix_nu: must be finite and nonnegative (got inf)",)),
+     ("nu must be finite and nonnegative, got inf",)),
     ("matrix-check", ("diagnostics.matrix_names = M5",
                       "diagnostics.matrix_nu = 1",
                       "diagnostics.matrix_sigma = inf"), None, 2,
-     ("diagnostics.matrix_sigma: must be finite and positive (got inf)",)),
+     ("sigma_value must be finite and positive, got inf",)),
     ("matrix-check", ("diagnostics.matrix_names = M5",
                       "diagnostics.matrix_nu = 1",
                       "diagnostics.matrix_sigma = 1e200"), None, 3,

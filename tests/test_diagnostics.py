@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -300,9 +301,11 @@ def test_weight_tag_labels_and_validation():
     assert tp.AlgebraicNu(1.0).label == "alg1"
     assert tp.SigmaNu(2.5).label == "sig2.5"
     assert tp.ExponentialLambda(0.5).label == "exp0.5"
+    # True built AlgebraicNu(True), labelled alg1
     for cls in (tp.AlgebraicNu, tp.SigmaNu, tp.ExponentialLambda):
-        for bad in (-0.1, math.nan, math.inf, -math.inf):
-            with pytest.raises(tp.DomainError, match=f"finite .* {bad}"):
+        for bad in (-0.1, math.nan, math.inf, -math.inf, True, "1", None):
+            with pytest.raises(tp.DomainError,
+                               match=f"finite .* got {re.escape(repr(bad))}$"):
                 cls(bad)
 
 
@@ -445,6 +448,14 @@ def test_fit_temporal_rejections():
     with pytest.raises(tp.DomainError):
         tp.fit_temporal_decay(series_from(t, dying), "l2", "exponential",
                               window=(0.0, 10.0))
+    # the window rule of both fits; such a window held no records and
+    # raised InsufficientDataError
+    for lo, hi in ((5.0, 2.0), (2.0, 2.0), (math.nan, 3.0)):
+        message = ("fit window must have its low end below its high end, "
+                   f"got ({lo}, {hi})")
+        with pytest.raises(tp.DomainError, match=f"^{re.escape(message)}$"):
+            tp.fit_temporal_decay(series, "l2", "exponential",
+                                  window=(lo, hi))
 
 
 # ---------------------------------------------------------------------------

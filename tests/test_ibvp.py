@@ -154,6 +154,9 @@ def test_perturbation_spec_validation():
     (dict(center=-math.inf), "center must be finite, got -inf"),
     (dict(width=0.0), "width must be positive, got 0.0"),
     (dict(width=-1.5), "width must be positive, got -1.5"),
+    (dict(amplitude=True), "amplitude must be a real number, got True"),
+    (dict(width=True), "width must be a real number, got True"),
+    (dict(center="10"), "center must be a real number, got '10'"),
 ])
 def test_perturbation_refusals_name_the_field(kwargs, message):
     with pytest.raises(tp.DomainError, match=f"^{re.escape(message)}$"):
@@ -950,15 +953,20 @@ def test_evolve_validation():
 @pytest.mark.parametrize("name, value", [
     ("observer_stride", 2.5), ("observer_stride", math.nan),
     ("observer_stride", True), ("wall_clock_budget", math.nan),
-    ("wall_clock_budget", -1.0)])
+    ("wall_clock_budget", -1.0), ("observer_stride", 0), ("t_end", -1.0),
+    ("cfl", 1.5), ("cfl", 0.0)])
 def test_evolve_refuses_what_it_would_misread(name, value):
     # a nan budget never truncated the run, and a nan stride observed only
-    # the first and last states
+    # the first and last states; every argument is refused before any
+    # observer runs, where cfl = 1.5 reached stable_dt's refusal after
     grid = tp.make_grid(10.0, 100)
     state = tp.initialize(flat_profile(SUP), grid, tp.PerturbationSpec())
+    calls = []
     with pytest.raises(tp.DomainError,
-                       match=f"^{name} must be .*, got {value}$"):
-        tp.evolve(state, grid, SUP, t_end=1.0, **{name: value})
+                       match=f"^{name} must .*, got {value}$"):
+        tp.evolve(state, grid, SUP, **{"t_end": 1.0, name: value},
+                  observers=(calls.append,))
+    assert calls == []
 
 
 def test_evolve_wall_clock_truncation():

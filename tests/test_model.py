@@ -321,6 +321,14 @@ def test_spec_validation():
     ("u_plus", 2.0, "u_plus must be negative (outflow), got 2.0"),
     ("u_plus", 0.0, "u_plus must be negative (outflow), got 0.0"),
     ("u_minus", 2.0, "u_minus must be negative (outflow), got 2.0"),
+    # a bool is an int to Python, and built the all-1.0 fluid; a string
+    # raised an internal TypeError
+    ("A1", True, "A1 must be a real number, got True"),
+    ("gamma", True, "gamma must be a real number, got True"),
+    ("rho_plus", True, "rho_plus must be a real number, got True"),
+    ("rho_plus", "1", "rho_plus must be a real number, got '1'"),
+    ("u_plus", None, "u_plus must be a real number, got None"),
+    ("u_minus", True, "u_minus must be a real number, got True"),
 ])
 def test_refusals_name_the_field_and_the_value(field, value, message):
     fluids = dict(A1=1.0, A2=1.0, gamma=1.0, alpha=1.0, mu=1.0)

@@ -189,13 +189,36 @@ def test_quadratic_form_context_validation():
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_quadratic_form_refuses_non_finite_parameters(name, value):
     # an infinite nu or sigma_value would give M5 the eigenvalues
-    # [nan, inf] and the verdict "indefinite"
+    # [nan, inf] and the verdict "indefinite"; each parameter is refused
+    # by its own rule, whatever the form
     finite = dict(nu=1.0, sigma_value=0.1, k=0.5)
+    rules = dict(nu="be finite and nonnegative",
+                 sigma_value="be finite and positive",
+                 k="lie strictly between 0 and 1")
     for param in finite:
-        with pytest.raises(tp.DomainError,
-                           match=f"^{name} parameter {param} must be finite"):
+        message = f"{param} must {rules[param]}, got {value}"
+        with pytest.raises(tp.DomainError, match=f"^{re.escape(message)}$"):
             tp.assemble_quadratic_form(name, UNIT_SONIC,
                                        **dict(finite, **{param: value}))
+
+
+@pytest.mark.parametrize("name, param, value, message", [
+    ("M5", "nu", -1.0, "nu must be finite and nonnegative, got -1.0"),
+    ("M1", "nu", -1.0, "nu must be finite and nonnegative, got -1.0"),
+    ("M5", "sigma_value", 0.0,
+     "sigma_value must be finite and positive, got 0.0"),
+    ("M5", "sigma_value", -1.0,
+     "sigma_value must be finite and positive, got -1.0"),
+    ("M1", "k", 1.5, "k must lie strictly between 0 and 1, got 1.5")])
+def test_quadratic_form_parameters_keep_their_rule_whatever_the_form(
+        name, param, value, message):
+    # M5 read "indefinite" at nu = -1 and "positive_definite" at
+    # sigma_value = -1, weights the energy estimate does not use, and M1,
+    # which reads no k, took k = 1.5
+    given = dict(nu=1.0, sigma_value=1.0, k=0.5)
+    with pytest.raises(tp.DomainError, match=f"^{re.escape(message)}$"):
+        tp.assemble_quadratic_form(name, UNIT_SONIC,
+                                   **dict(given, **{param: value}))
 
 
 @pytest.mark.parametrize("name", ["M5", "M6"])

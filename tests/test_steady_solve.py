@@ -480,6 +480,12 @@ def test_non_finite_interval_or_start_mesh_is_a_domain_error():
     with pytest.raises(tp.DomainError,
                        match="steady x_domain must be finite and positive"):
         tp.SteadySolveOptions(x_domain=math.inf)
+    # nor one that is not a real number: True built a unit interval
+    for x_domain, shown in ((True, "True"), ("10", "'10'")):
+        with pytest.raises(tp.DomainError,
+                           match="^steady x_domain must be a real number, "
+                                 f"got {shown}$"):
+            tp.SteadySolveOptions(x_domain=x_domain)
     for fluids, u_minus in ((UNIT, -1e300),
                             (dataclasses.replace(UNIT, mu=1e300), -2.05)):
         far = tp.FarFieldState(rho_plus=1.0, n_plus=1.0, u_plus=-2.0)
@@ -778,6 +784,11 @@ def test_fit_rejections(supersonic_case):
         tp.fit_spatial_decay(prof, "u", "logarithmic", (0.0, X))
     with pytest.raises(tp.InsufficientDataError):
         tp.fit_spatial_decay(prof, "u", "exponential", (0.0, prof.x[3]))
+    # the window rule of both fits, before any count of samples
+    with pytest.raises(tp.DomainError,
+                       match=r"^fit window must have its low end below its "
+                             r"high end, got \(1\.0, 0\.0\)$"):
+        tp.fit_spatial_decay(prof, "u", "exponential", (1.0, 0.0))
 
 
 def test_fit_rejects_zero_deviation():
